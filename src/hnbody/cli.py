@@ -24,7 +24,7 @@ from .clifford import (
     ROTATION_ELLIPTIC,
     exp_subgroup,
 )
-from .dynamics import SystemState, integrate, vlasov_weak_residual
+from .dynamics import SystemState, default_test_functions, integrate, vlasov_weak_residual
 from .equilibria import (
     CyclicParams,
     EquilibriumClass,
@@ -156,7 +156,7 @@ def _field_from(section: dict, path: str) -> KillingField:
     kind = _require(section, path, "kind")
     if kind not in ("normal", "nilpotent", "rotation"):
         raise ValidationError(f"{path}kind", "must be normal, nilpotent or rotation")
-    sigma = section.get("sigma", -1)
+    sigma = _integer(section.get("sigma", -1), f"{path}sigma")
     if sigma not in (-1, 0, 1):
         raise ValidationError(f"{path}sigma", "must be -1, 0 or 1")
     return KillingField(kind, sigma)
@@ -187,7 +187,7 @@ def _load_config(path: str) -> dict:
 
 def _seed(doc: dict, args) -> int:
     if args.seed is not None:
-        return args.seed
+        return _integer(args.seed, "--seed", minimum=0)
     if "seed" in doc:
         return _integer(doc["seed"], "seed", minimum=0)
     return 0
@@ -372,15 +372,14 @@ def cmd_flow(args) -> list[str]:
     ts = np.linspace(t_min, t_max, num)
     rows = flow_samples(field, points, ts)
     checks = [
-        flow_derivative_check(field, w0, float(t))
-        for w0 in points
+        flow_derivative_check(field, np.array(points), float(t))
         for t in (t_min + 0.25 * (t_max - t_min), t_min + 0.75 * (t_max - t_min))
     ]
     payload = {
         "kind": field.describe(),
         "num_points": len(points),
         "num_times": num,
-        "max_derivative_defect": float(max(checks)),
+        "max_derivative_defect": float(np.max(checks)),
     }
     return [
         _emit(args, "flow.csv", reports.flow_csv(rows)),
@@ -467,12 +466,10 @@ def cmd_vlasov(args) -> list[str]:
     state = _system_state(doc)
     opts = _integrator(doc)
     traj = integrate(state, opts["t_end"], tol=opts["tol"], max_step=opts["max_step"])
-    from .dynamics import default_test_functions
-
-    tests = default_test_functions()
+    # the weak-form grid is built once per trajectory and shared by the tests
     per_test = {
         tf.name: float(vlasov_weak_residual(traj, tests=(tf,), num_points=num_points))
-        for tf in tests
+        for tf in default_test_functions()
     }
     payload = {
         "num_points": num_points,

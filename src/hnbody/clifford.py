@@ -13,7 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
+from .geometry import as_points
 
 _DET_TOL = 1e-12
 
@@ -110,7 +113,8 @@ class MobiusElement:
     """Real 2x2 matrix [[a, b], [c, d]] with ad - bc = 1.
 
     Acts on the half-plane through w -> (aw + b)/(cw + d); the element and
-    its negative act identically.
+    its negative act identically.  Entries may also be equally shaped
+    arrays, one element per index (exp_subgroup over an array of times).
     """
 
     a: float
@@ -120,8 +124,9 @@ class MobiusElement:
 
     def __post_init__(self):
         det = self.a * self.d - self.b * self.c
-        scale = max(1.0, self.a * self.a, self.b * self.b, self.c * self.c, self.d * self.d)
-        if not abs(det - 1.0) <= _DET_TOL * scale:
+        squares = (self.a * self.a, self.b * self.b, self.c * self.c, self.d * self.d)
+        scale = np.maximum(1.0, np.max(squares, axis=0))
+        if not np.all(abs(det - 1.0) <= _DET_TOL * scale):
             raise DomainError(f"matrix must be unimodular, det = {det!r}")
 
     @classmethod
@@ -272,18 +277,20 @@ ROTATION_HYPERBOLIC = KillingField(ROTATION, 1)
 ISOMETRY_FIELDS = (NORMAL_A, NILPOTENT_N, ROTATION_ELLIPTIC)
 
 
-def exp_subgroup(field: KillingField, t: float) -> MobiusElement:
+def exp_subgroup(field: KillingField, t) -> MobiusElement:
     """Group element at parameter t of the subgroup generating ``field``.
 
     normal -> diag(e^{t/2}, e^{-t/2}); nilpotent -> unit upper shear by t;
-    rotation -> the rotation block [[cos t, sin t], [-sin t, cos t]].
+    rotation -> the rotation block [[cos t, sin t], [-sin t, cos t]].  An
+    array of parameters gives one element per entry.
     """
-    t = float(t)
+    t = np.asarray(t, dtype=float)[()]
+    one, zero = np.ones_like(t)[()], np.zeros_like(t)[()]
     if field.kind == NORMAL:
-        return MobiusElement(math.exp(t / 2), 0.0, 0.0, math.exp(-t / 2))
+        return MobiusElement(np.exp(t / 2), zero, zero, np.exp(-t / 2))
     if field.kind == NILPOTENT:
-        return MobiusElement(1.0, t, 0.0, 1.0)
-    return MobiusElement(math.cos(t), math.sin(t), -math.sin(t), math.cos(t))
+        return MobiusElement(one, t, zero, one)
+    return MobiusElement(np.cos(t), np.sin(t), -np.sin(t), np.cos(t))
 
 
 def killing_velocity(field: KillingField, w: complex) -> complex:
@@ -291,13 +298,13 @@ def killing_velocity(field: KillingField, w: complex) -> complex:
 
     normal: w.  nilpotent: 1.  rotation: 1 + w^2 corrected by the flavour
     term -(w - conj(w))^2 / 4 (parabolic) or / 2 (hyperbolic); the elliptic
-    flavour needs no correction.
+    flavour needs no correction.  An array of points gives an array.
     """
-    w = complex(w)
+    w = as_points(w)
     if field.kind == NORMAL:
         return w
     if field.kind == NILPOTENT:
-        return 1.0 + 0.0j
+        return np.ones_like(w) if isinstance(w, np.ndarray) else 1.0 + 0.0j
     base = 1.0 + w * w
     if field.sigma == -1:
         return base
@@ -308,8 +315,12 @@ def killing_velocity(field: KillingField, w: complex) -> complex:
 
 
 def killing_wirtinger(field: KillingField, w: complex):
-    """Wirtinger derivatives (dK/dw, dK/dwbar) of the field at w."""
-    w = complex(w)
+    """Wirtinger derivatives (dK/dw, dK/dwbar) of the field at w.
+
+    An array of points gives arrays where the derivatives vary and
+    constants where they do not.
+    """
+    w = as_points(w)
     if field.kind == NORMAL:
         return 1.0 + 0.0j, 0.0j
     if field.kind == NILPOTENT:

@@ -12,7 +12,7 @@ isometric subgroups provide conserved-quantity monitors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,11 @@ THETA_FLOOR_SCALE = 1e-12  # singularity guard: theta_min = 1e-12 * scale^4
 
 @dataclass
 class SystemState:
-    """Instantaneous state: time, per-body positions/velocities, masses, R."""
+    """Time, per-body positions/velocities, masses and R.
+
+    One state has positions and velocities of shape (n,) and a float time;
+    a series of states sharing masses and R has (T, n) arrays and T times.
+    """
 
     t: float
     positions: np.ndarray
@@ -39,16 +43,21 @@ class SystemState:
     R: float
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=complex).copy()
-        self.velocities = np.asarray(self.velocities, dtype=complex).copy()
-        self.masses = np.asarray(self.masses, dtype=float).copy()
-        self.t = float(self.t)
+        self.positions = np.array(self.positions, dtype=complex, ndmin=1)
+        self.velocities = np.array(self.velocities, dtype=complex, ndmin=1)
+        self.masses = np.array(self.masses, dtype=float)
         self.R = float(self.R)
-        n = self.positions.size
+        rows = self.positions.shape[:-1]
+        if len(rows) > 1:
+            raise DomainError("positions must have shape (n,) or (T, n)")
+        self.t = np.array(self.t, dtype=float) if rows else float(self.t)
+        n = self.n
         if n < 1:
             raise DomainError("a system needs at least one body")
-        if self.velocities.size != n or self.masses.size != n:
+        if self.velocities.shape != self.positions.shape or self.masses.size != n:
             raise DomainError("positions, velocities and masses must have equal length")
+        if rows and self.t.shape != rows:
+            raise DomainError("a series needs one time per row")
         if not np.all(self.masses > 0):
             raise DomainError("masses must be positive")
         if not (self.R > 0 and math.isfinite(self.R)):
@@ -58,32 +67,7 @@ class SystemState:
 
     @property
     def n(self) -> int:
-        return self.positions.size
-
-
-def theta(wk: complex, wj: complex) -> float:
-    """Pairwise singular-set function.
-
-    [(conj(wk)+wk)(conj(wj)+wj) - 2(|wk|^2+|wj|^2)]^2
-        - (conj(wk)-wk)^2 (conj(wj)-wj)^2,
-    evaluated symmetrically so theta(wk, wj) == theta(wj, wk) bit for bit.
-    Nonnegative; zero exactly on collision/antipodal configurations.
-    """
-    wk, wj = complex(wk), complex(wj)
-    cross = (2.0 * wk.real) * (2.0 * wj.real) - 2.0 * (
-        (wk.real * wk.real + wk.imag * wk.imag) + (wj.real * wj.real + wj.imag * wj.imag)
-    )
-    return cross * cross - 16.0 * (wk.imag * wk.imag) * (wj.imag * wj.imag)
-
-
-def _pair_tables(w: np.ndarray):
-    """Matrices of the pair numerator and theta over all body pairs."""
-    x2 = 2.0 * w.real
-    nrm = w.real * w.real + w.imag * w.imag
-    cross = np.outer(x2, x2) - 2.0 * (nrm[:, None] + nrm[None, :])
-    v2 = w.imag * w.imag
-    th = cross * cross - 16.0 * np.outer(v2, v2)
-    return cross, th
+        return self.positions.shape[-1]
 
 
 _TRIU_CACHE: dict = {}
@@ -97,100 +81,136 @@ def _triu(n: int):
     return idx
 
 
-def theta_floor(positions: np.ndarray) -> float:
+def theta_floor(positions: np.ndarray):
+    """Singularity guard theta_min = 1e-12 * scale^4, per configuration of shape (..., n)."""
     nn = positions.real ** 2 + positions.imag ** 2
-    scale2 = max(1.0, float(nn.max()))
+    scale2 = nn.max(axis=-1, initial=1.0)
     return THETA_FLOOR_SCALE * scale2 * scale2
 
 
-def min_pair_theta(positions: np.ndarray) -> float:
-    w = np.asarray(positions, dtype=complex)
-    if w.size < 2:
-        return math.inf
-    _, th = _pair_tables(w)
-    return float(np.min(th[_triu(w.size)]))
+def _pair_tables(w: np.ndarray):
+    """Pair numerator and theta tables, shape (..., n, n), of positions w, shape (..., n).
+
+    cross_kj = (conj(wk)+wk)(conj(wj)+wj) - 2(|wk|^2+|wj|^2) and
+    theta_kj = cross_kj^2 - (conj(wk)-wk)^2 (conj(wj)-wj)^2, symmetric in
+    k, j bit for bit.
+    """
+    re, im = w.real, w.imag
+    x2 = 2.0 * re
+    v2 = im * im
+    nrm2 = 2.0 * (re * re + v2)
+    v4 = 4.0 * v2  # power-of-two scalings are exact, so v4_k v4_j == 16 v2_k v2_j
+    cross = x2[..., :, None] * x2[..., None, :] - (nrm2[..., :, None] + nrm2[..., None, :])
+    th = cross * cross - v4[..., :, None] * v4[..., None, :]
+    return cross, th
 
 
-def _check_off_singular(positions: np.ndarray, t: float | None = None):
-    w = np.asarray(positions, dtype=complex)
-    if w.size < 2:
-        return
-    _, th = _pair_tables(w)
-    floor = theta_floor(w)
-    iu = _triu(w.size)
-    vals = th[iu]
-    worst = int(np.argmin(vals))
-    if vals[worst] < floor:
-        pair = (int(iu[0][worst]), int(iu[1][worst]))
-        raise SingularityError(
-            f"pair {pair} touched the singular set (theta = {vals[worst]:.3e})",
-            pair=pair,
-            time=t,
-            theta=float(vals[worst]),
-        )
+def _pairs(w: np.ndarray, t=None):
+    """The pair kernel: tables over all body pairs of positions w, shape (..., n), with the guard.
+
+    Returns (cross, theta, min_theta, verdict): the tables of _pair_tables,
+    the smallest theta over distinct pairs per configuration (inf for one
+    body), and None or the SingularityError of the first configuration
+    below its theta floor, timed by ``t`` (a float, or an array over the
+    leading axes) if given.
+    """
+    cross, th = _pair_tables(w)
+    n = w.shape[-1]
+    if n < 2:
+        return cross, th, np.full(w.shape[:-1], math.inf)[()], None
+    iu = _triu(n)
+    vals = th[..., iu[0], iu[1]]
+    min_theta = vals.min(axis=-1)
+    below = min_theta < theta_floor(w)
+    if not below.any():
+        return cross, th, min_theta, None
+    row = np.unravel_index(np.argmax(below), below.shape)
+    worst = int(np.argmin(vals[row]))
+    pair = (int(iu[0][worst]), int(iu[1][worst]))
+    value = float(vals[row][worst])
+    time = None if t is None else float(np.asarray(t)[row])
+    when = "" if time is None else f" at t = {time}"
+    verdict = SingularityError(
+        f"pair {pair} touched the singular set{when} (theta = {value:.3e})",
+        pair=pair,
+        time=time,
+        theta=value,
+    )
+    return cross, th, min_theta, verdict
 
 
-def cotangent_potential(state: SystemState) -> float:
+def theta(wk: complex, wj: complex) -> float:
+    """Pairwise singular-set function.
+
+    [(conj(wk)+wk)(conj(wj)+wj) - 2(|wk|^2+|wj|^2)]^2
+        - (conj(wk)-wk)^2 (conj(wj)-wj)^2,
+    evaluated symmetrically so theta(wk, wj) == theta(wj, wk) bit for bit.
+    Nonnegative; zero exactly on collision/antipodal configurations.
+    """
+    return float(_pair_tables(np.array([wk, wj], dtype=complex))[1][0, 1])
+
+
+def min_pair_theta(positions: np.ndarray):
+    """Smallest theta over distinct pairs, per configuration of shape (..., n)."""
+    return _pairs(np.asarray(positions, dtype=complex))[2]
+
+
+def _interaction_sums(w: np.ndarray, masses: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """S_k = sum_{j != k} m_j (conj(wj)-wj)^2 (wk-wj)(conj(wj)-wk) / theta^{3/2}.
+
+    ``th`` is the theta table of w from the pair kernel.  Its diagonal is
+    overwritten with 1, which leaves the j = k terms exactly zero.
+    """
+    d = np.arange(w.shape[-1])
+    th[..., d, d] = 1.0
+    wb = w.conjugate()
+    kernel = (wb - w)[..., None, :] ** 2 * (w[..., :, None] - w[..., None, :]) * (wb[..., None, :] - w[..., :, None])
+    return (masses * kernel / th ** 1.5).sum(axis=-1)
+
+
+def _force(w: np.ndarray, masses: np.ndarray, R: float, t=None):
+    """Interaction force -(2 (wk - conj wk)^3 / R) * S_k behind the theta guard, and the min theta."""
+    _, th, min_theta, verdict = _pairs(w, t)
+    if verdict is not None:
+        raise verdict
+    return -(2.0 * (w - w.conjugate()) ** 3 / R) * _interaction_sums(w, masses, th), min_theta
+
+
+def _accel(w: np.ndarray, v: np.ndarray, masses: np.ndarray, R: float, t=None):
+    """Accelerations 2*wdot^2/(w - conj(w)) plus the interaction force, and the min theta."""
+    force, min_theta = _force(w, masses, R, t)
+    return 2.0 * v * v / (w - w.conjugate()) + force, min_theta
+
+
+_PAIR_CHUNK = 1 << 14  # pair-table entries per kernel call over a series
+
+
+def _over_rows(state: SystemState, fn):
+    """fn(t, w, v) on one state, or over the rows of a series a few rows per
+    call, so that no (T, n, n) table is built."""
+    t, w, v = state.t, state.positions, state.velocities
+    if w.ndim == 1:
+        return fn(t, w, v)
+    step = max(1, _PAIR_CHUNK // (state.n * state.n))
+    return np.concatenate([fn(t[a:a + step], w[a:a + step], v[a:a + step]) for a in range(0, len(w), step)])
+
+
+def cotangent_potential(state: SystemState):
     """Total potential (1/R) * sum_{k<j} m_k m_j * cross_{kj} / sqrt(theta_{kj}).
 
-    Mobius invariant; raises on the singular set.
+    Mobius invariant; raises below the theta floor.  A series gives one
+    value per row.
     """
-    w = state.positions
-    if state.n < 2:
-        return 0.0
-    cross, th = _pair_tables(w)
     iu = _triu(state.n)
-    if np.any(th[iu] <= 0):
-        k = int(np.argmin(th[iu]))
-        pair = (int(iu[0][k]), int(iu[1][k]))
-        raise SingularityError(f"pair {pair} lies on the singular set", pair=pair, time=state.t)
-    mm = np.outer(state.masses, state.masses)
-    return float(np.sum(mm[iu] * cross[iu] / np.sqrt(th[iu])) / state.R)
+    mm = np.outer(state.masses, state.masses)[iu]
 
+    def rows(t, w, v):
+        cross, th, _, verdict = _pairs(w, t)
+        if verdict is not None:
+            raise verdict
+        return np.sum(mm * cross[..., iu[0], iu[1]] / np.sqrt(th[..., iu[0], iu[1]]), axis=-1) / state.R
 
-def _interaction_sums(positions: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """S_k = sum_{j != k} m_j (conj(wj)-wj)^2 (wk-wj)(conj(wj)-wk) / theta^{3/2}."""
-    w = positions
-    n = w.size
-    if n < 2:
-        return np.zeros(n, dtype=complex)
-    _, th = _pair_tables(w)
-    np.fill_diagonal(th, 1.0)
-    wb = w.conjugate()
-    kernel = (wb - w)[None, :] ** 2 * (w[:, None] - w[None, :]) * (wb[None, :] - w[:, None])
-    terms = masses[None, :] * kernel / th ** 1.5
-    np.fill_diagonal(terms, 0.0)
-    return terms.sum(axis=1)
-
-
-def _force(w: np.ndarray, masses: np.ndarray, R: float, t: float | None = None) -> np.ndarray:
-    """Interaction force -(2 (wk - conj wk)^3 / R) * S_k with the theta guard."""
-    n = w.size
-    if n < 2:
-        return np.zeros(n, dtype=complex)
-    _, th = _pair_tables(w)
-    iu = _triu(n)
-    vals = th[iu]
-    if vals.min() < theta_floor(w):
-        worst = int(np.argmin(vals))
-        pair = (int(iu[0][worst]), int(iu[1][worst]))
-        raise SingularityError(
-            f"pair {pair} touched the singular set (theta = {vals[worst]:.3e})",
-            pair=pair,
-            time=t,
-            theta=float(vals[worst]),
-        )
-    np.fill_diagonal(th, 1.0)
-    wb = w.conjugate()
-    kernel = (wb - w)[None, :] ** 2 * (w[:, None] - w[None, :]) * (wb[None, :] - w[:, None])
-    terms = masses[None, :] * kernel / th ** 1.5
-    np.fill_diagonal(terms, 0.0)
-    return -(2.0 * (w - wb) ** 3 / R) * terms.sum(axis=1)
-
-
-def _accel(w: np.ndarray, v: np.ndarray, masses: np.ndarray, R: float,
-           t: float | None = None) -> np.ndarray:
-    return 2.0 * v * v / (w - w.conjugate()) + _force(w, masses, R, t)
+    return _over_rows(state, rows)
 
 
 def eom_interaction(state: SystemState) -> np.ndarray:
@@ -198,12 +218,12 @@ def eom_interaction(state: SystemState) -> np.ndarray:
 
     -(2 (wk - conj(wk))^3 / R) * S_k  per body.
     """
-    return _force(state.positions, state.masses, state.R, state.t)
+    return _over_rows(state, lambda t, w, v: _force(w, state.masses, state.R, t)[0])
 
 
 def eom_rhs(state: SystemState) -> np.ndarray:
     """Accelerations: 2*wdot^2/(w - conj(w)) plus the interaction force."""
-    return _accel(state.positions, state.velocities, state.masses, state.R, state.t)
+    return _over_rows(state, lambda t, w, v: _accel(w, v, state.masses, state.R, t)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +283,11 @@ def gradient_consistency(state: SystemState, step: float | None = None) -> Gradi
 
 @dataclass(frozen=True)
 class ConservedQuantities:
-    """Energy and the three momentum maps of the isometric subgroup actions."""
+    """Energy and the three momentum maps of the isometric subgroup actions.
+
+    Floats for one state; for a series, ``energy`` has shape (T,) and
+    ``momenta`` shape (3, T).
+    """
 
     energy: float
     momenta: np.ndarray  # pairing of the velocity with the fields w, 1, 1 + w^2
@@ -271,9 +295,9 @@ class ConservedQuantities:
     def as_dict(self) -> dict:
         return {
             "energy": self.energy,
-            "momentum_normal": float(self.momenta[0]),
-            "momentum_nilpotent": float(self.momenta[1]),
-            "momentum_rotation": float(self.momenta[2]),
+            "momentum_normal": self.momenta[0],
+            "momentum_nilpotent": self.momenta[1],
+            "momentum_rotation": self.momenta[2],
         }
 
 
@@ -281,13 +305,10 @@ def conserved(state: SystemState) -> ConservedQuantities:
     """Energy T + 2 R^2 V and the momenta J_xi = sum m mu Re(wdot conj(xi))."""
     w, v, m, R = state.positions, state.velocities, state.masses, state.R
     mu = (R / w.imag) ** 2
-    kinetic = 0.5 * float(np.sum(m * mu * np.abs(v) ** 2))
+    kinetic = 0.5 * np.sum(m * mu * np.abs(v) ** 2, axis=-1)
     energy = kinetic + ENERGY_COUPLING * R * R * cotangent_potential(state)
     momenta = np.array(
-        [
-            float(np.sum(m * mu * (v * np.conjugate(xi)).real))
-            for xi in (w, np.ones_like(w), 1.0 + w * w)
-        ]
+        [np.sum(m * mu * (v * np.conjugate(xi)).real, axis=-1) for xi in (w, np.ones_like(w), 1.0 + w * w)]
     )
     return ConservedQuantities(energy, momenta)
 
@@ -332,6 +353,8 @@ class Trajectory:
     masses: np.ndarray
     R: float
     stats: IntegratorStats
+    # weak-form grids by size (vlasov_weak_residual)
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -345,36 +368,30 @@ class Trajectory:
     def t1(self) -> float:
         return float(self.times[-1])
 
-    def _hermite(self, t: float) -> np.ndarray:
-        ts = self.times
-        if not (ts[0] <= t <= ts[-1]):
-            raise DomainError(f"time {t} outside the integrated span [{ts[0]}, {ts[-1]}]")
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        i = min(max(i, 0), len(ts) - 2)
-        h = ts[i + 1] - ts[i]
-        s = (t - ts[i]) / h
+    def sample_many(self, ts):
+        """Positions and velocities at the times ts, each of shape (len(ts), n).
+
+        Cubic Hermite interpolation between the accepted nodes.
+        """
+        ts = np.asarray(ts, dtype=float)
+        nodes = self.times
+        outside = ~((nodes[0] <= ts) & (ts <= nodes[-1]))
+        if np.any(outside):
+            raise DomainError(f"time {ts[outside][0]} outside the integrated span [{nodes[0]}, {nodes[-1]}]")
+        i = np.clip(np.searchsorted(nodes, ts, side="right") - 1, 0, len(nodes) - 2)
+        h = (nodes[i + 1] - nodes[i])[:, None]
+        s = (ts - nodes[i])[:, None] / h
         h00 = (1 + 2 * s) * (1 - s) ** 2
         h10 = s * (1 - s) ** 2
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
-        return (
-            h00 * self.ys[i]
-            + h10 * h * self.fs[i]
-            + h01 * self.ys[i + 1]
-            + h11 * h * self.fs[i + 1]
-        )
+        y = h00 * self.ys[i] + h10 * h * self.fs[i] + h01 * self.ys[i + 1] + h11 * h * self.fs[i + 1]
+        return y[:, : self.n], y[:, self.n :]
 
     def sample(self, t: float):
-        """Positions and velocities at time t (cubic Hermite between nodes)."""
-        y = self._hermite(t)
-        return y[: self.n], y[self.n :]
-
-    def sample_many(self, ts):
-        W = np.empty((len(ts), self.n), dtype=complex)
-        V = np.empty_like(W)
-        for i, t in enumerate(ts):
-            W[i], V[i] = self.sample(t)
-        return W, V
+        """Positions and velocities at time t."""
+        w, v = self.sample_many([t])
+        return w[0], v[0]
 
     def state_at(self, t: float) -> SystemState:
         w, v = self.sample(t)
@@ -401,6 +418,8 @@ def integrate(
     control at ``tol``; halts with a singularity error if any pair drops
     below the theta floor, and with a step-size error on underflow.
     """
+    if state.positions.ndim != 1:
+        raise DomainError("integration starts from one state, not a series")
     if not tol > 0:
         raise DomainError("tolerance must be positive")
     t0, t1 = state.t, float(t_end)
@@ -412,20 +431,20 @@ def integrate(
 
     n = state.n
     masses, R = state.masses, state.R
-    _check_off_singular(state.positions, t0)
 
-    def rhs(y: np.ndarray) -> np.ndarray:
+    def rhs(y: np.ndarray, t: float):
+        """Derivative of the stacked state and the min theta of its positions;
+        a singularity verdict carries the time t."""
         if np.any(y[:n].imag <= 0):
             raise DomainError("body left the upper half-plane")
         out = np.empty_like(y)
         out[:n] = y[n:]
-        out[n:] = _accel(y[:n], y[n:], masses, R)
-        return out
+        out[n:], th = _accel(y[:n], y[n:], masses, R, t)
+        return out, th
 
     y = np.concatenate([state.positions, state.velocities])
-    f = rhs(y)
+    f, min_theta = rhs(y, t0)
     times, ys, fs = [t0], [y], [f]
-    min_theta = min_pair_theta(state.positions)
 
     def err_norm(y0, y1, e):
         sc = tol + tol * np.maximum(np.abs(y0), np.abs(y1))
@@ -445,12 +464,12 @@ def integrate(
     while t < t1:
         h = min(h, t1 - t, hmax)
         if h < 1e-14 * max(1.0, abs(t)):
-            th_here = min_pair_theta(y[:n])
+            th_here = float(min_pair_theta(y[:n]))
             near_singular = th_here < 1e8 * theta_floor(y[:n])
             if last_singularity is not None or near_singular:
                 traj = Trajectory(
                     np.array(times), np.array(ys), np.array(fs), masses, R,
-                    IntegratorStats(steps, rejected, min_theta),
+                    IntegratorStats(steps, rejected, float(min_theta)),
                 )
                 exc = last_singularity or SingularityError(
                     f"singularity verdict at t = {t} (theta = {th_here:.3e})",
@@ -465,10 +484,9 @@ def integrate(
         for i in range(1, 7):
             yi = y + h * (_DP_A[i] @ k[:i])
             try:
-                k[i] = rhs(yi)
+                k[i], stage_theta = rhs(yi, t)
             except SingularityError as exc:
                 last_singularity = exc
-                exc.time = t
                 failed = True
                 break
             except DomainError:
@@ -483,24 +501,14 @@ def integrate(
         if err <= 1.0:
             t += h
             y = y5
-            f = k[6].copy()  # FSAL: the last stage is rhs(y5); copy out of the stage buffer
+            # FSAL: the last stage is rhs(y5), which also guarded y5 against
+            # the theta floor; copy out of the stage buffer
+            f = k[6].copy()
             times.append(t)
             ys.append(y)
             fs.append(f)
             steps += 1
-            th = min_pair_theta(y[:n])
-            min_theta = min(min_theta, th)
-            if th < theta_floor(y[:n]):
-                traj = Trajectory(
-                    np.array(times), np.array(ys), np.array(fs), masses, R,
-                    IntegratorStats(steps, rejected, min_theta),
-                )
-                raise SingularityError(
-                    f"singularity verdict at t = {t} (theta = {th:.3e})",
-                    time=t,
-                    theta=th,
-                    trajectory=traj,
-                )
+            min_theta = min(min_theta, stage_theta)
             h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 1e-30 else 5.0
         else:
             rejected += 1
@@ -508,7 +516,7 @@ def integrate(
 
     return Trajectory(
         np.array(times), np.array(ys), np.array(fs), masses, R,
-        IntegratorStats(steps, rejected, min_theta),
+        IntegratorStats(steps, rejected, float(min_theta)),
     )
 
 
@@ -520,8 +528,11 @@ def integrate(
 class PhaseTestFunction:
     """Smooth phi(t, x, v) with analytic partials for the weak-form check.
 
-    Gradients are encoded as complex numbers g with Re g = d/d(Re .) and
-    Im g = d/d(Im .), so the pairing <V, grad phi> is Re(conj(V) * g).
+    Each callable takes numpy arrays (t broadcast against the (T, n)
+    positions x and velocities v) and returns values that broadcast to
+    (T, n).  Gradients are encoded as complex numbers g with Re g =
+    d/d(Re .) and Im g = d/d(Im .), so the pairing <V, grad phi> is
+    Re(conj(V) * g).
     """
 
     name: str
@@ -531,18 +542,16 @@ class PhaseTestFunction:
     grad_v: callable
 
 
-def _gaussian(x: complex, v: complex) -> float:
-    return math.exp(-(abs(x - 1j) ** 2 + abs(v) ** 2) / 8.0)
+def _gaussian(x, v):
+    return np.exp(-(np.abs(x - 1j) ** 2 + np.abs(v) ** 2) / 8.0)
 
 
 def _gauss_gx(x, v):
-    g = _gaussian(x, v)
-    return -g * ((x - 1j).real + 1j * (x - 1j).imag) / 4.0
+    return -_gaussian(x, v) * (x - 1j) / 4.0
 
 
 def _gauss_gv(x, v):
-    g = _gaussian(x, v)
-    return -g * (v.real + 1j * v.imag) / 4.0
+    return -_gaussian(x, v) * v / 4.0
 
 
 def default_test_functions() -> tuple:
@@ -554,8 +563,7 @@ def default_test_functions() -> tuple:
         PhaseTestFunction("re_x", lambda t, x, v: x.real, zero, lambda t, x, v: 1.0 + 0.0j, zeroc),
         PhaseTestFunction("im_x", lambda t, x, v: x.imag, zero, lambda t, x, v: 1.0j, zeroc),
         PhaseTestFunction(
-            "speed_sq", lambda t, x, v: abs(v) ** 2, zero, zeroc,
-            lambda t, x, v: 2.0 * (v.real + 1j * v.imag),
+            "speed_sq", lambda t, x, v: np.abs(v) ** 2, zero, zeroc, lambda t, x, v: 2.0 * v,
         ),
         PhaseTestFunction(
             "re_x_gauss",
@@ -574,6 +582,19 @@ def default_test_functions() -> tuple:
     )
 
 
+def _weak_form_grid(traj: Trajectory, num_points: int):
+    """(ts, W, V, A) on the uniform grid of num_points over the span, with A
+    the accelerations of the motion equations; built once per trajectory
+    and grid size."""
+    grid = traj._grids.get(num_points)
+    if grid is None:
+        ts = np.linspace(traj.t0, traj.t1, num_points)
+        W, V = traj.sample_many(ts)
+        A = eom_rhs(SystemState(ts, W, V, traj.masses, traj.R))
+        grid = traj._grids[num_points] = (ts, W, V, A)
+    return grid
+
+
 def vlasov_weak_residual(traj: Trajectory, tests=None, num_points: int = 2001) -> float:
     """Weak-form defect of the kinetic equation under the point-mass ansatz.
 
@@ -590,33 +611,18 @@ def vlasov_weak_residual(traj: Trajectory, tests=None, num_points: int = 2001) -
     """
     if tests is None:
         tests = default_test_functions()
-    ts = np.linspace(traj.t0, traj.t1, num_points)
+    ts, W, V, A = _weak_form_grid(traj, num_points)
     dt = ts[1] - ts[0]
-    W, V = traj.sample_many(ts)
-    A = np.empty_like(W)
-    for i, t in enumerate(ts):
-        A[i] = eom_rhs(SystemState(t, W[i], V[i], traj.masses, traj.R))
-
+    t = ts[:, None]
     m = traj.masses
     worst = 0.0
     for tf in tests:
-        g = np.array(
-            [sum(m[k] * tf.value(t, W[i, k], V[i, k]) for k in range(traj.n))
-             for i, t in enumerate(ts)]
-        )
-        rhs = np.array(
-            [
-                sum(
-                    m[k]
-                    * (
-                        tf.dt(t, W[i, k], V[i, k])
-                        + (np.conjugate(V[i, k]) * tf.grad_x(t, W[i, k], V[i, k])).real
-                        + (np.conjugate(A[i, k]) * tf.grad_v(t, W[i, k], V[i, k])).real
-                    )
-                    for k in range(traj.n)
-                )
-                for i, t in enumerate(ts)
-            ]
+        g = np.sum(m * np.broadcast_to(tf.value(t, W, V), W.shape), axis=1)
+        rhs = np.sum(
+            m * (tf.dt(t, W, V)
+                 + (np.conjugate(V) * tf.grad_x(t, W, V)).real
+                 + (np.conjugate(A) * tf.grad_v(t, W, V)).real),
+            axis=1,
         )
         dg = (-g[4:] + 8.0 * g[3:-1] - 8.0 * g[1:-3] + g[:-4]) / (12.0 * dt)
         defect = float(np.mean(np.abs(dg - rhs[2:-2])))

@@ -37,7 +37,7 @@ from .clifford import (
     killing_velocity,
     killing_wirtinger,
 )
-from .dynamics import SystemState, _interaction_sums, eom_interaction, theta
+from .dynamics import SystemState, _interaction_sums, _pair_tables, eom_interaction
 from .errors import ClassNotSolvableError, ConvergenceError, DomainError, SingularityError
 
 
@@ -70,8 +70,7 @@ CERTIFIABLE_CLASSES = (EquilibriumClass.PARABOLIC_CYCLIC, EquilibriumClass.HYPER
 def equilibrium_velocity(cls: EquilibriumClass, w) -> np.ndarray:
     """Velocity field of the class drift at the given positions."""
     field, rate = CLASS_DRIFT[cls]
-    w = np.asarray(w, dtype=complex)
-    return np.array([rate * killing_velocity(field, wk) for wk in w.ravel()]).reshape(w.shape)
+    return rate * killing_velocity(field, np.asarray(w, dtype=complex))
 
 
 def mobius_ansatz_defect(
@@ -87,14 +86,11 @@ def mobius_ansatz_defect(
     m = np.asarray(masses, dtype=float)
     s = SystemState(0.0, w, np.zeros_like(w), m, R)
     force = eom_interaction(s)
-    out = np.empty_like(w)
-    for k in range(w.size):
-        K = killing_velocity(field, w[k])
-        dKw, dKwb = killing_wirtinger(field, w[k])
-        wddot = rate * rate * (dKw * K + dKwb * np.conjugate(K))
-        vel = rate * K
-        out[k] = wddot - 2.0 * vel * vel / (w[k] - np.conjugate(w[k])) - force[k]
-    return out
+    K = killing_velocity(field, w)
+    dKw, dKwb = killing_wirtinger(field, w)
+    wddot = rate * rate * (dKw * K + dKwb * np.conjugate(K))
+    vel = rate * K
+    return wddot - 2.0 * vel * vel / (w - np.conjugate(w)) - force
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +100,7 @@ def mobius_ansatz_defect(
 def _sides(state: SystemState, lhs_fn) -> tuple[np.ndarray, np.ndarray]:
     w = state.positions
     lhs = np.array([lhs_fn(wk, state.R) for wk in w])
-    rhs = _interaction_sums(w, state.masses)
+    rhs = _interaction_sums(w, state.masses, _pair_tables(w)[1])
     return lhs, rhs
 
 
@@ -273,8 +269,7 @@ def theta_parametric(p: CyclicParams, kind: str = "parabolic") -> np.ndarray:
         v2 = p.beta ** 2 * (1.0 + p.s ** 2) ** 2 / fa ** 4
         cross = 4.0 * np.outer(u, u) - 2.0 * letters.Xi
         return cross ** 2 - 16.0 * np.outer(v2, v2)
-    w = positions_hyperbolic_cyclic(p)
-    return np.array([[theta(wk, wj) for wj in w] for wk in w])
+    return _pair_tables(positions_hyperbolic_cyclic(p))[1]
 
 
 def residual_parabolic_cyclic(p: CyclicParams, masses, R: float):
@@ -370,7 +365,7 @@ def residual_hyperbolic_cyclic(p: CyclicParams, masses, R: float):
     w = C + 1j * D
     if np.any(w.imag <= 0):
         raise DomainError("parametrized bodies must stay in the upper half-plane")
-    th = np.array([[theta(wk, wj) for wj in w] for wk in w])
+    th = _pair_tables(w)[1]
     np.fill_diagonal(th, 1.0)
     if np.any(th <= 0):
         raise DomainError("parametrized configuration touches the singular set")
@@ -669,11 +664,12 @@ def hyperbolic_contradiction_sides(heights, masses, R: float, k: int | None = No
     alpha, beta = v, -v
     dk = alpha[k] - beta[k]
     lhs = dk * (1.0 + beta[k] ** 2) + 8.0 * (1.0 + alpha[k] ** 2) * (1.0 + beta[k] ** 2) / dk
+    th_k = _pair_tables(1j * v)[1][k]
     total = 0.0
     for j in range(v.size):
         if j == k:
             continue
-        th = theta(1j * v[k], 1j * v[j])
+        th = th_k[j]
         if th <= 0:
             raise DomainError("degenerate sample: equal heights")
         total += (alpha[j] - beta[j]) ** 2 * m[j] * (v[k] ** 2 - v[j] ** 2) / th ** 1.5

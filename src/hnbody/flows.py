@@ -27,54 +27,67 @@ from .clifford import (
 )
 from .dynamics import SystemState, Trajectory, eom_rhs
 from .errors import DomainError, PoleError
-from .geometry import apply_mobius, mobius_derivative, require_upper
+from .geometry import apply_mobius, as_points, mobius_derivative, require_upper
 
 _POLE_MARGIN = 1e-8
 
 
-def admissible_interval(field: KillingField, w0: complex):
-    """Open t-interval around 0 on which the flow from w0 stays finite."""
-    w0 = complex(w0)
+def admissible_interval(field: KillingField, w0):
+    """Open t-interval around 0 on which the flow from w0 stays finite.
+
+    An array of points gives arrays of interval ends.
+    """
+    w0 = as_points(w0)
     if field.kind in (NORMAL, NILPOTENT) or field.sigma == -1:
         return (-math.inf, math.inf)
     if field.sigma == 0:
-        a = math.atan(w0.real)
+        a = np.arctan(w0.real)
         return (-math.pi / 2 - a, math.pi / 2 - a)
-    aa = math.atan(w0.real + w0.imag)
-    ab = math.atan(w0.real - w0.imag)
-    return (-math.pi / 2 - min(aa, ab), math.pi / 2 - max(aa, ab))
+    aa = np.arctan(w0.real + w0.imag)
+    ab = np.arctan(w0.real - w0.imag)
+    return (-math.pi / 2 - np.minimum(aa, ab), math.pi / 2 - np.maximum(aa, ab))
 
 
-def _tan_shift(x0: float, t: float) -> float:
+def _first(mask: np.ndarray, *arrays):
+    """Entries of ``arrays`` (broadcast to the mask) at the first true index of mask."""
+    i = np.unravel_index(np.argmax(mask), mask.shape)
+    return [float(np.broadcast_to(x, mask.shape)[i]) for x in arrays]
+
+
+def _tan_shift(x0, t):
     """tan(t + arctan(x0)), guarding the characteristic pole."""
-    arg = t + math.atan(x0)
-    if abs(math.cos(arg)) < _POLE_MARGIN:
-        raise PoleError(f"characteristic pole near t = {t}", pole_time=t)
-    return math.tan(arg)
+    arg = t + np.arctan(x0)
+    pole = np.abs(np.cos(arg)) < _POLE_MARGIN
+    if np.any(pole):
+        (at,) = _first(pole, t)
+        raise PoleError(f"characteristic pole near t = {at}", pole_time=at)
+    return np.tan(arg)
 
 
-def flow(field: KillingField, w0: complex, t: float) -> complex:
+def flow(field: KillingField, w0, t):
     """Point of the flow of ``field`` through w0 at parameter t.
 
     normal: e^t w0.  nilpotent: w0 + t.  rotation sigma=-1: the fractional
     linear rotation image.  sigma=0: real part tan-advected, imaginary part
     scaled by (1 + u^2)/(1 + u0^2).  sigma=+1: both characteristics
-    u +/- v tan-advected independently.
+    u +/- v tan-advected independently.  Arrays of points and parameters
+    broadcast against each other; scalars give a complex number.
     """
     w0 = require_upper(w0, "w0")
-    t = float(t)
+    t = np.asarray(t, dtype=float)[()]
     if field.kind == NORMAL:
-        return math.exp(t) * w0
+        return np.exp(t) * w0
     if field.kind == NILPOTENT:
         return w0 + t
     if field.sigma == -1:
         return apply_mobius(exp_subgroup(field, t), w0)
     lo, hi = admissible_interval(field, w0)
-    if not (lo + _POLE_MARGIN < t < hi - _POLE_MARGIN):
-        pole = hi if t >= 0 else lo
+    outside = ~((lo + _POLE_MARGIN < t) & (t < hi - _POLE_MARGIN))
+    if np.any(outside):
+        at, lo, hi = _first(outside, t, lo, hi)
         raise PoleError(
-            f"flow parameter {t} leaves the admissible interval ({lo}, {hi})",
-            pole_time=pole,
+            f"flow parameter {at} leaves the admissible interval ({lo}, {hi})",
+            pole_time=hi if at >= 0 else lo,
             interval=(lo, hi),
         )
     if field.sigma == 0:
@@ -86,62 +99,65 @@ def flow(field: KillingField, w0: complex, t: float) -> complex:
     return (p + q) / 2.0 + 1j * (p - q) / 2.0
 
 
-def flow_jacobian(field: KillingField, w: complex, t: float, step: float = 1e-6):
-    """Real 2x2 Jacobian of the time-t flow map at w.
-
-    Analytic (conformal) for the isometric kinds; central finite
-    differences in Re w, Im w for the sigma in {0, +1} flavours, whose
-    flows are not fractional linear.
-    """
-    w = complex(w)
+def _partials(field: KillingField, w, t: float, step: float):
+    """(du/dx, du/dy, dv/dx, dv/dy) of the time-t flow map u + iv at w = x + iy."""
     if field.isometric:
         if field.kind == NORMAL:
-            d = math.exp(t) + 0j
+            d = np.exp(t) + 0j
         elif field.kind == NILPOTENT:
             d = 1.0 + 0j
         else:
             d = mobius_derivative(exp_subgroup(field, t), w)
-        return np.array([[d.real, -d.imag], [d.imag, d.real]])
-    J = np.empty((2, 2))
-    for col, dz in enumerate((step, 1j * step)):
-        fp = flow(field, w + dz, t)
-        fm = flow(field, w - dz, t)
-        J[0, col] = (fp.real - fm.real) / (2.0 * step)
-        J[1, col] = (fp.imag - fm.imag) / (2.0 * step)
-    return J
+        return d.real, -d.imag, d.imag, d.real
+    fx = flow(field, w + step, t), flow(field, w - step, t)
+    fy = flow(field, w + 1j * step, t), flow(field, w - 1j * step, t)
+    return ((fx[0].real - fx[1].real) / (2.0 * step), (fy[0].real - fy[1].real) / (2.0 * step),
+            (fx[0].imag - fx[1].imag) / (2.0 * step), (fy[0].imag - fy[1].imag) / (2.0 * step))
 
 
-def transport(field: KillingField, w: complex, v: complex, t: float, step: float = 1e-6):
-    """Push a position and velocity through the time-t flow map."""
-    w_new = flow(field, w, t)
-    J = flow_jacobian(field, w, t, step)
-    vr = J @ np.array([v.real, v.imag])
-    return w_new, complex(vr[0], vr[1])
+def flow_jacobian(field: KillingField, w, t: float, step: float = 1e-6):
+    """Real 2x2 Jacobian of the time-t flow map at w.
+
+    Analytic (conformal) for the isometric kinds; central finite
+    differences in Re w, Im w for the sigma in {0, +1} flavours, whose
+    flows are not fractional linear.  An array of points gives shape
+    w.shape + (2, 2).
+    """
+    w = as_points(w)
+    _, ux, uy, vx, vy = np.broadcast_arrays(w, *_partials(field, w, t, step))
+    return np.stack([np.stack([ux, uy], axis=-1), np.stack([vx, vy], axis=-1)], axis=-2)
 
 
-def flow_derivative_check(field: KillingField, w0: complex, t: float, h: float = 1e-6) -> float:
+def transport(field: KillingField, w, v, t: float, step: float = 1e-6):
+    """Push positions and velocities through the time-t flow map."""
+    w = as_points(w)
+    v = as_points(v)
+    ux, uy, vx, vy = _partials(field, w, t, step)
+    return flow(field, w, t), (ux * v.real + uy * v.imag) + 1j * (vx * v.real + vy * v.imag)
+
+
+def flow_derivative_check(field: KillingField, w0, t: float, h: float = 1e-6):
     """Relative defect of the flow against its generating field.
 
     Compares the centered d/dt of the flow with the field value at the
     flowed point; for the tan-reparametrized kinds the substitution chain
     rule d/dt = (1 + s^2) d/ds is checked as well, and the worse defect
-    wins.
+    wins.  An array of points gives one defect per point.
     """
     w1 = flow(field, w0, t)
     fd = (flow(field, w0, t + h) - flow(field, w0, t - h)) / (2.0 * h)
     vel = killing_velocity(field, w1)
-    err = abs(fd - vel) / max(1.0, abs(vel))
+    err = np.abs(fd - vel) / np.maximum(1.0, np.abs(vel))
     if field.kind == ROTATION and field.sigma in (0, 1) and abs(t) < math.pi / 2 - 10 * h:
         s = math.tan(t)
-        ds = math.tan(t + h) - math.tan(t - h)
 
-        def at_s(sv: float) -> complex:
+        def at_s(sv: float):
             return flow(field, w0, math.atan(sv))
 
         dws = (at_s(s + h) - at_s(s - h)) / (2.0 * h)
         chain = (1.0 + s * s) * dws
-        err = max(err, abs(fd - chain) / max(1.0, abs(chain)))
-    return float(err)
+        err = np.maximum(err, np.abs(fd - chain) / np.maximum(1.0, np.abs(chain)))
+    return err[()]
 
 
 # ---------------------------------------------------------------------------
@@ -168,31 +184,6 @@ class ResidualReport:
         }
 
 
-def _as_transport(transport_spec, group_time: float):
-    """Normalize a KillingField or explicit isometry into map callables."""
-    if isinstance(transport_spec, KillingField):
-        field = transport_spec
-
-        def pos(w):
-            return flow(field, w, group_time)
-
-        def vel(w, v):
-            return transport(field, w, v, group_time)[1]
-
-        return field.describe(), pos, vel
-    if isinstance(transport_spec, MobiusElement):
-        A = transport_spec
-
-        def pos(w):
-            return apply_mobius(A, w)
-
-        def vel(w, v):
-            return mobius_derivative(A, w) * v
-
-        return "mobius-element", pos, vel
-    raise DomainError("transport must be a KillingField or a MobiusElement")
-
-
 def verify_invariance(
     traj: Trajectory,
     transport_spec,
@@ -206,6 +197,8 @@ def verify_invariance(
     differences of the dense-output samples, and the report carries the
     maximal defect against the motion equations over the interior grid.
     """
+    if not isinstance(transport_spec, (KillingField, MobiusElement)):
+        raise DomainError("transport must be a KillingField or a MobiusElement")
     span = traj.t1 - traj.t0
     if not span > 0:
         raise DomainError("trajectory must span a positive time interval")
@@ -213,24 +206,20 @@ def verify_invariance(
         # grid fine enough that the 4th-order stencil truncation stays
         # below ~1e-9 for order-one orbits
         num_points = min(4001, max(201, int(round(span / 0.002)) + 1))
-    label, pos_map, vel_map = _as_transport(transport_spec, group_time)
 
     ts = np.linspace(traj.t0, traj.t1, num_points)
     dt = ts[1] - ts[0]
     W, V = traj.sample_many(ts)
-    Wt = np.empty_like(W)
-    Vt = np.empty_like(V)
-    for i in range(num_points):
-        for k in range(traj.n):
-            Wt[i, k] = pos_map(W[i, k])
-            Vt[i, k] = vel_map(W[i, k], V[i, k])
+    if isinstance(transport_spec, KillingField):
+        label = transport_spec.describe()
+        Wt, Vt = transport(transport_spec, W, V, group_time)
+    else:
+        label = "mobius-element"
+        Wt, Vt = apply_mobius(transport_spec, W), mobius_derivative(transport_spec, W) * V
 
     At = (-Vt[4:] + 8.0 * Vt[3:-1] - 8.0 * Vt[1:-3] + Vt[:-4]) / (12.0 * dt)
-    per_body = np.zeros(traj.n)
-    for i in range(At.shape[0]):
-        state = SystemState(ts[i + 2], Wt[i + 2], Vt[i + 2], traj.masses, traj.R)
-        defect = np.abs(At[i] - eom_rhs(state))
-        per_body = np.maximum(per_body, defect)
+    inner = SystemState(ts[2:-2], Wt[2:-2], Vt[2:-2], traj.masses, traj.R)
+    per_body = np.abs(At - eom_rhs(inner)).max(axis=0)
     return ResidualReport(
         transport=label,
         group_time=float(group_time),
@@ -240,22 +229,19 @@ def verify_invariance(
     )
 
 
-def flow_samples(field: KillingField, points, ts):
-    """Rows (t, s, k, re, im) of the flow through each seed point.
+def flow_samples(field: KillingField, points, ts) -> np.ndarray:
+    """Rows (t, s, k, re, im) of the flow through each seed point, t-major.
 
     s is tan t for the rotation kinds (|t| < pi/2 required there) and t
     itself for the normal and nilpotent flows.
     """
-    rows = []
-    for t in ts:
-        t = float(t)
-        if field.kind == ROTATION:
-            if not abs(t) < math.pi / 2:
-                raise DomainError("rotation-flow sampling needs |t| < pi/2 for s = tan t")
-            s = math.tan(t)
-        else:
-            s = t
-        for k, w0 in enumerate(points):
-            w = flow(field, w0, t)
-            rows.append((t, s, k, w.real, w.imag))
-    return rows
+    ts = np.asarray(ts, dtype=float)
+    if field.kind == ROTATION:
+        if not np.all(np.abs(ts) < math.pi / 2):
+            raise DomainError("rotation-flow sampling needs |t| < pi/2 for s = tan t")
+        s = np.tan(ts)
+    else:
+        s = ts
+    w = flow(field, np.asarray(points, dtype=complex)[None, :], ts[:, None])
+    t, k = np.broadcast_arrays(ts[:, None], np.arange(w.shape[1]))
+    return np.column_stack([t.ravel(), np.repeat(s, w.shape[1]), k.ravel(), w.real.ravel(), w.imag.ravel()])

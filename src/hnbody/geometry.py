@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 VERTICAL_RTOL = 1e-12  # geodesic classification threshold on |Re w1 - Re w2|
@@ -21,11 +23,23 @@ def _coord(w) -> complex:
     return w.w if isinstance(w, HalfPlanePoint) else complex(w)
 
 
-def require_upper(w, name: str = "w") -> complex:
-    """Return w as a complex number, insisting on Im(w) > 0."""
-    w = _coord(w)
-    if not w.imag > 0:
-        raise DomainError(f"{name} must lie in the open upper half-plane, got {w!r}")
+def as_points(w):
+    """w as a complex number, or as a complex array for array or sequence input."""
+    if isinstance(w, (np.ndarray, list, tuple)):
+        return np.asarray(w, dtype=complex)
+    return _coord(w)
+
+
+def require_upper(w, name: str = "w"):
+    """Return w as a complex number, or an array of them, insisting on Im(w) > 0."""
+    w = as_points(w)
+    if isinstance(w, np.ndarray):
+        outside = w[~(w.imag > 0)]
+        bad = complex(outside[0]) if outside.size else None
+    else:
+        bad = None if w.imag > 0 else w
+    if bad is not None:
+        raise DomainError(f"{name} must lie in the open upper half-plane, got {bad!r}")
     return w
 
 
@@ -97,24 +111,25 @@ def geodesic_residual(w, wdot: complex, wddot: complex) -> complex:
     return complex(wddot) - 2.0 * complex(wdot) ** 2 / (w - w.conjugate())
 
 
-def apply_mobius(A, w) -> complex:
+def apply_mobius(A, w):
     """Image (a*w + b)/(c*w + d) of w under the fractional linear map of A.
 
     A is any unimodular element with fields a, b, c, d.  The image stays in
-    the upper half-plane and A, -A act identically.
+    the upper half-plane and A, -A act identically.  Arrays of points (and
+    of entries) broadcast; a scalar point gives a complex number.
     """
     w = require_upper(w)
     den = A.c * w + A.d
     # real entries with ad - bc = 1 cannot annihilate c*w + d for Im(w) > 0
-    assert den != 0
+    assert np.all(den != 0)
     return (A.a * w + A.b) / den
 
 
-def mobius_derivative(A, w) -> complex:
+def mobius_derivative(A, w):
     """Complex derivative 1/(c*w + d)^2 of the fractional linear map of A."""
     w = require_upper(w)
     den = A.c * w + A.d
-    assert den != 0
+    assert np.all(den != 0)
     return 1.0 / (den * den)
 
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .dynamics import Trajectory, conserved
+from .dynamics import SystemState, Trajectory, conserved
 from .errors import DomainError
 
 
@@ -77,34 +77,41 @@ def write_text(path, text: str):
 # Trajectory export
 # ---------------------------------------------------------------------------
 
+_CSV_BLOCK = 2048  # rows turned into Python floats at a time, to bound the memory they take
+
+
+def _csv_rows(fmt: str, data: np.ndarray) -> list:
+    """Render ``data`` of shape (fields, rows) with one %-format per row.
+
+    Floats come out as fmt_float renders them: 17 significant digits and
+    -0.0 written as 0.  ``data`` is normalised in place.
+    """
+    if not np.all(np.isfinite(data)):
+        raise DomainError("reports may not contain NaN or infinite values")
+    data += 0.0  # -0.0 + 0.0 == +0.0; every other value is unchanged
+    return [fmt % row for a in range(0, data.shape[1], _CSV_BLOCK)
+            for row in zip(*data[:, a:a + _CSV_BLOCK].tolist())]
+
+
 def trajectory_csv(traj: Trajectory) -> str:
     """CSV body with header t,k,re,im,vre,vim, one row per node and body."""
-    lines = ["t,k,re,im,vre,vim"]
     n = traj.n
-    for t, y in zip(traj.times, traj.ys):
-        for k in range(n):
-            w, v = y[k], y[n + k]
-            lines.append(
-                ",".join(
-                    [fmt_float(t), str(k), fmt_float(w.real), fmt_float(w.imag),
-                     fmt_float(v.real), fmt_float(v.imag)]
-                )
-            )
-    return "\n".join(lines) + "\n"
+    w, v = traj.ys[:, :n], traj.ys[:, n:]
+    data = np.empty((6,) + w.shape)
+    data[0], data[1] = traj.times[:, None], np.arange(n)
+    data[2], data[3], data[4], data[5] = w.real, w.imag, v.real, v.imag
+    rows = _csv_rows("%.17g,%d,%.17g,%.17g,%.17g,%.17g", data.reshape(6, -1))
+    return "\n".join(["t,k,re,im,vre,vim", *rows, ""])
 
 
 def trajectory_sidecar(traj: Trajectory) -> dict:
     """JSON sidecar: masses, R, conserved-quantity series, integrator stats."""
-    series = {"t": [], "energy": [], "momentum_normal": [], "momentum_nilpotent": [],
-              "momentum_rotation": []}
-    for state in traj.samples:
-        q = conserved(state)
-        series["t"].append(state.t)
-        for key, val in q.as_dict().items():
-            series[key].append(val)
-    energies = series["energy"]
-    scale = max(1.0, abs(energies[0]))
-    drift = max(abs(e - energies[0]) for e in energies) / scale
+    n = traj.n
+    q = conserved(SystemState(traj.times, traj.ys[:, :n], traj.ys[:, n:], traj.masses, traj.R))
+    energies = q.energy
+    scale = max(1.0, abs(float(energies[0])))
+    drift = float(np.max(np.abs(energies - energies[0]))) / scale
+    series = {"t": traj.times.tolist(), **{key: val.tolist() for key, val in q.as_dict().items()}}
     return {
         "masses": [float(m) for m in traj.masses],
         "R": float(traj.R),
@@ -120,7 +127,5 @@ def trajectory_sidecar(traj: Trajectory) -> dict:
 
 def flow_csv(rows) -> str:
     """CSV body with header t,s,k,re,im for flow samples."""
-    lines = ["t,s,k,re,im"]
-    for t, s, k, re, im in rows:
-        lines.append(",".join([fmt_float(t), fmt_float(s), str(k), fmt_float(re), fmt_float(im)]))
-    return "\n".join(lines) + "\n"
+    data = np.array(rows, dtype=float).reshape(-1, 5).T
+    return "\n".join(["t,s,k,re,im", *_csv_rows("%.17g,%.17g,%d,%.17g,%.17g", data), ""])

@@ -82,6 +82,24 @@ class TestSimulate:
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "singularity"
 
 
+    def test_stage_verdict_message_carries_time(self, tmp_path, capsys):
+        # this isometric image of the head-on pair ends on a stage singularity
+        # re-raised after the step size collapses
+        doc = {
+            "R": 1.0,
+            "masses": [1.0, 1.0],
+            "bodies": [[-1.0161834498523206, 1.6966982366103516, 0.0, 0.0],
+                       [-1.1414353363105139, 0.8545282634064033, 0.0, 0.0]],
+            "integrator": {"tol": 1e-8, "t_end": 2.0},
+        }
+        cfg = write_config(tmp_path, doc)
+        code, _ = run(tmp_path, "simulate", "--config", cfg)
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == "singularity"
+        assert err["message"].startswith("pair (0, 1) touched the singular set at t = 0.34")
+
+
 class TestEquilibria:
     def test_find_elliptic(self, tmp_path):
         doc = {
@@ -206,6 +224,18 @@ class TestCertify:
         assert code == 1
 
 
+    @pytest.mark.parametrize("command", ["certify", "map"])
+    def test_negative_seed_flag_exits_one(self, tmp_path, capsys, command):
+        doc = {"certify": {"class": "parabolic-cyclic", "n": 2, "samples": 5}} if command == "certify" \
+            else {"R": 1.0, "map": {"samples": 4}}
+        cfg = write_config(tmp_path, doc)
+        code, _ = run(tmp_path, command, "--config", cfg, "--seed", "-1")
+        assert code == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == "validation"
+        assert err["message"].startswith("--seed")
+
+
 class TestFlow:
     def test_parabolic_samples_match_closed_form(self, tmp_path):
         doc = {
@@ -248,6 +278,17 @@ class TestFlow:
         code, _ = run(tmp_path, "flow", "--config", cfg)
         assert code == 1
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "flow-pole"
+
+
+    @pytest.mark.parametrize("sigma", [True, 1.0, 2, "1"])
+    def test_sigma_must_be_an_integer_in_range(self, tmp_path, capsys, sigma):
+        doc = {"flow": {"kind": "rotation", "sigma": sigma, "points": [[0.0, 1.0]], "t_max": 0.5}}
+        cfg = write_config(tmp_path, doc)
+        code, _ = run(tmp_path, "flow", "--config", cfg)
+        assert code == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == "validation"
+        assert err["message"].startswith("flow.sigma")
 
 
 class TestInvariance:
@@ -319,6 +360,25 @@ class TestVlasov:
         rep = json.loads((out / "vlasov.json").read_text())
         assert rep["residual"] < 1e-6
         assert rep["per_test"]["one"] == 0.0
+
+
+    def test_six_tests_share_one_sampled_grid(self, tmp_path, monkeypatch):
+        from hnbody.dynamics import Trajectory, default_test_functions
+
+        calls = []
+        sample_many = Trajectory.sample_many
+
+        def counted(self, ts):
+            calls.append(len(ts))
+            return sample_many(self, ts)
+
+        monkeypatch.setattr(Trajectory, "sample_many", counted)
+        doc = {**SIMULATE_DOC, "vlasov": {"num_points": 101}}
+        code, out = run(tmp_path, "vlasov", "--config", write_config(tmp_path, doc))
+        assert code == 0
+        rep = json.loads((out / "vlasov.json").read_text())
+        assert len(rep["per_test"]) == len(default_test_functions()) == 6
+        assert calls == [101]
 
 
 class TestDeterminism:

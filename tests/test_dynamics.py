@@ -286,6 +286,73 @@ class TestIntegrate:
             integrate(s, -1.0)
 
 
+def _hermite_reference(traj, t):
+    """Per-point cubic Hermite evaluation, the scalar form of sample_many."""
+    ts = traj.times
+    i = min(max(int(np.searchsorted(ts, t, side="right")) - 1, 0), len(ts) - 2)
+    h = ts[i + 1] - ts[i]
+    s = (t - ts[i]) / h
+    y = ((1 + 2 * s) * (1 - s) ** 2 * traj.ys[i] + s * (1 - s) ** 2 * h * traj.fs[i]
+         + s * s * (3 - 2 * s) * traj.ys[i + 1] + s * s * (s - 1) * h * traj.fs[i + 1])
+    return y[: traj.n], y[traj.n:]
+
+
+class TestArraySampling:
+    @pytest.fixture(scope="class")
+    def traj(self):
+        s = two_body([1j, 2j], (0.6 + 0j, -0.6 + 0j))
+        return integrate(s, 2.0, tol=1e-9)
+
+    def test_sample_many_matches_per_point_hermite(self, traj):
+        rng = np.random.default_rng(30)
+        ts = np.concatenate([traj.times[:5], rng.uniform(traj.t0, traj.t1, 200), [traj.t1]])
+        W, V = traj.sample_many(ts)
+        assert W.shape == V.shape == (ts.size, 2)
+        for t, w, v in zip(ts, W, V):
+            w_ref, v_ref = _hermite_reference(traj, t)
+            assert np.max(np.abs(w - w_ref)) <= 1e-15 * np.max(np.abs(w_ref))
+            assert np.max(np.abs(v - v_ref)) <= 1e-15 * np.max(np.abs(v_ref))
+            w1, v1 = traj.sample(float(t))
+            assert np.array_equal(w1, w) and np.array_equal(v1, v)
+
+    @pytest.mark.parametrize("bad", [-1e-9, 2.0 + 1e-9, float("nan")])
+    def test_sample_many_rejects_times_outside_the_span(self, traj, bad):
+        with pytest.raises(DomainError):
+            traj.sample_many([0.5, bad, 1.0])
+        with pytest.raises(DomainError):
+            traj.sample(bad)
+
+    def test_series_equal_per_state_values(self, traj):
+        ts = np.linspace(0.0, 2.0, 9)
+        W, V = traj.sample_many(ts)
+        series = SystemState(ts, W, V, traj.masses, traj.R)
+        acc = eom_rhs(series)
+        q = conserved(series)
+        assert acc.shape == W.shape and q.energy.shape == ts.shape and q.momenta.shape == (3, ts.size)
+        for i, t in enumerate(ts):
+            state = SystemState(t, W[i], V[i], traj.masses, traj.R)
+            assert np.array_equal(acc[i], eom_rhs(state))
+            one = conserved(state)
+            assert q.energy[i] == one.energy and np.array_equal(q.momenta[:, i], one.momenta)
+
+    def test_series_verdict_names_the_row_time(self):
+        W = np.array([[1j, 2j], [1j, 1j + 1e-9], [1j, 3j]])
+        series = SystemState([0.0, 0.25, 0.5], W, np.zeros_like(W), [1.0, 1.0], 1.0)
+        with pytest.raises(SingularityError) as info:
+            eom_rhs(series)
+        assert info.value.time == 0.25 and info.value.pair == (0, 1)
+        assert "at t = 0.25" in str(info.value)
+
+    def test_series_shape_checks(self):
+        W = np.array([[1j, 2j], [1j, 3j]])
+        with pytest.raises(DomainError):
+            SystemState([0.0], W, W, [1.0, 1.0], 1.0)
+        with pytest.raises(DomainError):
+            SystemState([0.0, 1.0], W, W[:, :1], [1.0, 1.0], 1.0)
+        with pytest.raises(DomainError):
+            integrate(SystemState([0.0, 1.0], W, W, [1.0, 1.0], 1.0), 1.0)
+
+
 class TestConservation:
     def test_two_body_drift(self):
         s = two_body([1j, 2j], (0.6 + 0j, -0.6 + 0j))
@@ -336,6 +403,28 @@ class TestVlasovWeakForm:
     def test_full_library(self, elliptic_pair):
         traj = integrate(elliptic_pair, 2.0, tol=1e-12, max_step=0.005)
         assert vlasov_weak_residual(traj, num_points=1001) < 1e-6
+
+    def test_matches_per_point_reference(self):
+        from hnbody.dynamics import default_test_functions
+
+        s = SystemState(0.0, [1j, 2j, 0.5 + 1.5j], [0.6 + 0j, -0.6 + 0j, 0.1j], [1.0, 0.5, 2.0], 1.0)
+        traj = integrate(s, 1.0, tol=1e-10)
+        ts = np.linspace(traj.t0, traj.t1, 201)
+        m = traj.masses
+        for tf in default_test_functions():
+            g, rhs = np.zeros(ts.size), np.zeros(ts.size)
+            for i, t in enumerate(ts):
+                state = traj.state_at(t)
+                a = eom_rhs(state)
+                for k in range(traj.n):
+                    x, v = complex(state.positions[k]), complex(state.velocities[k])
+                    g[i] += m[k] * tf.value(t, x, v)
+                    rhs[i] += m[k] * (tf.dt(t, x, v) + (np.conjugate(v) * tf.grad_x(t, x, v)).real
+                                      + (np.conjugate(a[k]) * tf.grad_v(t, x, v)).real)
+            dg = (-g[4:] + 8.0 * g[3:-1] - 8.0 * g[1:-3] + g[:-4]) / (12.0 * (ts[1] - ts[0]))
+            expected = np.mean(np.abs(dg - rhs[2:-2]))
+            got = vlasov_weak_residual(traj, tests=(tf,), num_points=201)
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-15), tf.name
 
 
 class TestSystemStateValidation:

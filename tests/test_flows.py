@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hnbody.clifford import (
+    KillingField,
     NILPOTENT_N,
     NORMAL_A,
     ROTATION_ELLIPTIC,
@@ -12,9 +13,10 @@ from hnbody.clifford import (
     exp_subgroup,
     killing_velocity,
 )
-from hnbody.dynamics import SystemState, integrate
+from hnbody.dynamics import SystemState, eom_rhs, integrate
 from hnbody.equilibria import EquilibriumClass, FindOptions, find_equilibrium
 from hnbody.errors import DomainError, PoleError
+from hnbody.geometry import apply_mobius, mobius_derivative
 from hnbody.flows import (
     admissible_interval,
     flow,
@@ -232,6 +234,87 @@ class TestVerifyInvariance:
         assert len(rep.per_body) == 1
         d = rep.to_dict()
         assert d["transport"] == "normal"
+
+
+def _transport_per_point(spec, W, V, tau):
+    """Scalar reference: move every sampled point on its own."""
+    Wt, Vt = np.empty_like(W), np.empty_like(V)
+    for idx in np.ndindex(W.shape):
+        w, v = complex(W[idx]), complex(V[idx])
+        if isinstance(spec, KillingField):
+            Wt[idx], Vt[idx] = transport(spec, w, v, tau)
+        else:
+            Wt[idx], Vt[idx] = apply_mobius(spec, w), mobius_derivative(spec, w) * v
+    return Wt, Vt
+
+
+TRANSPORTS = ALL_FIELDS + (exp_subgroup(NORMAL_A, 0.3) @ exp_subgroup(ROTATION_ELLIPTIC, 0.3),)
+
+
+class TestArrayTransport:
+    @pytest.mark.parametrize("spec", TRANSPORTS)
+    def test_transported_states_match_per_point(self, elliptic_traj, spec):
+        tau = 0.2
+        W, V = elliptic_traj.sample_many(np.linspace(elliptic_traj.t0, elliptic_traj.t1, 41))
+        if isinstance(spec, KillingField):
+            Wt, Vt = transport(spec, W, V, tau)
+        else:
+            Wt, Vt = apply_mobius(spec, W), mobius_derivative(spec, W) * V
+        Wr, Vr = _transport_per_point(spec, W, V, tau)
+        assert Wt.shape == Vt.shape == W.shape
+        assert np.max(np.abs(Wt - Wr) / np.abs(Wr)) <= 1e-12
+        assert np.max(np.abs(Vt - Vr) / np.abs(Vr)) <= 1e-12
+
+    @pytest.mark.parametrize("spec", TRANSPORTS)
+    def test_report_matches_per_point_reference(self, elliptic_traj, spec):
+        tau, num = 0.2, 201
+        rep = verify_invariance(elliptic_traj, spec, tau, num_points=num)
+        ts = np.linspace(elliptic_traj.t0, elliptic_traj.t1, num)
+        Wt, Vt = _transport_per_point(spec, *elliptic_traj.sample_many(ts), tau)
+        At = (-Vt[4:] + 8.0 * Vt[3:-1] - 8.0 * Vt[1:-3] + Vt[:-4]) / (12.0 * (ts[1] - ts[0]))
+        per_body = np.zeros(elliptic_traj.n)
+        for i in range(At.shape[0]):
+            state = SystemState(ts[i + 2], Wt[i + 2], Vt[i + 2], elliptic_traj.masses, elliptic_traj.R)
+            per_body = np.maximum(per_body, np.abs(At[i] - eom_rhs(state)))
+        assert np.max(np.abs(np.array(rep.per_body) - per_body)) <= 1e-10
+        assert abs(rep.max_residual - per_body.max()) <= 1e-10
+
+    def test_flow_grid_matches_per_point(self):
+        points = np.array([0.2 + 0.5j, -0.3 + 1.2j, 0.05 + 0.3j])
+        ts = np.linspace(-0.4, 0.4, 7)
+        for field in ALL_FIELDS:
+            grid = flow(field, points[None, :], ts[:, None])
+            ref = np.array([[flow(field, complex(w), float(t)) for w in points] for t in ts])
+            assert np.max(np.abs(grid - ref) / np.abs(ref)) <= 1e-14
+            assert isinstance(flow(field, complex(points[0]), 0.1), complex)
+
+    def test_derivative_check_on_arrays(self):
+        points = np.array([0.2 + 0.5j, -0.3 + 1.2j, 0.05 + 0.3j])
+        for field in ALL_FIELDS:
+            defects = flow_derivative_check(field, points, 0.3)
+            ref = [flow_derivative_check(field, complex(w), 0.3) for w in points]
+            assert defects.shape == (3,) and np.max(np.abs(defects - ref)) < 1e-9
+
+    def test_one_pole_crossing_point_raises(self, geodesic_traj):
+        points = np.array([0.1 + 0.2j, 1j, 1.0 + 1j])  # the last one's pole is at pi/4
+        t = math.pi / 4 + 0.01
+        with pytest.raises(PoleError) as info:
+            flow(ROTATION_PARABOLIC, points, t)
+        assert info.value.pole_time == pytest.approx(math.pi / 4, rel=1e-9)
+        with pytest.raises(PoleError):
+            transport(ROTATION_PARABOLIC, points, np.zeros(3, complex), t)
+        # the geodesic runs from i to Re w ~ 0.76; past arctan(0.5) only its later points cross
+        with pytest.raises(PoleError):
+            verify_invariance(geodesic_traj, ROTATION_PARABOLIC, math.pi / 2 - math.atan(0.5))
+
+    def test_arrays_keep_the_half_plane_check(self):
+        points = np.array([1j, 0.5 - 0.1j])
+        with pytest.raises(DomainError):
+            flow(NORMAL_A, points, 0.1)
+        with pytest.raises(DomainError):
+            apply_mobius(exp_subgroup(ROTATION_ELLIPTIC, 0.3), points)
+        with pytest.raises(DomainError):
+            transport(ROTATION_HYPERBOLIC, points, points, 0.1)
 
 
 class TestFlowSamples:

@@ -1,0 +1,65 @@
+import numpy as np
+import pytest
+
+from hnbody.dynamics import IntegratorStats, SystemState, Trajectory, conserved, integrate
+from hnbody.errors import DomainError
+from hnbody.reports import flow_csv, fmt_float, trajectory_csv, trajectory_sidecar
+
+# values whose rendering is easy to get wrong: signed zero, subnormals, extremes
+AWKWARD = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1.7976931348623157e308, 0.1, -1.0 / 3.0, 2.0 ** 53, 1e-5]
+
+
+def _reference_trajectory_csv(traj):
+    lines = ["t,k,re,im,vre,vim"]
+    n = traj.n
+    for t, y in zip(traj.times, traj.ys):
+        for k in range(n):
+            w, v = y[k], y[n + k]
+            lines.append(",".join([fmt_float(t), str(k), fmt_float(w.real), fmt_float(w.imag),
+                                   fmt_float(v.real), fmt_float(v.imag)]))
+    return "\n".join(lines) + "\n"
+
+
+def _awkward_trajectory(n=3, nodes=5, bad=None):
+    rng = np.random.default_rng(7)
+    values = np.array(AWKWARD)
+    ys = rng.choice(values, (nodes, 2 * n)) + 1j * rng.choice(values, (nodes, 2 * n))
+    if bad is not None:
+        ys[2, 1] = complex(0.5, bad)
+    times = np.array([-0.0, 5e-324, 0.1, 1.0, 1e300])[:nodes]
+    return Trajectory(times, ys, np.zeros_like(ys), np.ones(n), 1.0, IntegratorStats(nodes - 1, 0, 1.0))
+
+
+def test_trajectory_csv_matches_fmt_float():
+    traj = _awkward_trajectory()
+    text = trajectory_csv(traj)
+    assert text == _reference_trajectory_csv(traj)
+    assert "-0," not in text and ",-0\n" not in text
+
+
+def test_flow_csv_matches_fmt_float():
+    rng = np.random.default_rng(8)
+    rows = [(t, s, k, re, im) for k, (t, s, re, im) in enumerate(rng.choice(AWKWARD, (40, 4)))]
+    expected = ["t,s,k,re,im"] + [
+        ",".join([fmt_float(t), fmt_float(s), str(k), fmt_float(re), fmt_float(im)]) for t, s, k, re, im in rows
+    ]
+    assert flow_csv(rows) == "\n".join(expected) + "\n"
+    assert flow_csv(np.array(rows)) == flow_csv(rows)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_csv_rejects_nonfinite_values(bad):
+    with pytest.raises(DomainError):
+        trajectory_csv(_awkward_trajectory(bad=bad))
+    with pytest.raises(DomainError):
+        flow_csv([(0.0, 0.0, 0, 1.0, bad)])
+
+
+def test_sidecar_series_equal_conserved_at_every_node():
+    s = SystemState(0.0, [1j, 2j, 0.5 + 1.5j], [0.6 + 0j, -0.6 + 0j, 0.1j], [1.0, 1.0, 0.3], 1.0)
+    traj = integrate(s, 1.0, tol=1e-10)
+    series = trajectory_sidecar(traj)["conserved"]
+    assert series["t"] == traj.times.tolist()
+    for i, state in enumerate(traj.samples):
+        for key, value in conserved(state).as_dict().items():
+            assert series[key][i] == value
