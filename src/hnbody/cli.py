@@ -3,8 +3,9 @@
 Subcommands: simulate, equilibria find|check, certify, flow, invariance,
 map, vlasov.  Every command reads one strict JSON configuration document,
 writes bit-stable reports into the output directory, and exits 0 on
-success, 1 on validation problems or a nonexistent solution class, 2 on a
-singularity verdict, and 3 when an iterative method fails.
+success, 1 on usage or validation problems or a nonexistent solution
+class, 2 on a singularity verdict, and 3 when an iterative method fails.
+Every failure prints one JSON error object on stdout.
 """
 
 from __future__ import annotations
@@ -31,13 +32,11 @@ from .equilibria import (
     FindOptions,
     NONEXISTENT_CLASSES,
     certify_nonexistence,
+    condition_sides,
     find_equilibrium_detailed,
     parabolic_contradiction_sides,
-    residual_elliptic_cyclic,
     residual_hyperbolic_cyclic,
-    residual_hyperbolic_normal,
     residual_parabolic_cyclic,
-    residual_parabolic_nilpotent,
 )
 from .errors import (
     ClassNotSolvableError,
@@ -76,16 +75,24 @@ def _check_keys(doc: dict, path: str, allowed: set):
             raise ValidationError(f"{path}{key}", "unknown field")
 
 
-def _real(value, path: str, positive=False, nonnegative=False) -> float:
+def _section(doc: dict, name: str, keys: set) -> dict:
+    """The required object ``name`` of the config, holding only ``keys``."""
+    section = _require(doc, "", name)
+    _check_keys(section, f"{name}.", keys)
+    return section
+
+
+def _real(value, path: str, positive=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(path, "must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the double range
+        raise ValidationError(path, "must be finite") from None
     if not math.isfinite(value):
         raise ValidationError(path, "must be finite")
     if positive and not value > 0:
         raise ValidationError(path, "must be > 0")
-    if nonnegative and value < 0:
-        raise ValidationError(path, "must be >= 0")
     return value
 
 
@@ -97,54 +104,48 @@ def _integer(value, path: str, minimum=None) -> int:
     return value
 
 
-def _masses(doc: dict, path="") -> np.ndarray:
-    raw = _require(doc, path, "masses")
+def _reals(doc: dict, path: str, key: str, positive=False) -> list[float]:
+    """The nonempty list of numbers ``doc[key]``."""
+    raw = _require(doc, path, key)
     if not isinstance(raw, list) or not raw:
-        raise ValidationError(f"{path}masses", "must be a nonempty list")
-    return np.array([_real(v, f"{path}masses[{i}]", positive=True) for i, v in enumerate(raw)])
+        raise ValidationError(f"{path}{key}", "must be a nonempty list")
+    return [_real(v, f"{path}{key}[{i}]", positive=positive) for i, v in enumerate(raw)]
 
 
-def _bodies(doc: dict, path="", with_velocity=True) -> tuple[np.ndarray, np.ndarray]:
-    raw = _require(doc, path, "bodies")
+def _points(raw, path: str, width: int) -> np.ndarray:
+    """Rows [re, im] (width 2) or [re, im, vre, vim] (width 4) with im > 0.
+
+    Returns complex columns of shape (width // 2, rows): the positions, then
+    for width 4 the velocities.
+    """
     if not isinstance(raw, list) or not raw:
-        raise ValidationError(f"{path}bodies", "must be a nonempty list")
-    width = 4 if with_velocity else 2
-    pos, vel = [], []
+        raise ValidationError(path, "must be a nonempty list")
+    fields = ("re", "im", "vre", "vim")[:width]
+    rows = []
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != width:
-            raise ValidationError(
-                f"{path}bodies[{i}]", f"must be a list of {width} numbers"
-            )
-        re = _real(row[0], f"{path}bodies[{i}].re")
-        im = _real(row[1], f"{path}bodies[{i}].im")
-        if not im > 0:
-            raise ValidationError(f"{path}bodies[{i}].im", "must be > 0")
-        pos.append(complex(re, im))
-        if with_velocity:
-            vre = _real(row[2], f"{path}bodies[{i}].vre")
-            vim = _real(row[3], f"{path}bodies[{i}].vim")
-            vel.append(complex(vre, vim))
-    return np.array(pos), np.array(vel if with_velocity else [0j] * len(pos))
+            raise ValidationError(f"{path}[{i}]", f"must be a list of {width} numbers")
+        rows.append([_real(v, f"{path}[{i}].{name}", positive=name == "im")
+                     for v, name in zip(row, fields)])
+    return np.ascontiguousarray(np.array(rows).view(complex).T)
 
 
 def _integrator(doc: dict) -> dict:
-    raw = _require(doc, "", "integrator")
-    _check_keys(raw, "integrator.", {"tol", "t_end", "max_step"})
-    out = {
+    """Keyword arguments of ``integrate`` from the ``integrator`` section."""
+    raw = _section(doc, "integrator", {"tol", "t_end", "max_step"})
+    return {
         "tol": _real(_require(raw, "integrator.", "tol"), "integrator.tol", positive=True),
         "t_end": _real(_require(raw, "integrator.", "t_end"), "integrator.t_end", positive=True),
-        "max_step": None,
+        "max_step": _real(raw["max_step"], "integrator.max_step", positive=True)
+        if "max_step" in raw else None,
     }
-    if "max_step" in raw:
-        out["max_step"] = _real(raw["max_step"], "integrator.max_step", positive=True)
-    return out
 
 
 def _system_state(doc: dict) -> SystemState:
     R = _real(_require(doc, "", "R"), "R", positive=True)
-    masses = _masses(doc)
-    pos, vel = _bodies(doc)
-    if masses.size != pos.size:
+    masses = _reals(doc, "", "masses", positive=True)
+    pos, vel = _points(_require(doc, "", "bodies"), "bodies", 4)
+    if len(masses) != pos.size:
         raise ValidationError("masses", "length must match bodies")
     try:
         return SystemState(0.0, pos, vel, masses, R)
@@ -152,14 +153,17 @@ def _system_state(doc: dict) -> SystemState:
         raise ValidationError("bodies", str(exc)) from None
 
 
-def _field_from(section: dict, path: str) -> KillingField:
+_FIELD_KINDS = ("normal", "nilpotent", "rotation")
+
+
+def _kind_sigma(section: dict, path: str, kinds=_FIELD_KINDS) -> tuple[str, int]:
     kind = _require(section, path, "kind")
-    if kind not in ("normal", "nilpotent", "rotation"):
-        raise ValidationError(f"{path}kind", "must be normal, nilpotent or rotation")
+    if kind not in kinds:
+        raise ValidationError(f"{path}kind", f"must be {', '.join(kinds[:-1])} or {kinds[-1]}")
     sigma = _integer(section.get("sigma", -1), f"{path}sigma")
     if sigma not in (-1, 0, 1):
         raise ValidationError(f"{path}sigma", "must be -1, 0 or 1")
-    return KillingField(kind, sigma)
+    return kind, sigma
 
 
 def _equilibrium_class(name, path: str) -> EquilibriumClass:
@@ -171,14 +175,12 @@ def _equilibrium_class(name, path: str) -> EquilibriumClass:
 
 
 def _load_config(path: str) -> dict:
-    if path is None:
-        raise ValidationError("--config", "a configuration file is required")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ValidationError("--config", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, huge or deep literals
         raise ValidationError("--config", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError("<root>", "configuration must be a JSON object")
@@ -194,9 +196,11 @@ def _seed(doc: dict, args) -> int:
 
 
 def _emit(args, name: str, text: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, name)
-    reports.write_text(path, text)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        reports.write_text(os.path.join(args.out, name), text)
+    except OSError as exc:
+        raise ValidationError("--out", f"cannot write {name}: {exc}") from None
     return name
 
 
@@ -215,15 +219,9 @@ def _state_dict(state: SystemState) -> dict:
 # Commands
 # ---------------------------------------------------------------------------
 
-_COMMON_KEYS = {"R", "masses", "bodies", "integrator", "seed"}
-
-
-def cmd_simulate(args) -> list[str]:
-    doc = _load_config(args.config)
-    _check_keys(doc, "", _COMMON_KEYS)
+def cmd_simulate(args, doc: dict) -> list[str]:
     state = _system_state(doc)
-    opts = _integrator(doc)
-    traj = integrate(state, opts["t_end"], tol=opts["tol"], max_step=opts["max_step"])
+    traj = integrate(state, **_integrator(doc))
     sidecar = reports.trajectory_sidecar(traj)
     return [
         _emit(args, "trajectory.csv", reports.trajectory_csv(traj)),
@@ -231,16 +229,19 @@ def cmd_simulate(args) -> list[str]:
     ]
 
 
-def cmd_equilibria(args) -> list[str]:
-    doc = _load_config(args.config)
-    _check_keys(doc, "", _COMMON_KEYS | {"equilibria"})
-    section = _require(doc, "", "equilibria")
-    _check_keys(
-        section, "equilibria.",
-        {"class", "symmetry", "tol", "max_iter", "alpha", "beta", "s"},
+_CYCLIC_RESIDUALS = {
+    EquilibriumClass.PARABOLIC_CYCLIC: residual_parabolic_cyclic,
+    EquilibriumClass.HYPERBOLIC_CYCLIC: residual_hyperbolic_cyclic,
+}
+
+
+def cmd_equilibria(args, doc: dict) -> list[str]:
+    section = _section(
+        doc, "equilibria", {"class", "symmetry", "tol", "max_iter", "alpha", "beta", "s"}
     )
     cls_name = args.cls or _require(section, "equilibria.", "class")
     cls = _equilibrium_class(cls_name, "equilibria.class")
+    payload = {"class": cls.value, "mode": args.mode}
 
     if args.mode == "find":
         if cls in NONEXISTENT_CLASSES:
@@ -248,9 +249,7 @@ def cmd_equilibria(args) -> list[str]:
                 f"nonexistent class: no {cls.value} solutions exist "
                 "(certified sign contradiction; see the certify command)"
             )
-        R = _real(_require(doc, "", "R"), "R", positive=True)
-        masses = _masses(doc)
-        pos, _ = _bodies(doc)
+        ansatz = _system_state(doc)
         symmetry = section.get("symmetry", "none")
         if symmetry not in ("none", "axis", "mirror"):
             raise ValidationError("equilibria.symmetry", "must be none, axis or mirror")
@@ -259,64 +258,36 @@ def cmd_equilibria(args) -> list[str]:
             tol=_real(section.get("tol", 1e-10), "equilibria.tol", positive=True),
             max_iter=_integer(section.get("max_iter", 200), "equilibria.max_iter", minimum=1),
         )
-        state, report = find_equilibrium_detailed(cls, masses, R, pos, opts)
-        residual = _class_residual(cls, state)
-        payload = {
-            "class": cls.value,
-            "mode": "find",
-            "state": _state_dict(state),
-            "residual": _residual_dict(residual),
-            "iterations": report.iterations,
-            "residual_inf_norm": report.residual_norm,
-        }
-        return [_emit(args, "equilibrium.json", reports.canonical_json(payload))]
-
-    # check mode: evaluate the class residual on the configured data
-    if cls in (EquilibriumClass.PARABOLIC_CYCLIC, EquilibriumClass.HYPERBOLIC_CYCLIC):
+        state, report = find_equilibrium_detailed(cls, ansatz.masses, ansatz.R, ansatz, opts)
+        lhs, rhs = condition_sides(cls, state)
+        payload.update(
+            state=_state_dict(state),
+            residual=_residual_dict(lhs - rhs),
+            iterations=report.iterations,
+            residual_inf_norm=report.residual_norm,
+        )
+    elif cls in _CYCLIC_RESIDUALS:
+        # check mode on the reparametrized family at the configured data
         R = _real(_require(doc, "", "R"), "R", positive=True)
-        masses = _masses(doc)
-        alpha = _require(section, "equilibria.", "alpha")
-        beta = _require(section, "equilibria.", "beta")
-        if not isinstance(alpha, list) or not isinstance(beta, list):
-            raise ValidationError("equilibria.alpha", "alpha and beta must be lists")
+        masses = np.array(_reals(doc, "", "masses", positive=True))
         params = CyclicParams(
-            [_real(v, f"equilibria.alpha[{i}]") for i, v in enumerate(alpha)],
-            [_real(v, f"equilibria.beta[{i}]") for i, v in enumerate(beta)],
+            _reals(section, "equilibria.", "alpha"),
+            _reals(section, "equilibria.", "beta"),
             _real(section.get("s", 0.0), "equilibria.s"),
         )
         if params.n != masses.size:
             raise ValidationError("equilibria.alpha", "length must match masses")
-        if cls is EquilibriumClass.PARABOLIC_CYCLIC:
-            re_res, im_res = residual_parabolic_cyclic(params, masses, R)
-        else:
-            re_res, im_res = residual_hyperbolic_cyclic(params, masses, R)
-        payload = {
-            "class": cls.value,
-            "mode": "check",
-            "real_parts": [float(x) for x in re_res],
-            "imaginary_parts": [float(x) for x in im_res],
-            "inf_norm": float(max(np.max(np.abs(re_res)), np.max(np.abs(im_res)))),
-        }
-        return [_emit(args, "equilibrium.json", reports.canonical_json(payload))]
-
-    state = _system_state(doc)
-    residual = _class_residual(cls, state)
-    payload = {
-        "class": cls.value,
-        "mode": "check",
-        "residual": _residual_dict(residual),
-        "inf_norm": float(np.max(np.abs(residual))),
-    }
+        re_res, im_res = _CYCLIC_RESIDUALS[cls](params, masses, R)
+        payload.update(
+            real_parts=[float(x) for x in re_res],
+            imaginary_parts=[float(x) for x in im_res],
+            inf_norm=float(max(np.max(np.abs(re_res)), np.max(np.abs(im_res)))),
+        )
+    else:
+        lhs, rhs = condition_sides(cls, _system_state(doc))
+        residual = lhs - rhs
+        payload.update(residual=_residual_dict(residual), inf_norm=float(np.max(np.abs(residual))))
     return [_emit(args, "equilibrium.json", reports.canonical_json(payload))]
-
-
-def _class_residual(cls: EquilibriumClass, state: SystemState) -> np.ndarray:
-    table = {
-        EquilibriumClass.HYPERBOLIC_NORMAL: residual_hyperbolic_normal,
-        EquilibriumClass.PARABOLIC_NILPOTENT: residual_parabolic_nilpotent,
-        EquilibriumClass.ELLIPTIC_CYCLIC: residual_elliptic_cyclic,
-    }
-    return table[cls](state)
 
 
 def _residual_dict(residual: np.ndarray) -> list:
@@ -325,11 +296,8 @@ def _residual_dict(residual: np.ndarray) -> list:
     ]
 
 
-def cmd_certify(args) -> list[str]:
-    doc = _load_config(args.config)
-    _check_keys(doc, "", {"seed", "certify"})
-    section = _require(doc, "", "certify")
-    _check_keys(section, "certify.", {"class", "n", "samples"})
+def cmd_certify(args, doc: dict) -> list[str]:
+    section = _section(doc, "certify", {"class", "n", "samples"})
     cls_name = args.cls or _require(section, "certify.", "class")
     cls = _equilibrium_class(cls_name, "certify.class")
     n = _integer(_require(section, "certify.", "n"), "certify.n", minimum=2)
@@ -347,23 +315,10 @@ def cmd_certify(args) -> list[str]:
     return [_emit(args, "certificate.json", reports.canonical_json(payload))]
 
 
-def cmd_flow(args) -> list[str]:
-    doc = _load_config(args.config)
-    _check_keys(doc, "", {"seed", "flow"})
-    section = _require(doc, "", "flow")
-    _check_keys(section, "flow.", {"kind", "sigma", "points", "t_min", "t_max", "num"})
-    field = _field_from(section, "flow.")
-    raw_pts = _require(section, "flow.", "points")
-    if not isinstance(raw_pts, list) or not raw_pts:
-        raise ValidationError("flow.points", "must be a nonempty list")
-    points = []
-    for i, row in enumerate(raw_pts):
-        if not isinstance(row, list) or len(row) != 2:
-            raise ValidationError(f"flow.points[{i}]", "must be [re, im]")
-        im = _real(row[1], f"flow.points[{i}].im")
-        if not im > 0:
-            raise ValidationError(f"flow.points[{i}].im", "must be > 0")
-        points.append(complex(_real(row[0], f"flow.points[{i}].re"), im))
+def cmd_flow(args, doc: dict) -> list[str]:
+    section = _section(doc, "flow", {"kind", "sigma", "points", "t_min", "t_max", "num"})
+    field = KillingField(*_kind_sigma(section, "flow."))
+    (points,) = _points(_require(section, "flow.", "points"), "flow.points", 2)
     t_min = _real(section.get("t_min", 0.0), "flow.t_min")
     t_max = _real(_require(section, "flow.", "t_max"), "flow.t_max")
     if not t_max > t_min:
@@ -372,7 +327,7 @@ def cmd_flow(args) -> list[str]:
     ts = np.linspace(t_min, t_max, num)
     rows = flow_samples(field, points, ts)
     checks = [
-        flow_derivative_check(field, np.array(points), float(t))
+        flow_derivative_check(field, points, float(t))
         for t in (t_min + 0.25 * (t_max - t_min), t_min + 0.75 * (t_max - t_min))
     ]
     payload = {
@@ -387,25 +342,22 @@ def cmd_flow(args) -> list[str]:
     ]
 
 
-def cmd_invariance(args) -> list[str]:
-    doc = _load_config(args.config)
-    _check_keys(doc, "", _COMMON_KEYS | {"invariance"})
-    section = _require(doc, "", "invariance")
-    _check_keys(section, "invariance.", {"kind", "sigma", "group_time", "num_points"})
+def cmd_invariance(args, doc: dict) -> list[str]:
+    section = _section(doc, "invariance", {"kind", "sigma", "group_time", "num_points"})
     state = _system_state(doc)
     opts = _integrator(doc)
     group_time = _real(_require(section, "invariance.", "group_time"), "invariance.group_time")
-    kind = _require(section, "invariance.", "kind")
+    kind, sigma = _kind_sigma(section, "invariance.", _FIELD_KINDS + ("loxodromic",))
     if kind == "loxodromic":
         transport = exp_subgroup(NORMAL_A, group_time) @ exp_subgroup(
             ROTATION_ELLIPTIC, group_time
         )
     else:
-        transport = _field_from(section, "invariance.")
+        transport = KillingField(kind, sigma)
     num_points = section.get("num_points")
     if num_points is not None:
         num_points = _integer(num_points, "invariance.num_points", minimum=7)
-    traj = integrate(state, opts["t_end"], tol=opts["tol"], max_step=opts["max_step"])
+    traj = integrate(state, **opts)
     report = verify_invariance(traj, transport, group_time, num_points=num_points)
     payload = report.to_dict()
     if kind == "loxodromic":
@@ -413,24 +365,11 @@ def cmd_invariance(args) -> list[str]:
     return [_emit(args, "invariance.json", reports.canonical_json(payload))]
 
 
-def cmd_map(args) -> list[str]:
-    doc = _load_config(args.config)
-    _check_keys(doc, "", {"R", "seed", "map"})
-    section = _require(doc, "", "map")
-    _check_keys(section, "map.", {"points", "samples"})
+def cmd_map(args, doc: dict) -> list[str]:
+    section = _section(doc, "map", {"points", "samples"})
     R = _real(_require(doc, "", "R"), "R", positive=True)
     if "points" in section:
-        raw = section["points"]
-        if not isinstance(raw, list) or not raw:
-            raise ValidationError("map.points", "must be a nonempty list")
-        points = []
-        for i, row in enumerate(raw):
-            if not isinstance(row, list) or len(row) != 2:
-                raise ValidationError(f"map.points[{i}]", "must be [re, im]")
-            im = _real(row[1], f"map.points[{i}].im")
-            if not im > 0:
-                raise ValidationError(f"map.points[{i}].im", "must be > 0")
-            points.append(complex(_real(row[0], f"map.points[{i}].re"), im))
+        points = _points(section["points"], "map.points", 2)[0].tolist()
     else:
         count = _integer(section.get("samples", 100), "map.samples", minimum=1)
         rng = np.random.default_rng([_seed(doc, args), 0])
@@ -438,34 +377,25 @@ def cmd_map(args) -> list[str]:
             complex(rng.normal(0.0, 1.0), math.exp(rng.uniform(math.log(0.05), math.log(5.0))))
             for _ in range(count)
         ]
-    lines = ["re,im,disk_re,disk_im,back_re,back_im"]
-    worst = 0.0
+    # one scalar map per point: the array maps round differently in the last bit
+    rows, worst = [], 0.0
     for w in points:
         z = to_disk(w, R)
         back = from_disk(z, R)
         worst = max(worst, abs(back - w))
-        lines.append(
-            ",".join(
-                reports.fmt_float(x)
-                for x in (w.real, w.imag, z.real, z.imag, back.real, back.imag)
-            )
-        )
+        rows.append((w.real, w.imag, z.real, z.imag, back.real, back.imag))
     payload = {"R": R, "count": len(points), "max_roundtrip_error": worst}
     return [
-        _emit(args, "map.csv", "\n".join(lines) + "\n"),
+        _emit(args, "map.csv", reports.map_csv(rows)),
         _emit(args, "map.json", reports.canonical_json(payload)),
     ]
 
 
-def cmd_vlasov(args) -> list[str]:
-    doc = _load_config(args.config)
-    _check_keys(doc, "", _COMMON_KEYS | {"vlasov"})
-    section = doc.get("vlasov", {})
-    _check_keys(section, "vlasov.", {"num_points"})
+def cmd_vlasov(args, doc: dict) -> list[str]:
+    section = _section(doc, "vlasov", {"num_points"}) if "vlasov" in doc else {}
     num_points = _integer(section.get("num_points", 1001), "vlasov.num_points", minimum=21)
     state = _system_state(doc)
-    opts = _integrator(doc)
-    traj = integrate(state, opts["t_end"], tol=opts["tol"], max_step=opts["max_step"])
+    traj = integrate(state, **_integrator(doc))
     # the weak-form grid is built once per trajectory and shared by the tests
     per_test = {
         tf.name: float(vlasov_weak_residual(traj, tests=(tf,), num_points=num_points))
@@ -483,8 +413,18 @@ def cmd_vlasov(args) -> list[str]:
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as a ValidationError instead of exiting with status 2."""
+
+    def error(self, message):
+        name, sep, reason = message.partition(": ")
+        if sep and name.startswith("argument "):  # "argument --seed: invalid int value: 'x'"
+            raise ValidationError(name[len("argument "):], reason)
+        raise ValidationError(self.prog, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hnbody",
         description="n-body dynamics on the hyperbolic upper half-plane",
     )
@@ -511,14 +451,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SYSTEM_KEYS = {"R", "masses", "bodies", "integrator", "seed"}
+
+# command -> (handler, top-level config keys)
 _HANDLERS = {
-    "simulate": cmd_simulate,
-    "equilibria": cmd_equilibria,
-    "certify": cmd_certify,
-    "flow": cmd_flow,
-    "invariance": cmd_invariance,
-    "map": cmd_map,
-    "vlasov": cmd_vlasov,
+    "simulate": (cmd_simulate, _SYSTEM_KEYS),
+    "equilibria": (cmd_equilibria, _SYSTEM_KEYS | {"equilibria"}),
+    "certify": (cmd_certify, {"seed", "certify"}),
+    "flow": (cmd_flow, {"seed", "flow"}),
+    "invariance": (cmd_invariance, _SYSTEM_KEYS | {"invariance"}),
+    "map": (cmd_map, {"R", "seed", "map"}),
+    "vlasov": (cmd_vlasov, _SYSTEM_KEYS | {"vlasov"}),
 }
 
 _ERROR_CODES = (
@@ -533,9 +476,12 @@ _ERROR_CODES = (
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        outputs = _HANDLERS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        handler, keys = _HANDLERS[args.command]
+        doc = _load_config(args.config)
+        _check_keys(doc, "", keys)
+        outputs = handler(args, doc)
     except HnbodyError as exc:
         for etype, code, status in _ERROR_CODES:
             if isinstance(exc, etype):

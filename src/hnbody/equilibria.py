@@ -404,10 +404,8 @@ class SolveReport:
 def _residual_for(cls: EquilibriumClass, masses, R):
     def fn(positions: np.ndarray) -> np.ndarray:
         state = SystemState(0.0, positions, np.zeros_like(positions), masses, R)
-        if cls is EquilibriumClass.HYPERBOLIC_NORMAL:
-            r = residual_hyperbolic_normal(state)
-        else:
-            r = residual_elliptic_cyclic(state)
+        lhs, rhs = condition_sides(cls, state)
+        r = lhs - rhs
         return np.concatenate([r.real, r.imag])
 
     return fn

@@ -64,6 +64,19 @@ def _tan_shift(x0, t):
     return np.tan(arg)
 
 
+def _require_admissible(field: KillingField, w0, t):
+    """Raise PoleError unless every t lies inside the admissible interval of its point."""
+    lo, hi = admissible_interval(field, w0)
+    outside = ~((lo + _POLE_MARGIN < t) & (t < hi - _POLE_MARGIN))
+    if np.any(outside):
+        at, lo, hi = _first(outside, t, lo, hi)
+        raise PoleError(
+            f"flow parameter {at} leaves the admissible interval ({lo}, {hi})",
+            pole_time=hi if at >= 0 else lo,
+            interval=(lo, hi),
+        )
+
+
 def flow(field: KillingField, w0, t):
     """Point of the flow of ``field`` through w0 at parameter t.
 
@@ -81,15 +94,7 @@ def flow(field: KillingField, w0, t):
         return w0 + t
     if field.sigma == -1:
         return apply_mobius(exp_subgroup(field, t), w0)
-    lo, hi = admissible_interval(field, w0)
-    outside = ~((lo + _POLE_MARGIN < t) & (t < hi - _POLE_MARGIN))
-    if np.any(outside):
-        at, lo, hi = _first(outside, t, lo, hi)
-        raise PoleError(
-            f"flow parameter {at} leaves the admissible interval ({lo}, {hi})",
-            pole_time=hi if at >= 0 else lo,
-            interval=(lo, hi),
-        )
+    _require_admissible(field, w0, t)
     if field.sigma == 0:
         u = _tan_shift(w0.real, t)
         v = w0.imag * (1.0 + u * u) / (1.0 + w0.real ** 2)
@@ -99,8 +104,16 @@ def flow(field: KillingField, w0, t):
     return (p + q) / 2.0 + 1j * (p - q) / 2.0
 
 
-def _partials(field: KillingField, w, t: float, step: float):
-    """(du/dx, du/dy, dv/dx, dv/dy) of the time-t flow map u + iv at w = x + iy."""
+def _partials(field: KillingField, w, t: float):
+    """(du/dx, du/dy, dv/dx, dv/dy) of the time-t flow map u + iv at w = x + iy.
+
+    Conformal for the isometric kinds.  For sigma = 0, with u = tan(t + atan x)
+    and k = (1 + u^2)/(1 + x^2): du/dx = dv/dy = k, du/dy = 0 and
+    dv/dx = 2y (1 + u^2)(u - x)/(1 + x^2)^2.  For sigma = +1, u + v and u - v
+    are the tan-shifts p and q of x + y and x - y; with P = (1 + p^2)/(1 + (x+y)^2)
+    and Q = (1 + q^2)/(1 + (x-y)^2): du/dx = dv/dy = (P + Q)/2 and
+    du/dy = dv/dx = (P - Q)/2.
+    """
     if field.isometric:
         if field.kind == NORMAL:
             d = np.exp(t) + 0j
@@ -109,30 +122,32 @@ def _partials(field: KillingField, w, t: float, step: float):
         else:
             d = mobius_derivative(exp_subgroup(field, t), w)
         return d.real, -d.imag, d.imag, d.real
-    fx = flow(field, w + step, t), flow(field, w - step, t)
-    fy = flow(field, w + 1j * step, t), flow(field, w - 1j * step, t)
-    return ((fx[0].real - fx[1].real) / (2.0 * step), (fy[0].real - fy[1].real) / (2.0 * step),
-            (fx[0].imag - fx[1].imag) / (2.0 * step), (fy[0].imag - fy[1].imag) / (2.0 * step))
+    _require_admissible(field, w, t)
+    x, y = w.real, w.imag
+    if field.sigma == 0:
+        u = _tan_shift(x, t)
+        k = (1.0 + u * u) / (1.0 + x * x)
+        return k, 0.0, 2.0 * y * (1.0 + u * u) * (u - x) / (1.0 + x * x) ** 2, k
+    P = (1.0 + _tan_shift(x + y, t) ** 2) / (1.0 + (x + y) ** 2)
+    Q = (1.0 + _tan_shift(x - y, t) ** 2) / (1.0 + (x - y) ** 2)
+    return (P + Q) / 2.0, (P - Q) / 2.0, (P - Q) / 2.0, (P + Q) / 2.0
 
 
-def flow_jacobian(field: KillingField, w, t: float, step: float = 1e-6):
-    """Real 2x2 Jacobian of the time-t flow map at w.
+def flow_jacobian(field: KillingField, w, t: float):
+    """Real 2x2 Jacobian of the time-t flow map at w, in closed form.
 
-    Analytic (conformal) for the isometric kinds; central finite
-    differences in Re w, Im w for the sigma in {0, +1} flavours, whose
-    flows are not fractional linear.  An array of points gives shape
-    w.shape + (2, 2).
+    An array of points gives shape w.shape + (2, 2).
     """
     w = as_points(w)
-    _, ux, uy, vx, vy = np.broadcast_arrays(w, *_partials(field, w, t, step))
+    _, ux, uy, vx, vy = np.broadcast_arrays(w, *_partials(field, w, t))
     return np.stack([np.stack([ux, uy], axis=-1), np.stack([vx, vy], axis=-1)], axis=-2)
 
 
-def transport(field: KillingField, w, v, t: float, step: float = 1e-6):
+def transport(field: KillingField, w, v, t: float):
     """Push positions and velocities through the time-t flow map."""
     w = as_points(w)
     v = as_points(v)
-    ux, uy, vx, vy = _partials(field, w, t, step)
+    ux, uy, vx, vy = _partials(field, w, t)
     return flow(field, w, t), (ux * v.real + uy * v.imag) + 1j * (vx * v.real + vy * v.imag)
 
 

@@ -129,3 +129,10 @@ def flow_csv(rows) -> str:
     """CSV body with header t,s,k,re,im for flow samples."""
     data = np.array(rows, dtype=float).reshape(-1, 5).T
     return "\n".join(["t,s,k,re,im", *_csv_rows("%.17g,%.17g,%d,%.17g,%.17g", data), ""])
+
+
+def map_csv(rows) -> str:
+    """CSV body with header re,im,disk_re,disk_im,back_re,back_im for disk round trips."""
+    data = np.array(rows, dtype=float).reshape(-1, 6).T
+    rows = _csv_rows("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g", data)
+    return "\n".join(["re,im,disk_re,disk_im,back_re,back_im", *rows, ""])

@@ -412,3 +412,110 @@ class TestDeterminism:
             assert main(["map", "--config", cfg, "--out", str(out), "--seed", "9"]) == 0
             blobs.append((out / "map.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+CERTIFY_DOC = {"certify": {"class": "parabolic-cyclic", "n": 2, "samples": 3}}
+INVARIANCE_DOC = {**SIMULATE_DOC, "invariance": {"kind": "normal", "group_time": 0.5}}
+FIND_DOC = {**SIMULATE_DOC, "equilibria": {"class": "elliptic-cyclic", "symmetry": "axis"}}
+
+
+def _json_bytes(doc) -> bytes:
+    return json.dumps(doc).encode()
+
+
+# id -> (argv before --config/--out, config bytes, error field path, whole reason or
+# None).  Every case exits 1 with one "validation" error object; "{out}" in argv
+# stands for an existing file.
+BAD_INPUTS = {
+    "no-config": (["simulate"], None, "hnbody simulate", None),
+    "seed-not-an-integer": (["certify", "--seed", "abc"], _json_bytes(CERTIFY_DOC), "--seed", None),
+    "samples-not-an-integer": (["certify", "--samples", "x"], _json_bytes(CERTIFY_DOC), "--samples", None),
+    "equilibria-without-mode": (["equilibria"], _json_bytes(FIND_DOC), "hnbody equilibria", None),
+    "not-utf8": (["simulate"], b'{"R": 1.0, "\xff": 1}', "--config", None),
+    "integer-over-4300-digits": (["simulate"], b'{"R": 1' + b"0" * 5000 + b"}", "--config", None),
+    "deeply-nested": (["simulate"], b"[" * 200_000, "--config", None),
+    "overflowing-integer": (
+        ["simulate"], _json_bytes({**SIMULATE_DOC, "R": 10 ** 400}), "R", "must be finite"
+    ),
+    "out-is-a-file": (["certify", "--out", "{out}"], _json_bytes(CERTIFY_DOC), "--out", None),
+    "loxodromic-sigma": (
+        ["invariance"],
+        _json_bytes({**INVARIANCE_DOC, "invariance": {"kind": "loxodromic", "sigma": "zzz", "group_time": 0.5}}),
+        "invariance.sigma",
+        "must be an integer",
+    ),
+    "invariance-kind": (
+        ["invariance"],
+        _json_bytes({**INVARIANCE_DOC, "invariance": {"kind": "spiral", "group_time": 0.5}}),
+        "invariance.kind",
+        "must be normal, nilpotent, rotation or loxodromic",
+    ),
+    "find-masses-shorter-than-bodies": (
+        ["equilibria", "find"], _json_bytes({**FIND_DOC, "masses": [1.0]}), "masses", "length must match bodies"
+    ),
+}
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_one_json_error_object(self, tmp_path, capsys, case):
+        head, config, path, reason = BAD_INPUTS[case]
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        argv = [str(blocker) if a == "{out}" else a for a in head]
+        if config is not None:
+            (tmp_path / "config.json").write_bytes(config)
+            argv += ["--config", str(tmp_path / "config.json")]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "out")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert captured.out.startswith("{") and captured.out.endswith("}\n")
+        err = json.loads(captured.out)["error"]  # raises on a second object
+        assert err["code"] == "validation"
+        assert err["message"].startswith(f"{path}: ")
+        if reason is not None:
+            assert err["message"] == f"{path}: {reason}"
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hnbody simulate")
+
+
+# field -> (row width, config holding the rows, command) for the three point readers
+POINT_FIELDS = {
+    "bodies": (4, lambda rows: {**SIMULATE_DOC, "masses": [1.0] * max(1, len(rows)), "bodies": rows}, "simulate"),
+    "flow.points": (2, lambda rows: {"flow": {"kind": "normal", "points": rows, "t_max": 0.5}}, "flow"),
+    "map.points": (2, lambda rows: {"R": 1.0, "map": {"points": rows}}, "map"),
+}
+
+
+def _after_good_row(bad_row):
+    return lambda w: [[0.0, 1.0] + [0.0] * (w - 2), bad_row(w)]
+
+
+# fault -> (rows given the width, field suffix, reason given the width)
+POINT_FAULTS = {
+    "empty": (lambda w: [], "", lambda w: "must be a nonempty list"),
+    "not-a-list": (_after_good_row(lambda w: "x"), "[1]", lambda w: f"must be a list of {w} numbers"),
+    "short": (_after_good_row(lambda w: [0.0] * (w - 1)), "[1]", lambda w: f"must be a list of {w} numbers"),
+    "re-not-a-number": (_after_good_row(lambda w: ["a"] + [1.0] * (w - 1)), "[1].re", lambda w: "must be a number"),
+    "im-not-positive": (_after_good_row(lambda w: [0.0, -1.0] + [0.0] * (w - 2)), "[1].im", lambda w: "must be > 0"),
+    "im-overflows": (
+        _after_good_row(lambda w: [0.0, 10 ** 400] + [0.0] * (w - 2)), "[1].im", lambda w: "must be finite"
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(POINT_FAULTS))
+def test_three_point_fields_give_the_same_messages(tmp_path, capsys, fault):
+    rows, suffix, reason = POINT_FAULTS[fault]
+    for field, (width, make_doc, command) in POINT_FIELDS.items():
+        cfg = write_config(tmp_path, make_doc(rows(width)), name=f"{command}.json")
+        code, _ = run(tmp_path, command, "--config", cfg)
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["error"]["message"] == f"{field}{suffix}: {reason(width)}"

@@ -183,6 +183,26 @@ class TestTransport:
             J_fd[1, col] = (fp.imag - fm.imag) / (2 * step)
         assert np.max(np.abs(J_an - J_fd)) < 1e-8
 
+    @pytest.mark.parametrize("field", [ROTATION_PARABOLIC, ROTATION_HYPERBOLIC], ids=["sigma0", "sigma1"])
+    @pytest.mark.parametrize("tau", [-0.3, 0.3])
+    def test_closed_form_jacobian_matches_central_differences(self, field, tau):
+        rng = np.random.default_rng(17)
+        w = rng.uniform(-1.0, 1.0, 50) + 1j * rng.uniform(0.2, 1.0, 50)
+        step = 1e-6
+        columns = []
+        for dz in (step, 1j * step):
+            d = (flow(field, w + dz, tau) - flow(field, w - dz, tau)) / (2 * step)
+            columns.append(np.stack([d.real, d.imag], axis=-1))
+        J_fd = np.stack(columns, axis=-1)
+        J_an = flow_jacobian(field, w, tau)
+        assert J_an.shape == (50, 2, 2)
+        gap = np.max(np.abs(J_an - J_fd), axis=(-2, -1))
+        assert np.all(gap <= 1e-8 * np.max(np.abs(J_an), axis=(-2, -1)))
+
+    def test_jacobian_beyond_the_pole_raises(self):
+        with pytest.raises(PoleError):
+            flow_jacobian(ROTATION_PARABOLIC, 1.0 + 1j, 1.2)  # the pole is at pi/4
+
 
 @pytest.fixture(scope="module")
 def geodesic_traj():

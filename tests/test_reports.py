@@ -3,7 +3,7 @@ import pytest
 
 from hnbody.dynamics import IntegratorStats, SystemState, Trajectory, conserved, integrate
 from hnbody.errors import DomainError
-from hnbody.reports import flow_csv, fmt_float, trajectory_csv, trajectory_sidecar
+from hnbody.reports import flow_csv, fmt_float, map_csv, trajectory_csv, trajectory_sidecar
 
 # values whose rendering is easy to get wrong: signed zero, subnormals, extremes
 AWKWARD = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1.7976931348623157e308, 0.1, -1.0 / 3.0, 2.0 ** 53, 1e-5]
@@ -47,12 +47,20 @@ def test_flow_csv_matches_fmt_float():
     assert flow_csv(np.array(rows)) == flow_csv(rows)
 
 
+def test_map_csv_matches_fmt_float():
+    rows = [tuple(row) for row in np.random.default_rng(9).choice(AWKWARD, (40, 6))]
+    expected = ["re,im,disk_re,disk_im,back_re,back_im"] + [",".join(fmt_float(x) for x in row) for row in rows]
+    assert map_csv(rows) == "\n".join(expected) + "\n"
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_csv_rejects_nonfinite_values(bad):
     with pytest.raises(DomainError):
         trajectory_csv(_awkward_trajectory(bad=bad))
     with pytest.raises(DomainError):
         flow_csv([(0.0, 0.0, 0, 1.0, bad)])
+    with pytest.raises(DomainError):
+        map_csv([(0.0, 1.0, 0.0, 0.0, 0.0, bad)])
 
 
 def test_sidecar_series_equal_conserved_at_every_node():
