@@ -104,6 +104,19 @@ def _integer(value, path: str, minimum=None) -> int:
     return value
 
 
+# The one upper bound of the count fields: flow.num, certify.n,
+# certify.samples (also from --samples), invariance.num_points, map.samples
+# and vlasov.num_points.  A count above it is a validation error.
+MAX_COUNT = 100_000
+
+
+def _count(value, path: str, minimum: int) -> int:
+    value = _integer(value, path, minimum=minimum)
+    if value > MAX_COUNT:
+        raise ValidationError(path, f"must be <= {MAX_COUNT}")
+    return value
+
+
 def _reals(doc: dict, path: str, key: str, positive=False) -> list[float]:
     """The nonempty list of numbers ``doc[key]``."""
     raw = _require(doc, path, key)
@@ -300,11 +313,11 @@ def cmd_certify(args, doc: dict) -> list[str]:
     section = _section(doc, "certify", {"class", "n", "samples"})
     cls_name = args.cls or _require(section, "certify.", "class")
     cls = _equilibrium_class(cls_name, "certify.class")
-    n = _integer(_require(section, "certify.", "n"), "certify.n", minimum=2)
+    n = _count(_require(section, "certify.", "n"), "certify.n", 2)
     samples = args.samples if args.samples is not None else section.get("samples")
     if samples is None:
         raise ValidationError("certify.samples", "missing required field")
-    samples = _integer(samples, "certify.samples", minimum=1)
+    samples = _count(samples, "certify.samples", 1)
     cert = certify_nonexistence(cls, n, samples, seed=_seed(doc, args))
     payload = cert.to_dict()
     if cls is EquilibriumClass.PARABOLIC_CYCLIC:
@@ -323,7 +336,7 @@ def cmd_flow(args, doc: dict) -> list[str]:
     t_max = _real(_require(section, "flow.", "t_max"), "flow.t_max")
     if not t_max > t_min:
         raise ValidationError("flow.t_max", "must exceed t_min")
-    num = _integer(section.get("num", 33), "flow.num", minimum=2)
+    num = _count(section.get("num", 33), "flow.num", 2)
     ts = np.linspace(t_min, t_max, num)
     rows = flow_samples(field, points, ts)
     checks = [
@@ -356,7 +369,7 @@ def cmd_invariance(args, doc: dict) -> list[str]:
         transport = KillingField(kind, sigma)
     num_points = section.get("num_points")
     if num_points is not None:
-        num_points = _integer(num_points, "invariance.num_points", minimum=7)
+        num_points = _count(num_points, "invariance.num_points", 7)
     traj = integrate(state, **opts)
     report = verify_invariance(traj, transport, group_time, num_points=num_points)
     payload = report.to_dict()
@@ -371,7 +384,7 @@ def cmd_map(args, doc: dict) -> list[str]:
     if "points" in section:
         points = _points(section["points"], "map.points", 2)[0].tolist()
     else:
-        count = _integer(section.get("samples", 100), "map.samples", minimum=1)
+        count = _count(section.get("samples", 100), "map.samples", 1)
         rng = np.random.default_rng([_seed(doc, args), 0])
         points = [
             complex(rng.normal(0.0, 1.0), math.exp(rng.uniform(math.log(0.05), math.log(5.0))))
@@ -393,7 +406,7 @@ def cmd_map(args, doc: dict) -> list[str]:
 
 def cmd_vlasov(args, doc: dict) -> list[str]:
     section = _section(doc, "vlasov", {"num_points"}) if "vlasov" in doc else {}
-    num_points = _integer(section.get("num_points", 1001), "vlasov.num_points", minimum=21)
+    num_points = _count(section.get("num_points", 1001), "vlasov.num_points", 21)
     state = _system_state(doc)
     traj = integrate(state, **_integrator(doc))
     # the weak-form grid is built once per trajectory and shared by the tests

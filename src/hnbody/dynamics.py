@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,42 +89,56 @@ def theta_floor(positions: np.ndarray):
     return THETA_FLOOR_SCALE * scale2 * scale2
 
 
-def _pair_tables(w: np.ndarray):
-    """Pair numerator and theta tables, shape (..., n, n), of positions w, shape (..., n).
+class _PairTables(NamedTuple):
+    """Tables over body pairs (k, j) of positions wk = xk + i yk and wj = xj + i yj."""
 
-    cross_kj = (conj(wk)+wk)(conj(wj)+wj) - 2(|wk|^2+|wj|^2) and
-    theta_kj = cross_kj^2 - (conj(wk)-wk)^2 (conj(wj)-wj)^2, symmetric in
-    k, j bit for bit.
+    dx: np.ndarray  # xk - xj
+    dy: np.ndarray  # yk - yj
+    sy: np.ndarray  # yk + yj
+    near: np.ndarray  # |wk - wj|^2 = dx^2 + dy^2
+    far: np.ndarray  # |wk - conj(wj)|^2 = dx^2 + sy^2
+    theta: np.ndarray  # 4 near far
+
+
+def _pair_tables(wk, wj) -> _PairTables:
+    """Pair tables of the positions wk and wj, broadcast against each other.
+
+    theta = cross^2 - (conj(wk)-wk)^2 (conj(wj)-wj)^2 with
+    cross = (conj(wk)+wk)(conj(wj)+wj) - 2(|wk|^2+|wj|^2) factors exactly
+    as theta = 4 near far and cross = -(near + far).  Nothing subtracts two
+    nearly equal quantities (a close coordinate difference is exact), so
+    theta keeps its relative accuracy down to coincidence: it is >= 0,
+    exactly 0 for coincident bodies, and symmetric in k, j bit for bit.
     """
-    re, im = w.real, w.imag
-    x2 = 2.0 * re
-    v2 = im * im
-    nrm2 = 2.0 * (re * re + v2)
-    v4 = 4.0 * v2  # power-of-two scalings are exact, so v4_k v4_j == 16 v2_k v2_j
-    cross = x2[..., :, None] * x2[..., None, :] - (nrm2[..., :, None] + nrm2[..., None, :])
-    th = cross * cross - v4[..., :, None] * v4[..., None, :]
-    return cross, th
+    dx = wk.real - wj.real
+    dy = wk.imag - wj.imag
+    sy = wk.imag + wj.imag
+    dx2 = dx * dx
+    near = dy * dy
+    near += dx2
+    far = sy * sy
+    far += dx2
+    th = near * far
+    th *= 4.0
+    return _PairTables(dx, dy, sy, near, far, th)
 
 
-def _pairs(w: np.ndarray, t=None):
-    """The pair kernel: tables over all body pairs of positions w, shape (..., n), with the guard.
+def _guard(w: np.ndarray, vals: np.ndarray, t=None):
+    """(min_theta, verdict) of positions w, shape (..., n), from their thetas
+    vals over the distinct pairs in _triu order, shape (..., n(n-1)/2).
 
-    Returns (cross, theta, min_theta, verdict): the tables of _pair_tables,
-    the smallest theta over distinct pairs per configuration (inf for one
-    body), and None or the SingularityError of the first configuration
+    min_theta is the smallest theta per configuration (inf for one body);
+    verdict is None or the SingularityError of the first configuration
     below its theta floor, timed by ``t`` (a float, or an array over the
     leading axes) if given.
     """
-    cross, th = _pair_tables(w)
-    n = w.shape[-1]
-    if n < 2:
-        return cross, th, np.full(w.shape[:-1], math.inf)[()], None
-    iu = _triu(n)
-    vals = th[..., iu[0], iu[1]]
+    if vals.shape[-1] == 0:
+        return np.full(w.shape[:-1], math.inf)[()], None
     min_theta = vals.min(axis=-1)
     below = min_theta < theta_floor(w)
     if not below.any():
-        return cross, th, min_theta, None
+        return min_theta, None
+    iu = _triu(w.shape[-1])
     row = np.unravel_index(np.argmax(below), below.shape)
     worst = int(np.argmin(vals[row]))
     pair = (int(iu[0][worst]), int(iu[1][worst]))
@@ -136,44 +151,74 @@ def _pairs(w: np.ndarray, t=None):
         time=time,
         theta=value,
     )
-    return cross, th, min_theta, verdict
+    return min_theta, verdict
+
+
+def _pairs(w: np.ndarray, t=None):
+    """The pair kernel over all pairs of positions w, shape (..., n), with the guard.
+
+    Returns (tables, min_theta, verdict): the (..., n, n) _pair_tables,
+    entry [k, j] for the pair (k, j), and the _guard of w.
+    """
+    iu = _triu(w.shape[-1])
+    tables = _pair_tables(w[..., :, None], w[..., None, :])
+    return (tables, *_guard(w, tables.theta[..., iu[0], iu[1]], t))
+
+
+def _distinct_pairs(w: np.ndarray, t=None):
+    """The pair kernel over the distinct pairs k < j only, in _triu order:
+    (tables of shape (..., n(n-1)/2), min_theta, verdict)."""
+    iu = _triu(w.shape[-1])
+    tables = _pair_tables(w[..., iu[0]], w[..., iu[1]])
+    return (tables, *_guard(w, tables.theta, t))
 
 
 def theta(wk: complex, wj: complex) -> float:
     """Pairwise singular-set function.
 
     [(conj(wk)+wk)(conj(wj)+wj) - 2(|wk|^2+|wj|^2)]^2
-        - (conj(wk)-wk)^2 (conj(wj)-wj)^2,
-    evaluated symmetrically so theta(wk, wj) == theta(wj, wk) bit for bit.
-    Nonnegative; zero exactly on collision/antipodal configurations.
+        - (conj(wk)-wk)^2 (conj(wj)-wj)^2  =  4 |wk - wj|^2 |wk - conj(wj)|^2,
+    evaluated in the factored form, so it is nonnegative, zero exactly on
+    collision/antipodal configurations, accurate to rounding near them,
+    and theta(wk, wj) == theta(wj, wk) bit for bit.
     """
-    return float(_pair_tables(np.array([wk, wj], dtype=complex))[1][0, 1])
+    return float(_pair_tables(complex(wk), complex(wj)).theta)
 
 
 def min_pair_theta(positions: np.ndarray):
     """Smallest theta over distinct pairs, per configuration of shape (..., n)."""
-    return _pairs(np.asarray(positions, dtype=complex))[2]
+    return _distinct_pairs(np.asarray(positions, dtype=complex))[1]
 
 
-def _interaction_sums(w: np.ndarray, masses: np.ndarray, th: np.ndarray) -> np.ndarray:
+def _interaction_sums(y: np.ndarray, masses: np.ndarray, tables: _PairTables) -> np.ndarray:
     """S_k = sum_{j != k} m_j (conj(wj)-wj)^2 (wk-wj)(conj(wj)-wk) / theta^{3/2}.
 
-    ``th`` is the theta table of w from the pair kernel.  Its diagonal is
+    ``y`` holds the heights Im w and ``tables`` the pair tables of w.  With
+    (conj(wj)-wj)^2 = -4 yj^2 and (wk-wj)(conj(wj)-wk) = dy sy - dx^2
+    - 2i yk dx, the sum is taken in real arithmetic.  The theta diagonal is
     overwritten with 1, which leaves the j = k terms exactly zero.
     """
-    d = np.arange(w.shape[-1])
+    dx, dy, sy, th = tables.dx, tables.dy, tables.sy, tables.theta
+    d = np.arange(y.shape[-1])
     th[..., d, d] = 1.0
-    wb = w.conjugate()
-    kernel = (wb - w)[..., None, :] ** 2 * (w[..., :, None] - w[..., None, :]) * (wb[..., None, :] - w[..., :, None])
-    return (masses * kernel / th ** 1.5).sum(axis=-1)
+    g = np.sqrt(th)
+    g *= th
+    np.divide((masses * y * y)[..., None, :], g, out=g)
+    re = dy * sy
+    re -= dx * dx
+    re *= g
+    g *= dx
+    return -4.0 * (re.sum(axis=-1) - 2j * y * g.sum(axis=-1))
 
 
 def _force(w: np.ndarray, masses: np.ndarray, R: float, t=None):
-    """Interaction force -(2 (wk - conj wk)^3 / R) * S_k behind the theta guard, and the min theta."""
-    _, th, min_theta, verdict = _pairs(w, t)
+    """Interaction force -(2 (wk - conj wk)^3 / R) * S_k = (16i yk^3 / R) * S_k behind
+    the theta guard, and the min theta."""
+    tables, min_theta, verdict = _pairs(w, t)
     if verdict is not None:
         raise verdict
-    return -(2.0 * (w - w.conjugate()) ** 3 / R) * _interaction_sums(w, masses, th), min_theta
+    y = w.imag
+    return (16j / R) * y ** 3 * _interaction_sums(y, masses, tables), min_theta
 
 
 def _accel(w: np.ndarray, v: np.ndarray, masses: np.ndarray, R: float, t=None):
@@ -205,10 +250,11 @@ def cotangent_potential(state: SystemState):
     mm = np.outer(state.masses, state.masses)[iu]
 
     def rows(t, w, v):
-        cross, th, _, verdict = _pairs(w, t)
+        tables, _, verdict = _distinct_pairs(w, t)
         if verdict is not None:
             raise verdict
-        return np.sum(mm * cross[..., iu[0], iu[1]] / np.sqrt(th[..., iu[0], iu[1]]), axis=-1) / state.R
+        cross = -(tables.near + tables.far)
+        return np.sum(mm * cross / np.sqrt(tables.theta), axis=-1) / state.R
 
     return _over_rows(state, rows)
 
@@ -416,7 +462,8 @@ def integrate(
 
     Embedded 5(4) pair with mixed absolute/relative per-component error
     control at ``tol``; halts with a singularity error if any pair drops
-    below the theta floor, and with a step-size error on underflow.
+    below the theta floor, and with a step-size error on underflow or on a
+    non-finite initial derivative, step size or error estimate.
     """
     if state.positions.ndim != 1:
         raise DomainError("integration starts from one state, not a series")
@@ -444,6 +491,8 @@ def integrate(
 
     y = np.concatenate([state.positions, state.velocities])
     f, min_theta = rhs(y, t0)
+    if not np.all(np.isfinite(f)):
+        raise StepSizeError(f"non-finite derivative at t = {t0}")
     times, ys, fs = [t0], [y], [f]
 
     def err_norm(y0, y1, e):
@@ -456,6 +505,8 @@ def integrate(
     d1 = float(np.sqrt(np.mean(np.abs(f / sc) ** 2)))
     h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h = min(h, hmax, t1 - t0)
+    if not math.isfinite(h):
+        raise StepSizeError(f"non-finite step size at t = {t0}")
 
     t = t0
     steps = rejected = 0
@@ -498,6 +549,8 @@ def integrate(
             continue
         y5 = y + h * (_DP_B5 @ k)
         err = err_norm(y, y5, h * ((_DP_B5 - _DP_B4) @ k))
+        if not math.isfinite(err):
+            raise StepSizeError(f"non-finite error estimate at t = {t}")
         if err <= 1.0:
             t += h
             y = y5

@@ -100,7 +100,7 @@ def mobius_ansatz_defect(
 def _sides(state: SystemState, lhs_fn) -> tuple[np.ndarray, np.ndarray]:
     w = state.positions
     lhs = np.array([lhs_fn(wk, state.R) for wk in w])
-    rhs = _interaction_sums(w, state.masses, _pair_tables(w)[1])
+    rhs = _interaction_sums(w.imag, state.masses, _pair_tables(w[:, None], w[None, :]))
     return lhs, rhs
 
 
@@ -269,7 +269,8 @@ def theta_parametric(p: CyclicParams, kind: str = "parabolic") -> np.ndarray:
         v2 = p.beta ** 2 * (1.0 + p.s ** 2) ** 2 / fa ** 4
         cross = 4.0 * np.outer(u, u) - 2.0 * letters.Xi
         return cross ** 2 - 16.0 * np.outer(v2, v2)
-    return _pair_tables(positions_hyperbolic_cyclic(p))[1]
+    w = positions_hyperbolic_cyclic(p)
+    return _pair_tables(w[:, None], w[None, :]).theta
 
 
 def residual_parabolic_cyclic(p: CyclicParams, masses, R: float):
@@ -365,7 +366,7 @@ def residual_hyperbolic_cyclic(p: CyclicParams, masses, R: float):
     w = C + 1j * D
     if np.any(w.imag <= 0):
         raise DomainError("parametrized bodies must stay in the upper half-plane")
-    th = _pair_tables(w)[1]
+    th = _pair_tables(w[:, None], w[None, :]).theta
     np.fill_diagonal(th, 1.0)
     if np.any(th <= 0):
         raise DomainError("parametrized configuration touches the singular set")
@@ -662,7 +663,7 @@ def hyperbolic_contradiction_sides(heights, masses, R: float, k: int | None = No
     alpha, beta = v, -v
     dk = alpha[k] - beta[k]
     lhs = dk * (1.0 + beta[k] ** 2) + 8.0 * (1.0 + alpha[k] ** 2) * (1.0 + beta[k] ** 2) / dk
-    th_k = _pair_tables(1j * v)[1][k]
+    th_k = _pair_tables(1j * v[k], 1j * v).theta
     total = 0.0
     for j in range(v.size):
         if j == k:

@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from hnbody.cli import main
+import hnbody
+from hnbody.cli import MAX_COUNT, main
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -519,3 +522,46 @@ def test_three_point_fields_give_the_same_messages(tmp_path, capsys, fault):
         code, _ = run(tmp_path, command, "--config", cfg)
         assert code == 1
         assert json.loads(capsys.readouterr().out)["error"]["message"] == f"{field}{suffix}: {reason(width)}"
+
+
+def test_non_finite_derivative_exits_three(tmp_path):
+    # v = 1e300 squares to inf: the run must end as an integrator failure, not
+    # loop on a NaN step size (a child process bounds the wait if it does not)
+    doc = {"R": 1.0, "masses": [1.0], "bodies": [[0.0, 1.0, 1e300, 0.0]],
+           "integrator": {"tol": 1e-10, "t_end": 0.1}}
+    cfg = write_config(tmp_path, doc)
+    src = os.path.dirname(os.path.dirname(hnbody.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hnbody", "simulate", "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3
+    err = json.loads(proc.stdout)["error"]
+    assert err["code"] == "integrator-failure"
+    assert err["message"] == "non-finite derivative at t = 0.0"
+
+
+# count field -> (command, config holding the count)
+COUNT_FIELDS = {
+    "flow.num": ("flow", lambda c: {"flow": {"kind": "normal", "points": [[0.0, 1.0]], "t_max": 0.5, "num": c}}),
+    "certify.n": ("certify", lambda c: {"certify": {"class": "parabolic-cyclic", "n": c, "samples": 3}}),
+    "certify.samples": ("certify", lambda c: {"certify": {"class": "parabolic-cyclic", "n": 2, "samples": c}}),
+    "invariance.num_points": (
+        "invariance", lambda c: {**INVARIANCE_DOC, "invariance": {"kind": "normal", "group_time": 0.5, "num_points": c}}
+    ),
+    "map.samples": ("map", lambda c: {"R": 1.0, "map": {"samples": c}}),
+    "vlasov.num_points": ("vlasov", lambda c: {**SIMULATE_DOC, "vlasov": {"num_points": c}}),
+}
+
+
+@pytest.mark.parametrize("count", [MAX_COUNT + 1, 10 ** 30])
+@pytest.mark.parametrize("field", sorted(COUNT_FIELDS))
+def test_counts_above_the_cap_are_validation_errors(tmp_path, capsys, field, count):
+    command, make_doc = COUNT_FIELDS[field]
+    cfg = write_config(tmp_path, make_doc(count))
+    code, out = run(tmp_path, command, "--config", cfg)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert json.loads(captured.out)["error"] == {"code": "validation", "message": f"{field}: must be <= {MAX_COUNT}"}
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,8 +46,9 @@ class TestTheta:
             assert theta(1j * a, 1j * b) == pytest.approx(4 * (a * a - b * b) ** 2, rel=1e-14)
 
     def test_coincident_is_zero(self):
-        for w in (1j, 0.7 + 2.3j, -4 + 0.1j):
-            assert theta(w, w) == pytest.approx(0.0, abs=1e-12)
+        for w in (1j, 0.7 + 2.3j, -4 + 0.1j, 1e8 + 1e-8j):
+            assert theta(w, w) == 0.0
+        assert min_pair_theta(np.array([0.7 + 2.3j, 0.7 + 2.3j])) == 0.0
 
     def test_hand_value(self):
         assert theta(1 + 1j, 1 + 2j) == 36.0
@@ -64,6 +66,43 @@ class TestTheta:
             w1 = rng.normal() + 1j * rng.uniform(0.05, 4.0)
             w2 = rng.normal() + 1j * rng.uniform(0.05, 4.0)
             assert theta(w1, w2) >= 0.0
+
+    def test_verdict_state_to_rounding(self):
+        # the head-on pair at its verdict: the expanded form cross^2 - 16 y1^2 y2^2
+        # cancels 13 digits here and was off by 7.7e-5 relative
+        w1, w2 = 1.4142133653892559j, 1.4142137576758775j
+        exact = _exact_theta(w1, w2)
+        factored = 4.0 * abs(w1 - w2) ** 2 * abs(w1 - w2.conjugate()) ** 2
+        assert float(exact) == pytest.approx(factored, rel=1e-14, abs=0)
+        assert theta(w1, w2) == pytest.approx(float(exact), rel=1e-14, abs=0)
+        assert min_pair_theta(np.array([w1, w2])) == theta(w1, w2)
+
+    @pytest.mark.parametrize("where", ["near-collision", "near-imaginary-axis", "near-real-axis"])
+    def test_near_singular_pairs_to_rounding(self, where):
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            if where == "near-collision":
+                w1 = rng.normal() + 1j * rng.uniform(0.05, 4.0)
+            elif where == "near-imaginary-axis":
+                w1 = 1e-9 * rng.normal() + 1j * rng.uniform(0.05, 4.0)
+            else:
+                w1 = rng.normal() + 1j * rng.uniform(1e-9, 1e-6)
+            eps = 10.0 ** rng.uniform(-12, -3) * w1.imag
+            w2 = w1 + eps * complex(rng.normal(), rng.normal())
+            if w2.imag <= 0:
+                continue
+            t12, t21 = theta(w1, w2), theta(w2, w1)
+            assert t12 == t21
+            assert t12 >= 0.0
+            assert t12 == pytest.approx(float(_exact_theta(w1, w2)), rel=1e-14, abs=0)
+
+
+def _exact_theta(w1: complex, w2: complex) -> Fraction:
+    """theta = cross^2 - 16 y1^2 y2^2 with cross = 4 x1 x2 - 2 (|w1|^2 + |w2|^2),
+    in exact rational arithmetic on the float coordinates."""
+    x1, y1, x2, y2 = (Fraction(c) for c in (w1.real, w1.imag, w2.real, w2.imag))
+    cross = 4 * x1 * x2 - 2 * (x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2)
+    return cross * cross - 16 * y1 * y1 * y2 * y2
 
 
 class TestPotential:
@@ -141,6 +180,25 @@ class TestEomRhs:
                 transported = f2 * v * v + f1 * acc
                 err = np.max(np.abs(eom_rhs(st) - transported))
                 assert err < 1e-9 * max(1.0, float(np.max(np.abs(transported))))
+
+    def test_interaction_matches_the_complex_pair_sum(self):
+        # per-pair reference of the closed form, theta in exact arithmetic
+        rng = np.random.default_rng(25)
+        for _ in range(50):
+            n = int(rng.integers(2, 6))
+            w = rng.normal(size=n) + 1j * rng.uniform(0.2, 3.0, n)
+            m = rng.uniform(0.2, 2.0, n)
+            R = float(rng.uniform(0.5, 2.0))
+            ref = np.zeros(n, complex)
+            for k in range(n):
+                for j in range(n):
+                    if j != k:
+                        wk, wj = w[k], w[j]
+                        th = float(_exact_theta(complex(wk), complex(wj)))
+                        ref[k] += m[j] * (wj.conjugate() - wj) ** 2 * (wk - wj) * (wj.conjugate() - wk) / th ** 1.5
+                ref[k] *= -2.0 * (w[k] - w[k].conjugate()) ** 3 / R
+            got = eom_interaction(SystemState(0.0, w, np.zeros(n, complex), m, R))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_singularity_guard_reports_pair(self):
         with pytest.raises(SingularityError) as info:
@@ -266,10 +324,15 @@ class TestIntegrate:
             assert np.max(np.abs(w - ref)) < 1e-8
 
     def test_collision_gives_singularity_verdict(self):
-        with pytest.raises(SingularityError) as info:
-            integrate(two_body([1j, 2j]), 2.0, tol=1e-10)
-        assert info.value.trajectory is not None
-        assert info.value.time == pytest.approx(0.34, abs=0.02)
+        # with theta exact to rounding near the singular set, the step size
+        # follows the approach down to the theta floor in bounded work
+        for tol in (1e-8, 1e-10):
+            with pytest.raises(SingularityError) as info:
+                integrate(two_body([1j, 2j]), 2.0, tol=tol)
+            assert info.value.time == pytest.approx(0.34, abs=0.02)
+            stats = info.value.trajectory.stats
+            assert stats.steps < 500
+            assert stats.steps + stats.rejected < 1000
 
     def test_monotone_times_and_stats(self):
         s = two_body([1j, 2j], (0.6 + 0j, -0.6 + 0j))
