@@ -97,34 +97,50 @@ def mobius_ansatz_defect(
 # Position-space residual systems
 # ---------------------------------------------------------------------------
 
-def _sides(state: SystemState, lhs_fn) -> tuple[np.ndarray, np.ndarray]:
-    w = state.positions
-    lhs = np.array([lhs_fn(wk, state.R) for wk in w])
-    rhs = _interaction_sums(w.imag, state.masses, _pair_tables(w[:, None], w[None, :]))
-    return lhs, rhs
+def _interaction(w: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Interaction sums S_k of the positions w, through the pair kernel.
+
+    Raises DomainError when a pair touches the singular set: only the n
+    diagonal entries of the theta table may vanish.
+    """
+    tables = _pair_tables(w[:, None], w[None, :])
+    n = w.size
+    if np.count_nonzero(tables.theta) < n * (n - 1):
+        k, j = np.argwhere((tables.theta == 0) & ~np.eye(n, dtype=bool))[0]
+        raise DomainError(f"pair ({k}, {j}) touches the singular set (theta = 0)")
+    return _interaction_sums(w.imag, masses, tables)
 
 
-def _lhs_hyperbolic_normal(w: complex, R: float) -> complex:
+def _lhs_hyperbolic_normal(w: np.ndarray, R: float) -> np.ndarray:
     wb = np.conjugate(w)
     return R * (w + wb) * w / (8.0 * (w - wb) ** 4)
 
 
-def _lhs_parabolic_nilpotent(w: complex, R: float) -> complex:
+def _lhs_parabolic_nilpotent(w: np.ndarray, R: float) -> np.ndarray:
     wb = np.conjugate(w)
     return -R / (4.0 * (w - wb) ** 4)
 
 
-def _lhs_elliptic_cyclic(w: complex, R: float) -> complex:
+def _lhs_elliptic_cyclic(w: np.ndarray, R: float) -> np.ndarray:
     wb = np.conjugate(w)
-    return R * (1.0 + w * w) * (1.0 + abs(w) ** 2) / ((w - wb) ** 4)
+    return R * (1.0 + w * w) * (1.0 + np.abs(w) ** 2) / ((w - wb) ** 4)
 
 
-def _lhs_parabolic_cyclic(w: complex, R: float) -> complex:
+def _lhs_parabolic_cyclic(w: np.ndarray, R: float) -> np.ndarray:
     wb = np.conjugate(w)
-    num = (w - wb) ** 2 * (8.0 - w * w + 6.0 * abs(w) ** 2 + 3.0 * wb * wb) - 16.0 * (
+    num = (w - wb) ** 2 * (8.0 - w * w + 6.0 * np.abs(w) ** 2 + 3.0 * wb * wb) - 16.0 * (
         1.0 + w * w
-    ) * (1.0 + abs(w) ** 2)
+    ) * (1.0 + np.abs(w) ** 2)
     return -R * num / (16.0 * (w - wb) ** 4)
+
+
+#: Closed-form left side of each position-space condition system.
+_CONDITION_LHS = {
+    EquilibriumClass.HYPERBOLIC_NORMAL: _lhs_hyperbolic_normal,
+    EquilibriumClass.PARABOLIC_NILPOTENT: _lhs_parabolic_nilpotent,
+    EquilibriumClass.ELLIPTIC_CYCLIC: _lhs_elliptic_cyclic,
+    EquilibriumClass.PARABOLIC_CYCLIC: _lhs_parabolic_cyclic,
+}
 
 
 def condition_sides(cls: EquilibriumClass, state: SystemState):
@@ -135,15 +151,10 @@ def condition_sides(cls: EquilibriumClass, state: SystemState):
     The hyperbolic-cyclic class is available only through its
     reparametrized family (residual_hyperbolic_cyclic).
     """
-    table = {
-        EquilibriumClass.HYPERBOLIC_NORMAL: _lhs_hyperbolic_normal,
-        EquilibriumClass.PARABOLIC_NILPOTENT: _lhs_parabolic_nilpotent,
-        EquilibriumClass.ELLIPTIC_CYCLIC: _lhs_elliptic_cyclic,
-        EquilibriumClass.PARABOLIC_CYCLIC: _lhs_parabolic_cyclic,
-    }
-    if cls not in table:
+    if cls not in _CONDITION_LHS:
         raise DomainError(f"{cls.value} has no position-space condition system")
-    return _sides(state, table[cls])
+    w = state.positions
+    return _CONDITION_LHS[cls](w, state.R), _interaction(w, state.masses)
 
 
 def residual_hyperbolic_normal(state: SystemState) -> np.ndarray:
@@ -212,8 +223,9 @@ class AuxLetters:
 
     A_l and B_l are the half tangent-additions of the two characteristics,
     C_l = A_l + B_l and D_l = A_l - B_l recover Re w and Im w, and
-    Xi_{(k,j)} collects the squared coordinates entering the singular
-    function of the parabolic parametrization.
+    Xi_{(k,j)} = u_k^2 + u_j^2 + v_k^2 + v_j^2 collects the squared
+    coordinates w = u + i v of the parabolic parametrization (see
+    theta_parametric).
     """
 
     A: np.ndarray
@@ -255,64 +267,51 @@ def positions_hyperbolic_cyclic(p: CyclicParams) -> np.ndarray:
     return letters.C + 1j * letters.D
 
 
-def theta_parametric(p: CyclicParams, kind: str = "parabolic") -> np.ndarray:
-    """Pairwise singular function in the (alpha, beta) variables.
+_FAMILY_POSITIONS = {
+    "parabolic": positions_parabolic_cyclic,
+    "hyperbolic": positions_hyperbolic_cyclic,
+}
 
-    Written through the Xi table for the parabolic parametrization,
-    [4 u_j u_k - 2 Xi_{(k,j)}]^2 - 16 beta_k^2 beta_j^2 (1+s^2)^4 / (...)^4,
-    which coincides with theta at the parametrized positions.
+
+def theta_parametric(p: CyclicParams, kind: str = "parabolic") -> np.ndarray:
+    """Pairwise singular function of the parabolic or hyperbolic family.
+
+    The pair-kernel theta table of the parametrized positions w_k(s); for
+    the parabolic family it equals [4 u_j u_k - 2 Xi_{(k,j)}]^2
+    - 16 v_k^2 v_j^2 with w = u + i v, evaluated without the cancellation
+    of that expanded form.
     """
-    if kind == "parabolic":
-        letters = aux_letters(p)
-        fa = 1.0 - p.alpha * p.s
-        u = (p.alpha + p.s) / fa
-        v2 = p.beta ** 2 * (1.0 + p.s ** 2) ** 2 / fa ** 4
-        cross = 4.0 * np.outer(u, u) - 2.0 * letters.Xi
-        return cross ** 2 - 16.0 * np.outer(v2, v2)
-    w = positions_hyperbolic_cyclic(p)
+    if kind not in _FAMILY_POSITIONS:
+        raise DomainError(f"unknown family {kind!r}: expected parabolic or hyperbolic")
+    w = _FAMILY_POSITIONS[kind](p)
     return _pair_tables(w[:, None], w[None, :]).theta
 
 
 def residual_parabolic_cyclic(p: CyclicParams, masses, R: float):
     """Real and imaginary condition families of the parabolic-cyclic ansatz.
 
-    Per body k, with u_l = (alpha_l + s)/(1 - alpha_l s):
+    With w_k = u_k + i v_k the parametrized positions and S_k their
+    interaction sums (see condition_sides), per body k:
 
       real:  -R (alpha_k+s)(1+alpha_k^2)(1-alpha_k s)^5 / [64 beta_k^4 (1+s^2)^5]
+                 = -Im S_k / [8 v_k (1+s^2)^2]
                  = sum_j m_j beta_j^2 (u_j - u_k) / [Theta^{3/2} (1-alpha_j s)^4]
       imag:   R (1+alpha_k^2)[(1+alpha_k^2)(1-alpha_k s)^2 + 2 beta_k^2 (1+s^2)]
                  * (1-alpha_k s)^2 / [64 beta_k^4 (1+s^2)^4]
-                 = sum_j m_j beta_j^2 [(u_j-u_k)^2 + (1+s^2)^2 (beta_j^2/(1-alpha_j s)^4
-                   - beta_k^2/(1-alpha_k s)^4)] / [Theta^{3/2} (1-alpha_j s)^4]
+                 = Re S_k / [4 (1+s^2)^2]
+                 = sum_j m_j beta_j^2 [(u_j-u_k)^2 + v_j^2 - v_k^2] / [Theta^{3/2} (1-alpha_j s)^4]
 
-    These are the real and imaginary parts of the motion-equation defect of
-    the flow ansatz, scaled by R/(128 v_k^4 (1+s^2)^2) and
-    R/(64 v_k^3 (1+s^2)^2) respectively.
+    for beta of either sign.  These are the real and imaginary parts of the
+    motion-equation defect of the flow ansatz, scaled by
+    R/(128 v_k^4 (1+s^2)^2) and R/(64 v_k^3 (1+s^2)^2) respectively.
     """
     m = np.asarray(masses, dtype=float)
     if m.size != p.n:
         raise DomainError("masses must match the number of bodies")
-    if np.any(p.beta == 0):
-        raise DomainError("parabolic-cyclic bodies need beta != 0")
+    w = positions_parabolic_cyclic(p)
+    S = _interaction(w, m)
     fa = 1.0 - p.alpha * p.s
-    _pole_check(fa, "1 - alpha*s")
     s2 = 1.0 + p.s ** 2
-    u = (p.alpha + p.s) / fa
-    th = theta_parametric(p, "parabolic")
-    np.fill_diagonal(th, 1.0)
-    if np.any(th <= 0):
-        raise DomainError("parametrized configuration touches the singular set")
-
-    pref = m[None, :] * p.beta[None, :] ** 2 / (th ** 1.5 * fa[None, :] ** 4)
-    du = u[None, :] - u[:, None]
-    vterm = s2 ** 2 * (
-        p.beta[None, :] ** 2 / fa[None, :] ** 4 - p.beta[:, None] ** 2 / fa[:, None] ** 4
-    )
-    re_sum = pref * du
-    im_sum = pref * (du ** 2 + vterm)
-    np.fill_diagonal(re_sum, 0.0)
-    np.fill_diagonal(im_sum, 0.0)
-
     lhs_re = -R * (p.alpha + p.s) * (1.0 + p.alpha ** 2) * fa ** 5 / (64.0 * p.beta ** 4 * s2 ** 5)
     lhs_im = (
         R
@@ -321,7 +320,7 @@ def residual_parabolic_cyclic(p: CyclicParams, masses, R: float):
         * fa ** 2
         / (64.0 * p.beta ** 4 * s2 ** 4)
     )
-    return lhs_re - re_sum.sum(axis=1), lhs_im - im_sum.sum(axis=1)
+    return lhs_re + S.imag / (8.0 * w.imag * s2 ** 2), lhs_im - S.real / (4.0 * s2 ** 2)
 
 
 def residual_hyperbolic_cyclic(p: CyclicParams, masses, R: float):
@@ -329,13 +328,16 @@ def residual_hyperbolic_cyclic(p: CyclicParams, masses, R: float):
 
     Written through the letters: with u = C, v = D and the primed
     characteristic derivatives p' = (1+alpha^2)/(1-alpha s)^2,
-    q' = (1+beta^2)/(1-beta s)^2,
+    q' = (1+beta^2)/(1-beta s)^2, the left sides
 
       real:  (1+s^2)^2 u'' + 2 s (1+s^2) u' - 4 (1+s^2) u u'
-                 = (128 D_k^4 / R) sum_j m_j D_j^2 (C_j - C_k) / Theta^{3/2}
       imag:  (1+s^2)^2 v'' + 2 s (1+s^2) v' + (1+s^2)^2 p' q' / D_k
-                 = (64 D_k^3 / R) sum_j m_j D_j^2 [(C_k-C_j)^2 - D_k^2 + D_j^2]
-                   / Theta^{3/2}
+
+    equal real and imaginary parts of the interaction force (16i D_k^3 / R) S_k
+    of the positions w_k = C_k + i D_k, that is
+
+      real:  (128 D_k^4 / R) sum_j m_j D_j^2 (C_j - C_k) / Theta^{3/2}
+      imag:  (64 D_k^3 / R) sum_j m_j D_j^2 [(C_k-C_j)^2 - D_k^2 + D_j^2] / Theta^{3/2}.
 
     These are exactly the real and imaginary parts of the motion-equation
     defect of the flow ansatz.
@@ -343,16 +345,15 @@ def residual_hyperbolic_cyclic(p: CyclicParams, masses, R: float):
     m = np.asarray(masses, dtype=float)
     if m.size != p.n:
         raise DomainError("masses must match the number of bodies")
-    if np.any(p.alpha == p.beta):
-        raise DomainError("hyperbolic-cyclic bodies need alpha != beta (D_k != 0)")
+    w = positions_hyperbolic_cyclic(p)
+    if np.any(w.imag <= 0):
+        raise DomainError("parametrized bodies must stay in the upper half-plane")
+    C, D = w.real, w.imag
+    force = (16j * D ** 3 / R) * _interaction(w, m)
+
     fa = 1.0 - p.alpha * p.s
     fb = 1.0 - p.beta * p.s
-    _pole_check(fa, "1 - alpha*s")
-    _pole_check(fb, "1 - beta*s")
     s2 = 1.0 + p.s ** 2
-
-    letters = aux_letters(p)
-    C, D = letters.C, letters.D
     pp = (1.0 + p.alpha ** 2) / fa ** 2
     qp = (1.0 + p.beta ** 2) / fb ** 2
     ppp = 2.0 * p.alpha * (1.0 + p.alpha ** 2) / fa ** 3
@@ -362,24 +363,7 @@ def residual_hyperbolic_cyclic(p: CyclicParams, masses, R: float):
 
     lhs_re = s2 ** 2 * upp + 2.0 * p.s * s2 * up - 4.0 * s2 * C * up
     lhs_im = s2 ** 2 * vpp + 2.0 * p.s * s2 * vp + s2 ** 2 * pp * qp / D
-
-    w = C + 1j * D
-    if np.any(w.imag <= 0):
-        raise DomainError("parametrized bodies must stay in the upper half-plane")
-    th = _pair_tables(w[:, None], w[None, :]).theta
-    np.fill_diagonal(th, 1.0)
-    if np.any(th <= 0):
-        raise DomainError("parametrized configuration touches the singular set")
-
-    dj2 = D[None, :] ** 2
-    dc = C[:, None] - C[None, :]
-    re_terms = m[None, :] * dj2 * (C[None, :] - C[:, None]) / th ** 1.5
-    im_terms = m[None, :] * dj2 * (dc ** 2 - D[:, None] ** 2 + dj2) / th ** 1.5
-    np.fill_diagonal(re_terms, 0.0)
-    np.fill_diagonal(im_terms, 0.0)
-    rhs_re = (128.0 * D ** 4 / R) * re_terms.sum(axis=1)
-    rhs_im = (64.0 * D ** 3 / R) * im_terms.sum(axis=1)
-    return lhs_re - rhs_re, lhs_im - rhs_im
+    return lhs_re - force.real, lhs_im - force.imag
 
 
 # ---------------------------------------------------------------------------
@@ -652,9 +636,11 @@ def hyperbolic_contradiction_sides(heights, masses, R: float, k: int | None = No
     Axis bodies at i*v_j correspond to alpha_j = -beta_j = v_j.  With k the
     topmost body,
       lhs = (alpha_k - beta_k)(1 + beta_k^2)
-            + 8 (1 + alpha_k^2)(1 + beta_k^2)/(alpha_k - beta_k)  > 0,
+            + 2 (1 + alpha_k^2)(1 + beta_k^2)/(alpha_k - beta_k)  > 0,
       rhs = -(2 (alpha_k - beta_k)^3 / R) sum_j (alpha_j - beta_j)^2 m_j
-            (D_k^2 - D_j^2) / Theta^{3/2}                          < 0.
+            (D_k^2 - D_j^2) / Theta^{3/2}                          < 0,
+    the imaginary left and right sides of residual_hyperbolic_cyclic at
+    s = 0 for body k.
     """
     v = np.asarray(heights, dtype=float)
     m = np.asarray(masses, dtype=float)
@@ -662,7 +648,7 @@ def hyperbolic_contradiction_sides(heights, masses, R: float, k: int | None = No
         k = int(np.argmax(v))
     alpha, beta = v, -v
     dk = alpha[k] - beta[k]
-    lhs = dk * (1.0 + beta[k] ** 2) + 8.0 * (1.0 + alpha[k] ** 2) * (1.0 + beta[k] ** 2) / dk
+    lhs = dk * (1.0 + beta[k] ** 2) + 2.0 * (1.0 + alpha[k] ** 2) * (1.0 + beta[k] ** 2) / dk
     th_k = _pair_tables(1j * v[k], 1j * v).theta
     total = 0.0
     for j in range(v.size):

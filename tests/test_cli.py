@@ -168,6 +168,30 @@ class TestEquilibria:
         rep = json.loads((out / "equilibrium.json").read_text())
         assert rep["real_parts"] == [0.0, 0.0]
 
+    @pytest.mark.parametrize("section", [
+        {"class": "elliptic-cyclic"},
+        {"class": "hyperbolic-normal"},
+        {"class": "parabolic-cyclic", "alpha": [0.3, 0.3], "beta": [0.5, 0.5], "s": 0.1},
+        {"class": "hyperbolic-cyclic", "alpha": [0.9, 0.9], "beta": [-0.2, -0.2]},
+    ])
+    def test_check_coincident_bodies_names_the_pair(self, tmp_path, capsys, section):
+        doc = {
+            "R": 1.0,
+            "masses": [1.0, 1.0],
+            "bodies": [[0.2, 1.0, 0.0, 0.0], [0.2, 1.0, 0.0, 0.0]],
+            "equilibria": section,
+        }
+        cfg = write_config(tmp_path, doc)
+        code, out = run(tmp_path, "equilibria", "check", "--config", cfg)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert json.loads(captured.out)["error"] == {
+            "code": "validation",
+            "message": "pair (0, 1) touches the singular set (theta = 0)",
+        }
+        assert not out.exists()
+
     def test_no_convergence_exits_three(self, tmp_path, capsys):
         doc = {
             "R": 1.0,

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hnbody.clifford import (
 )
 from hnbody.dynamics import SystemState, theta
 from hnbody.equilibria import (
+    _CONDITION_LHS,
     CLASS_DRIFT,
     CyclicParams,
     EquilibriumClass,
@@ -42,6 +44,50 @@ def state_of(positions, masses=None, R=1.0):
     w = np.asarray(positions, dtype=complex)
     m = np.ones(w.size) if masses is None else np.asarray(masses, float)
     return SystemState(0.0, w, np.zeros_like(w), m, R)
+
+
+def exact_theta(xk, yk, xj, yj):
+    """theta from its original definition cross^2 - 16 yk^2 yj^2, on Fractions."""
+    cross = 4 * xk * xj - 2 * (xk * xk + yk * yk + xj * xj + yj * yj)
+    return cross * cross - 16 * yk * yk * yj * yj
+
+
+def exact_interaction(w, m):
+    """S_k of the float positions w in Fraction arithmetic; theta^{3/2} is
+    rounded once (through one sqrt)."""
+    x = [Fraction(float(c.real)) for c in w]
+    y = [Fraction(float(c.imag)) for c in w]
+    out = []
+    for k in range(len(w)):
+        re = im = Fraction(0)
+        for j in range(len(w)):
+            if j == k:
+                continue
+            th = exact_theta(x[k], y[k], x[j], y[j])
+            g = th * Fraction(math.sqrt(th))
+            dx = x[k] - x[j]
+            # (conj(wj)-wj)^2 (wk-wj)(conj(wj)-wk) = -4 yj^2 (yk^2 - yj^2 - dx^2 - 2i yk dx)
+            re -= 4 * Fraction(float(m[j])) * y[j] ** 2 * (y[k] ** 2 - y[j] ** 2 - dx * dx) / g
+            im += 8 * Fraction(float(m[j])) * y[j] ** 2 * y[k] * dx / g
+        out.append((re, im))
+    return out
+
+
+def exact_parabolic_residual(p, masses, R):
+    """residual_parabolic_cyclic in Fraction arithmetic on the float positions:
+    the right sides are -Im S_k / (8 v_k (1+s^2)^2) and Re S_k / (4 (1+s^2)^2)."""
+    w = positions_parabolic_cyclic(p)
+    s = Fraction(p.s)
+    s2 = 1 + s * s
+    re, im = [], []
+    for k, (S_re, S_im) in enumerate(exact_interaction(w, masses)):
+        a, b = Fraction(float(p.alpha[k])), Fraction(float(p.beta[k]))
+        fa = 1 - a * s
+        lhs_re = -R * (a + s) * (1 + a * a) * fa ** 5 / (64 * b ** 4 * s2 ** 5)
+        lhs_im = R * (1 + a * a) * ((1 + a * a) * fa ** 2 + 2 * b * b * s2) * fa ** 2 / (64 * b ** 4 * s2 ** 4)
+        re.append(float(lhs_re + S_im / (8 * Fraction(float(w[k].imag)) * s2 * s2)))
+        im.append(float(lhs_im - S_re / (4 * s2 * s2)))
+    return np.array(re), np.array(im)
 
 
 def scalar_elliptic_gap(a: float, m: float = 1.0, R: float = 1.0) -> float:
@@ -133,6 +179,18 @@ class TestEllipticCyclicResidual:
         perm = rng.permutation(4)
         res_p = residual_elliptic_cyclic(state_of(w[perm], m[perm]))
         assert np.max(np.abs(res_p - res[perm])) < 1e-12 * max(1.0, np.max(np.abs(res)))
+
+
+class TestConditionSides:
+    def test_array_lhs_matches_per_body_loop(self):
+        # the closed forms take the whole position array; the per-body loop
+        # rounds differently only in the last bits
+        rng = np.random.default_rng(41)
+        w = rng.normal(size=6) + 1j * rng.uniform(0.2, 3.0, 6)
+        for cls, lhs_fn in _CONDITION_LHS.items():
+            lhs, _ = condition_sides(cls, state_of(w, R=2.0))
+            loop = np.array([lhs_fn(wk, 2.0) for wk in w])
+            assert np.max(np.abs(lhs - loop) / np.abs(loop)) < 1e-14
 
 
 class TestRelabelingInvariance:
@@ -227,6 +285,29 @@ class TestParametrizedTheta:
         w = positions_hyperbolic_cyclic(p)
         assert th[0, 1] == pytest.approx(theta(w[0], w[1]), rel=1e-12)
 
+    def test_parabolic_near_collision_matches_exact(self):
+        # bodies 1e-7 apart: the expanded cross^2 - 16 v_k^2 v_j^2 loses 3 digits
+        p = CyclicParams([0.2, 0.2 + 1e-7], [0.5, 0.5 + 1e-7], 0.3)
+        th = theta_parametric(p, "parabolic")
+        w = positions_parabolic_cyclic(p)
+        exact = exact_theta(*(Fraction(float(c)) for c in (w[0].real, w[0].imag, w[1].real, w[1].imag)))
+        assert th[0, 1] == pytest.approx(float(exact), rel=1e-14, abs=0)
+        assert th[1, 0] == th[0, 1]
+
+    def test_parabolic_zero_beta_rejected(self):
+        with pytest.raises(DomainError, match="beta != 0"):
+            theta_parametric(CyclicParams([0.1, 0.2], [0.0, 1.0], 0.3), "parabolic")
+
+    def test_parabolic_has_no_beta_pole(self):
+        # 1 - beta*s vanishes for body 0, but the parabolic positions do not use it
+        p = CyclicParams([0.1, 0.3], [2.0, 0.5], 0.5)
+        th = theta_parametric(p, "parabolic")
+        assert th[0, 1] > 0 and np.isfinite(th[0, 1])
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(DomainError, match="unknown family"):
+            theta_parametric(CyclicParams([0.1, 0.2], [0.5, 1.0], 0.0), "bogus")
+
 
 class TestParabolicCyclicFamily:
     def test_real_parts_vanish_on_axis_start(self):
@@ -290,6 +371,32 @@ class TestParabolicCyclicFamily:
     def test_zero_beta_rejected(self):
         with pytest.raises(DomainError):
             residual_parabolic_cyclic(CyclicParams([0.0], [0.0], 0.0), [1.0], 1.0)
+
+    def test_near_collision_matches_exact(self):
+        # bodies 1e-7 apart: the expanded theta lost 3 digits here
+        p = CyclicParams([0.2, 0.2 + 1e-7], [0.5, 0.5 + 1e-7], 0.3)
+        re, im = residual_parabolic_cyclic(p, [1.0, 1.3], 1.0)
+        re_ref, im_ref = exact_parabolic_residual(p, [1.0, 1.3], 1.0)
+        assert re == pytest.approx(re_ref, rel=1e-14, abs=0)
+        assert im == pytest.approx(im_ref, rel=1e-14, abs=0)
+
+    def test_either_sign_of_beta_matches_exact(self):
+        rng = np.random.default_rng(39)
+        for _ in range(10):
+            n = int(rng.integers(2, 5))
+            beta = rng.uniform(0.3, 2.0, n) * rng.choice([-1.0, 1.0], n)
+            p = CyclicParams(rng.normal(0, 0.4, n), beta, float(rng.uniform(-0.3, 0.3)))
+            m = rng.uniform(0.2, 2.0, n)
+            re, im = residual_parabolic_cyclic(p, m, 2.0)
+            re_ref, im_ref = exact_parabolic_residual(p, m, 2.0)
+            scale = max(1.0, np.max(np.abs(re_ref)), np.max(np.abs(im_ref)))
+            assert np.max(np.abs(re - re_ref)) < 1e-14 * scale
+            assert np.max(np.abs(im - im_ref)) < 1e-14 * scale
+
+    def test_coincident_bodies_name_the_pair(self):
+        p = CyclicParams([0.1, 0.4, 0.1], [0.5, 1.0, 0.5], 0.2)
+        with pytest.raises(DomainError, match=r"pair \(0, 2\) touches the singular set"):
+            residual_parabolic_cyclic(p, [1.0, 1.0, 1.0], 1.0)
 
 
 class TestHyperbolicCyclicFamily:
@@ -446,6 +553,19 @@ class TestCertificates:
         cert = certify_nonexistence(EquilibriumClass.HYPERBOLIC_CYCLIC, 2, 200, seed=11)
         assert cert.verdict is True
         assert all(s.lhs > 0 and s.rhs < 0 for s in cert.samples)
+
+    def test_hyperbolic_sides_are_the_family_at_s_zero(self):
+        # lhs - rhs is the imaginary residual of the hyperbolic-cyclic family
+        # at the axis data alpha = v, beta = -v, s = 0, row k
+        rng = np.random.default_rng(40)
+        for _ in range(50):
+            n = int(rng.integers(2, 6))
+            v = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
+            m = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
+            R = float(rng.choice([0.5, 1.0, 2.0]))
+            lhs, rhs, k = hyperbolic_contradiction_sides(v, m, R)
+            _, im = residual_hyperbolic_cyclic(CyclicParams(v, -v, 0.0), m, R)
+            assert lhs - rhs == pytest.approx(im[k], rel=1e-12, abs=0)
 
     def test_deterministic_under_seed(self):
         a = certify_nonexistence(EquilibriumClass.PARABOLIC_CYCLIC, 2, 50, seed=3)
