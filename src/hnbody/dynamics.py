@@ -11,6 +11,7 @@ isometric subgroups provide conserved-quantity monitors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -71,21 +72,23 @@ class SystemState:
         return self.positions.shape[-1]
 
 
-_TRIU_CACHE: dict = {}
-
-
+@functools.cache
 def _triu(n: int):
-    idx = _TRIU_CACHE.get(n)
-    if idx is None:
-        idx = np.triu_indices(n, k=1)
-        _TRIU_CACHE[n] = idx
-    return idx
+    return np.triu_indices(n, k=1)
+
+
+@functools.cache
+def _inf_diag(n: int) -> np.ndarray:
+    """The (n, n) table with +inf on the diagonal and zeros elsewhere."""
+    table = np.diag(np.full(n, math.inf))
+    table.flags.writeable = False
+    return table
 
 
 def theta_floor(positions: np.ndarray):
-    """Singularity guard theta_min = 1e-12 * scale^4, per configuration of shape (..., n)."""
-    nn = positions.real ** 2 + positions.imag ** 2
-    scale2 = nn.max(axis=-1, initial=1.0)
+    """Singularity guard theta_min = 1e-12 * max(1, max_k |w_k|)^4, per configuration of shape (..., n)."""
+    scale = np.abs(positions).max(axis=-1, initial=1.0)
+    scale2 = scale * scale
     return THETA_FLOOR_SCALE * scale2 * scale2
 
 
@@ -95,6 +98,7 @@ class _PairTables(NamedTuple):
     dx: np.ndarray  # xk - xj
     dy: np.ndarray  # yk - yj
     sy: np.ndarray  # yk + yj
+    dx2: np.ndarray  # dx^2
     near: np.ndarray  # |wk - wj|^2 = dx^2 + dy^2
     far: np.ndarray  # |wk - conj(wj)|^2 = dx^2 + sy^2
     theta: np.ndarray  # 4 near far
@@ -120,29 +124,30 @@ def _pair_tables(wk, wj) -> _PairTables:
     far += dx2
     th = near * far
     th *= 4.0
-    return _PairTables(dx, dy, sy, near, far, th)
+    return _PairTables(dx, dy, sy, dx2, near, far, th)
 
 
 def _guard(w: np.ndarray, vals: np.ndarray, t=None):
     """(min_theta, verdict) of positions w, shape (..., n), from their thetas
-    vals over the distinct pairs in _triu order, shape (..., n(n-1)/2).
+    vals: the (..., n, n) table of _pairs with its +inf diagonal, or the
+    distinct pairs in _triu order, shape (..., n(n-1)/2).
 
     min_theta is the smallest theta per configuration (inf for one body);
     verdict is None or the SingularityError of the first configuration
     below its theta floor, timed by ``t`` (a float, or an array over the
-    leading axes) if given.
+    leading axes) if given.  It names the first pair in _triu order with
+    the smallest theta: in the symmetric table, the row-major argmin.
     """
-    if vals.shape[-1] == 0:
-        return np.full(w.shape[:-1], math.inf)[()], None
-    min_theta = vals.min(axis=-1)
+    n = w.shape[-1]
+    full = vals.ndim > w.ndim
+    min_theta = np.minimum.reduce(vals, axis=(-2, -1) if full else -1, initial=math.inf)
     below = min_theta < theta_floor(w)
-    if not below.any():
+    if not np.count_nonzero(below):
         return min_theta, None
-    iu = _triu(w.shape[-1])
     row = np.unravel_index(np.argmax(below), below.shape)
     worst = int(np.argmin(vals[row]))
-    pair = (int(iu[0][worst]), int(iu[1][worst]))
-    value = float(vals[row][worst])
+    pair = divmod(worst, n) if full else tuple(int(i[worst]) for i in _triu(n))
+    value = float(vals[row].flat[worst])
     time = None if t is None else float(np.asarray(t)[row])
     when = "" if time is None else f" at t = {time}"
     verdict = SingularityError(
@@ -158,11 +163,13 @@ def _pairs(w: np.ndarray, t=None):
     """The pair kernel over all pairs of positions w, shape (..., n), with the guard.
 
     Returns (tables, min_theta, verdict): the (..., n, n) _pair_tables,
-    entry [k, j] for the pair (k, j), and the _guard of w.
+    entry [k, j] for the pair (k, j), and the _guard of w.  The +inf theta
+    diagonal keeps the pairs j = k out of the guard and _pair_sums.
     """
-    iu = _triu(w.shape[-1])
     tables = _pair_tables(w[..., :, None], w[..., None, :])
-    return (tables, *_guard(w, tables.theta[..., iu[0], iu[1]], t))
+    th = tables.theta
+    th += _inf_diag(w.shape[-1])
+    return (tables, *_guard(w, th, t))
 
 
 def _distinct_pairs(w: np.ndarray, t=None):
@@ -190,41 +197,45 @@ def min_pair_theta(positions: np.ndarray):
     return _distinct_pairs(np.asarray(positions, dtype=complex))[1]
 
 
-def _interaction_sums(y: np.ndarray, masses: np.ndarray, tables: _PairTables) -> np.ndarray:
-    """S_k = sum_{j != k} m_j (conj(wj)-wj)^2 (wk-wj)(conj(wj)-wk) / theta^{3/2}.
-
-    ``y`` holds the heights Im w and ``tables`` the pair tables of w.  With
-    (conj(wj)-wj)^2 = -4 yj^2 and (wk-wj)(conj(wj)-wk) = dy sy - dx^2
-    - 2i yk dx, the sum is taken in real arithmetic.  The theta diagonal is
-    overwritten with 1, which leaves the j = k terms exactly zero.
-    """
-    dx, dy, sy, th = tables.dx, tables.dy, tables.sy, tables.theta
-    d = np.arange(y.shape[-1])
-    th[..., d, d] = 1.0
+def _pair_sums(y: np.ndarray, masses: np.ndarray, tables: _PairTables):
+    """(A_k, B_k) = sum_j g_kj (dy sy - dx^2, dx), g_kj = m_j yj^2 / theta^{3/2}, of the
+    heights y = Im w and the tables of _pairs, whose +inf diagonal zeroes j = k."""
+    th = tables.theta
     g = np.sqrt(th)
     g *= th
     np.divide((masses * y * y)[..., None, :], g, out=g)
-    re = dy * sy
-    re -= dx * dx
+    re = tables.dy * tables.sy
+    re -= tables.dx2
     re *= g
-    g *= dx
-    return -4.0 * (re.sum(axis=-1) - 2j * y * g.sum(axis=-1))
+    g *= tables.dx
+    return np.add.reduce(re, axis=-1), np.add.reduce(g, axis=-1)
 
 
-def _force(w: np.ndarray, masses: np.ndarray, R: float, t=None):
-    """Interaction force -(2 (wk - conj wk)^3 / R) * S_k = (16i yk^3 / R) * S_k behind
-    the theta guard, and the min theta."""
+def _accel(w: np.ndarray, v: np.ndarray, masses: np.ndarray, R: float, t=None, out=None):
+    """Accelerations 2 wdot^2/(w - conj w) - (2 (w - conj w)^3 / R) S_k behind the
+    theta guard, written into ``out`` if given, and the min theta.
+
+    With w - conj w = 2iy, the geodesic term is -i wdot^2 / y = q - i p for
+    wdot^2 / y = p + i q, and the force (16i y^3 / R) S_k = c (y B + i A / 2)
+    for c = -128 y^3 / R and the _pair_sums (A, B).
+    """
     tables, min_theta, verdict = _pairs(w, t)
     if verdict is not None:
         raise verdict
     y = w.imag
-    return (16j / R) * y ** 3 * _interaction_sums(y, masses, tables), min_theta
-
-
-def _accel(w: np.ndarray, v: np.ndarray, masses: np.ndarray, R: float, t=None):
-    """Accelerations 2*wdot^2/(w - conj(w)) plus the interaction force, and the min theta."""
-    force, min_theta = _force(w, masses, R, t)
-    return 2.0 * v * v / (w - w.conjugate()) + force, min_theta
+    A, B = _pair_sums(y, masses, tables)
+    c = y ** 3
+    c *= -128.0 / R
+    B *= y
+    B *= c
+    A *= c
+    A *= 0.5
+    geodesic = v * v
+    geodesic /= y
+    out = np.empty_like(geodesic) if out is None else out
+    np.add(geodesic.imag, B, out=out.real)
+    np.subtract(A, geodesic.real, out=out.imag)
+    return out, min_theta
 
 
 _PAIR_CHUNK = 1 << 14  # pair-table entries per kernel call over a series
@@ -262,9 +273,9 @@ def cotangent_potential(state: SystemState):
 def eom_interaction(state: SystemState) -> np.ndarray:
     """Force part of the motion equations (geodesic term excluded):
 
-    -(2 (wk - conj(wk))^3 / R) * S_k  per body.
+    -(2 (wk - conj(wk))^3 / R) * S_k  per body, the accelerations at rest.
     """
-    return _over_rows(state, lambda t, w, v: _force(w, state.masses, state.R, t)[0])
+    return _over_rows(state, lambda t, w, v: _accel(w, np.zeros_like(v), state.masses, state.R, t)[0])
 
 
 def eom_rhs(state: SystemState) -> np.ndarray:
@@ -363,18 +374,19 @@ def conserved(state: SystemState) -> ConservedQuantities:
 # Adaptive integration (Dormand-Prince 5(4), FSAL, Hermite dense output)
 # ---------------------------------------------------------------------------
 
-# the motion equations are autonomous, so only the stage weights are needed
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.append(_DP_A[6], 0.0)  # the 7th stage is evaluated at the 5th-order result
+# the motion equations are autonomous, so only the (complex, like the stages)
+# weights are needed; the last row gives the 5th-order result y5 = 7th stage input
+_DP_A = [np.array(a, dtype=complex) for a in (
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+)]
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = np.append(_DP_A[6], 0.0) - _DP_B4  # 5th- minus 4th-order weights
 
 
 @dataclass(frozen=True)
@@ -452,6 +464,7 @@ class Trajectory:
         ]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value ends in a StepSizeError
 def integrate(
     state: SystemState,
     t_end: float,
@@ -479,25 +492,21 @@ def integrate(
     n = state.n
     masses, R = state.masses, state.R
 
-    def rhs(y: np.ndarray, t: float):
-        """Derivative of the stacked state and the min theta of its positions;
-        a singularity verdict carries the time t."""
-        if np.any(y[:n].imag <= 0):
+    def rhs(y: np.ndarray, t: float, out: np.ndarray):
+        """Write the derivative of the stacked state into out and return the
+        min theta of its positions; a singularity verdict carries the time t."""
+        w, v = y[:n], y[n:]
+        if w.imag.min() <= 0:
             raise DomainError("body left the upper half-plane")
-        out = np.empty_like(y)
-        out[:n] = y[n:]
-        out[n:], th = _accel(y[:n], y[n:], masses, R, t)
-        return out, th
+        out[:n] = v
+        return _accel(w, v, masses, R, t, out[n:])[1]
 
     y = np.concatenate([state.positions, state.velocities])
-    f, min_theta = rhs(y, t0)
+    f = np.empty_like(y)
+    min_theta = rhs(y, t0, f)
     if not np.all(np.isfinite(f)):
         raise StepSizeError(f"non-finite derivative at t = {t0}")
     times, ys, fs = [t0], [y], [f]
-
-    def err_norm(y0, y1, e):
-        sc = tol + tol * np.maximum(np.abs(y0), np.abs(y1))
-        return float(np.sqrt(np.mean(np.abs(e / sc) ** 2)))
 
     # starting step size from the scaled derivative magnitudes
     sc = tol + tol * np.abs(y)
@@ -512,6 +521,7 @@ def integrate(
     steps = rejected = 0
     last_singularity = None
     k = np.empty((7, 2 * n), dtype=complex)
+    size_y = np.abs(y)
     while t < t1:
         h = min(h, t1 - t, hmax)
         if h < 1e-14 * max(1.0, abs(t)):
@@ -533,9 +543,11 @@ def integrate(
         k[0] = f
         failed = False
         for i in range(1, 7):
-            yi = y + h * (_DP_A[i] @ k[:i])
+            yi = _DP_A[i] @ k[:i]
+            yi *= h
+            yi += y
             try:
-                k[i], stage_theta = rhs(yi, t)
+                stage_theta = rhs(yi, t, k[i])
             except SingularityError as exc:
                 last_singularity = exc
                 failed = True
@@ -547,13 +559,15 @@ def integrate(
             h *= 0.25
             rejected += 1
             continue
-        y5 = y + h * (_DP_B5 @ k)
-        err = err_norm(y, y5, h * ((_DP_B5 - _DP_B4) @ k))
+        y5, size_y5 = yi, np.abs(yi)
+        e = h * (_DP_E @ k)
+        e /= tol + tol * np.maximum(size_y, size_y5)
+        err = math.sqrt(np.add.reduce(np.abs(e) ** 2) / e.size)
         if not math.isfinite(err):
             raise StepSizeError(f"non-finite error estimate at t = {t}")
         if err <= 1.0:
             t += h
-            y = y5
+            y, size_y = y5, size_y5
             # FSAL: the last stage is rhs(y5), which also guarded y5 against
             # the theta floor; copy out of the stage buffer
             f = k[6].copy()

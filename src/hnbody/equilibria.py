@@ -37,7 +37,7 @@ from .clifford import (
     killing_velocity,
     killing_wirtinger,
 )
-from .dynamics import SystemState, _interaction_sums, _pair_tables, eom_interaction
+from .dynamics import SystemState, _inf_diag, _pair_sums, _pair_tables, eom_interaction
 from .errors import ClassNotSolvableError, ConvergenceError, DomainError, SingularityError
 
 
@@ -98,32 +98,34 @@ def mobius_ansatz_defect(
 # ---------------------------------------------------------------------------
 
 def _interaction(w: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Interaction sums S_k of the positions w, through the pair kernel.
+    """Interaction sums S_k = -4 (A - 2i y B) of the positions w, from the _pair_sums.
 
-    Raises DomainError when a pair touches the singular set: only the n
-    diagonal entries of the theta table may vanish.
+    Raises DomainError when a pair touches the singular set: when the kernel's
+    divisor theta sqrt(theta) is 0, as theta is 0 or theta^{3/2} underflows.
     """
     tables = _pair_tables(w[:, None], w[None, :])
-    n = w.size
-    if np.count_nonzero(tables.theta) < n * (n - 1):
-        k, j = np.argwhere((tables.theta == 0) & ~np.eye(n, dtype=bool))[0]
-        raise DomainError(f"pair ({k}, {j}) touches the singular set (theta = 0)")
-    return _interaction_sums(w.imag, masses, tables)
+    th = tables.theta
+    th += _inf_diag(w.size)
+    divisor = th * np.sqrt(th)
+    if not divisor.all():
+        k, j = np.argwhere(divisor == 0)[0]
+        raise DomainError(f"pair ({k}, {j}) touches the singular set (theta = {th[k, j]:.3g})")
+    A, B = _pair_sums(w.imag, masses, tables)
+    return -4.0 * (A - 2j * w.imag * B)
 
 
+# the closed forms divide by (w - conj w)^4 = (2i Im w)^4, the real 16 (Im w)^4
 def _lhs_hyperbolic_normal(w: np.ndarray, R: float) -> np.ndarray:
     wb = np.conjugate(w)
-    return R * (w + wb) * w / (8.0 * (w - wb) ** 4)
+    return R * (w + wb) * w / (8.0 * (16.0 * w.imag ** 4))
 
 
 def _lhs_parabolic_nilpotent(w: np.ndarray, R: float) -> np.ndarray:
-    wb = np.conjugate(w)
-    return -R / (4.0 * (w - wb) ** 4)
+    return -R / (4.0 * (16.0 * w.imag ** 4))
 
 
 def _lhs_elliptic_cyclic(w: np.ndarray, R: float) -> np.ndarray:
-    wb = np.conjugate(w)
-    return R * (1.0 + w * w) * (1.0 + np.abs(w) ** 2) / ((w - wb) ** 4)
+    return R * (1.0 + w * w) * (1.0 + np.abs(w) ** 2) / (16.0 * w.imag ** 4)
 
 
 def _lhs_parabolic_cyclic(w: np.ndarray, R: float) -> np.ndarray:
@@ -131,7 +133,7 @@ def _lhs_parabolic_cyclic(w: np.ndarray, R: float) -> np.ndarray:
     num = (w - wb) ** 2 * (8.0 - w * w + 6.0 * np.abs(w) ** 2 + 3.0 * wb * wb) - 16.0 * (
         1.0 + w * w
     ) * (1.0 + np.abs(w) ** 2)
-    return -R * num / (16.0 * (w - wb) ** 4)
+    return -R * num / (16.0 * (16.0 * w.imag ** 4))
 
 
 #: Closed-form left side of each position-space condition system.
@@ -217,6 +219,15 @@ def _pole_check(factors: np.ndarray, what: str):
         raise DomainError(f"reparametrization pole: {what} vanishes")
 
 
+def _characteristic_letters(p: CyclicParams):
+    """(A, B, 1 - alpha s): the half tangent-additions of the two characteristics at s."""
+    fa = 1.0 - p.alpha * p.s
+    fb = 1.0 - p.beta * p.s
+    _pole_check(fa, "1 - alpha*s")
+    _pole_check(fb, "1 - beta*s")
+    return (p.alpha + p.s) / (2.0 * fa), (p.beta + p.s) / (2.0 * fb), fa
+
+
 @dataclass(frozen=True)
 class AuxLetters:
     """Per-body letters of the hyperbolic-cyclic flow and the pairwise Xi.
@@ -237,12 +248,7 @@ class AuxLetters:
 
 def aux_letters(p: CyclicParams) -> AuxLetters:
     """Evaluate A, B, C, D at s, plus the parabolic pairwise Xi table."""
-    fa = 1.0 - p.alpha * p.s
-    fb = 1.0 - p.beta * p.s
-    _pole_check(fa, "1 - alpha*s")
-    _pole_check(fb, "1 - beta*s")
-    A = (p.alpha + p.s) / (2.0 * fa)
-    B = (p.beta + p.s) / (2.0 * fb)
+    A, B, fa = _characteristic_letters(p)
     # parabolic-parametrization coordinates for Xi
     u = (p.alpha + p.s) / fa
     v2 = p.beta ** 2 * (1.0 + p.s ** 2) ** 2 / fa ** 4
@@ -263,8 +269,8 @@ def positions_hyperbolic_cyclic(p: CyclicParams) -> np.ndarray:
     """w_k(s) = C_k(s) + i D_k(s) from the letters of the two characteristics."""
     if np.any(p.alpha == p.beta):
         raise DomainError("hyperbolic-cyclic bodies need alpha != beta")
-    letters = aux_letters(p)
-    return letters.C + 1j * letters.D
+    A, B, _ = _characteristic_letters(p)
+    return (A + B) + 1j * (A - B)
 
 
 _FAMILY_POSITIONS = {

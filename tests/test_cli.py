@@ -192,6 +192,25 @@ class TestEquilibria:
         }
         assert not out.exists()
 
+    def test_check_underflowing_kernel_divisor_names_the_pair(self, tmp_path, capsys):
+        # theta = 1.6e-239 is positive, but theta^{3/2} underflows to 0
+        doc = {
+            "R": 1.0,
+            "masses": [1.0, 1.0],
+            "bodies": [[1e-120, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
+            "equilibria": {"class": "elliptic-cyclic"},
+        }
+        cfg = write_config(tmp_path, doc)
+        code, out = run(tmp_path, "equilibria", "check", "--config", cfg)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert json.loads(captured.out)["error"] == {
+            "code": "validation",
+            "message": "pair (0, 1) touches the singular set (theta = 1.6e-239)",
+        }
+        assert not out.exists()
+
     def test_no_convergence_exits_three(self, tmp_path, capsys):
         doc = {
             "R": 1.0,
@@ -560,6 +579,7 @@ def test_non_finite_derivative_exits_three(tmp_path):
         capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 3
+    assert proc.stderr == ""  # the overflow ends in the error object, not in numpy warnings
     err = json.loads(proc.stdout)["error"]
     assert err["code"] == "integrator-failure"
     assert err["message"] == "non-finite derivative at t = 0.0"

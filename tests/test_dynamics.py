@@ -18,7 +18,8 @@ from hnbody.dynamics import (
     theta,
     vlasov_weak_residual,
 )
-from hnbody.errors import DomainError, SingularityError
+from hnbody.dynamics import _distinct_pairs, _pair_tables, _pairs, _triu
+from hnbody.errors import DomainError, SingularityError, StepSizeError
 from hnbody.geometry import apply_mobius, geodesic_through
 from hnbody.equilibria import EquilibriumClass, FindOptions, find_equilibrium
 
@@ -204,6 +205,49 @@ class TestEomRhs:
         with pytest.raises(SingularityError) as info:
             eom_rhs(two_body([1j, 1j + 1e-9]))
         assert info.value.pair == (0, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
+    def test_integrator_rhs_is_eom_rhs_bit_for_bit(self, n):
+        # the integrator writes the same kernel into its stage buffer
+        rng = np.random.default_rng(n)
+        w = np.linspace(-0.2, 0.2, n) * n + 1j * rng.uniform(0.5, 2.0, n)
+        v = 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        s = SystemState(0.0, w, v, rng.uniform(0.2, 2.0, n), float(rng.uniform(0.5, 2.0)))
+        traj = integrate(s, 0.01, tol=1e-8, max_step=0.002)
+        for y, f in zip(traj.ys, traj.fs):
+            assert np.array_equal(f[:n], y[n:])
+            assert np.array_equal(f[n:], eom_rhs(SystemState(0.0, y[:n], y[n:], s.masses, s.R)))
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (5,), (8,), (4, 1), (4, 3), (6, 7)])
+    def test_inf_diagonal_guard_matches_the_triu_gather(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        w = rng.normal(size=shape) + 1j * rng.uniform(0.1, 3.0, shape)
+        iu = _triu(shape[-1])
+        gathered = _pair_tables(w[..., :, None], w[..., None, :]).theta[..., iu[0], iu[1]]
+        expect = gathered.min(axis=-1, initial=math.inf)
+        assert np.array_equal(_pairs(w)[1], expect)
+        assert np.array_equal(_distinct_pairs(w)[1], expect)
+        if shape[-1] == 1:
+            assert np.all(_pairs(w)[1] == math.inf)
+
+    @pytest.mark.parametrize("w, pair", [
+        ([-1e-8 + 1j, 1j, 1e-8 + 1j], (0, 1)),  # (0, 1) ties (1, 2)
+        ([-1e-8 + 1j, 1e-8 + 1j, 1j], (0, 2)),  # (0, 2) ties (1, 2)
+        ([3j, -1e-8 + 1j, 5j, 1j, 1e-8 + 1j], (1, 3)),  # (1, 3) ties (3, 4)
+    ])
+    def test_tied_pairs_give_the_first_pair_in_triu_order(self, w, pair):
+        w = np.array(w)
+        s = SystemState(0.0, w, np.zeros_like(w), np.ones(w.size), 1.0)
+        with pytest.raises(SingularityError) as info:
+            eom_rhs(s)
+        assert info.value.pair == pair == _distinct_pairs(w)[2].pair
+        assert info.value.theta == _distinct_pairs(w)[2].theta
+
+    def test_non_finite_state_raises_without_warnings(self):
+        # RuntimeWarnings are errors under the suite's settings
+        s = SystemState(0.0, [1j], [1e300], [1.0], 1.0)
+        with pytest.raises(StepSizeError, match="non-finite derivative"):
+            integrate(s, 0.1)
 
 
 class TestGradientConsistency:

@@ -193,6 +193,33 @@ class TestConditionSides:
             assert np.max(np.abs(lhs - loop) / np.abs(loop)) < 1e-14
 
 
+    def test_closed_forms_match_the_complex_power_forms(self):
+        # (w - conj w)^4 = 16 (Im w)^4 is real: the forms divide by it directly
+        def quartic(w):
+            return (w - np.conjugate(w)) ** 4
+
+        reference = {
+            EquilibriumClass.HYPERBOLIC_NORMAL: lambda w, R: R * (w + np.conjugate(w)) * w / (8.0 * quartic(w)),
+            EquilibriumClass.PARABOLIC_NILPOTENT: lambda w, R: -R / (4.0 * quartic(w)),
+            EquilibriumClass.ELLIPTIC_CYCLIC: lambda w, R: R * (1.0 + w * w) * (1.0 + np.abs(w) ** 2) / quartic(w),
+            EquilibriumClass.PARABOLIC_CYCLIC: lambda w, R: -R * (
+                (w - np.conjugate(w)) ** 2 * (8.0 - w * w + 6.0 * np.abs(w) ** 2 + 3.0 * np.conjugate(w) * np.conjugate(w))
+                - 16.0 * (1.0 + w * w) * (1.0 + np.abs(w) ** 2)
+            ) / (16.0 * quartic(w)),
+        }
+        assert reference.keys() == _CONDITION_LHS.keys()
+        rng = np.random.default_rng(43)
+        w = rng.normal(size=200) * 3.0 + 1j * np.exp(rng.uniform(-3.0, 3.0, 200))
+        for cls, lhs_fn in _CONDITION_LHS.items():
+            ref = reference[cls](w, 1.7)
+            assert np.max(np.abs(lhs_fn(w, 1.7) - ref) / np.abs(ref)) <= 1e-15, cls
+
+    def test_underflowing_divisor_names_the_pair(self):
+        # theta = 1.6e-239 > 0, but the kernel's divisor theta^{3/2} underflows to 0
+        w = [1e-120 + 1j, 1j]
+        with pytest.raises(DomainError, match=r"^pair \(0, 1\) touches the singular set \(theta = 1.6e-239\)$"):
+            condition_sides(EquilibriumClass.ELLIPTIC_CYCLIC, state_of(w))
+
 class TestRelabelingInvariance:
     """Permuting the bodies permutes every residual evaluator's output."""
 
@@ -256,6 +283,17 @@ class TestAuxLetters:
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
             aux_letters(CyclicParams([2.0], [0.1], 0.5))
+
+    def test_hyperbolic_positions_and_theta_from_the_letters(self):
+        # positions_hyperbolic_cyclic skips the Xi table but keeps the bits of C + i D
+        rng = np.random.default_rng(44)
+        for n in (1, 2, 5):
+            p = CyclicParams(rng.uniform(0.5, 1.5, n), rng.uniform(-1.0, 0.0, n), float(rng.uniform(-0.3, 0.3)))
+            L = aux_letters(p)
+            w = positions_hyperbolic_cyclic(p)
+            assert np.array_equal(w, L.C + 1j * L.D)
+            th = theta_parametric(p, "hyperbolic")
+            assert np.array_equal(th, [[theta(wk, wj) for wj in w] for wk in w])
 
     def test_xi_matches_coordinates(self):
         p = CyclicParams([0.2, -0.4], [0.5, 1.1], 0.3)
