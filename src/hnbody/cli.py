@@ -25,7 +25,7 @@ from .clifford import (
     ROTATION_ELLIPTIC,
     exp_subgroup,
 )
-from .dynamics import SystemState, default_test_functions, integrate, vlasov_weak_residual
+from .dynamics import VLASOV_NUM_POINTS, SystemState, default_test_functions, integrate, vlasov_weak_residual
 from .equilibria import (
     CyclicParams,
     EquilibriumClass,
@@ -268,8 +268,8 @@ def cmd_equilibria(args, doc: dict) -> list[str]:
             raise ValidationError("equilibria.symmetry", "must be none, axis or mirror")
         opts = FindOptions(
             symmetry=symmetry,
-            tol=_real(section.get("tol", 1e-10), "equilibria.tol", positive=True),
-            max_iter=_integer(section.get("max_iter", 200), "equilibria.max_iter", minimum=1),
+            tol=_real(section.get("tol", FindOptions.tol), "equilibria.tol", positive=True),
+            max_iter=_integer(section.get("max_iter", FindOptions.max_iter), "equilibria.max_iter", minimum=1),
         )
         state, report = find_equilibrium_detailed(cls, ansatz.masses, ansatz.R, ansatz, opts)
         lhs, rhs = condition_sides(cls, state)
@@ -337,12 +337,15 @@ def cmd_flow(args, doc: dict) -> list[str]:
     if not t_max > t_min:
         raise ValidationError("flow.t_max", "must exceed t_min")
     num = _count(section.get("num", 33), "flow.num", 2)
-    ts = np.linspace(t_min, t_max, num)
-    rows = flow_samples(field, points, ts)
-    checks = [
-        flow_derivative_check(field, points, float(t))
-        for t in (t_min + 0.25 * (t_max - t_min), t_min + 0.75 * (t_max - t_min))
-    ]
+    with np.errstate(all="ignore"):  # an overflow ends in the error below
+        ts = np.linspace(t_min, t_max, num)
+        rows = flow_samples(field, points, ts)
+        checks = [
+            flow_derivative_check(field, points, float(t))
+            for t in (t_min + 0.25 * (t_max - t_min), t_min + 0.75 * (t_max - t_min))
+        ]
+    if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(checks))):
+        raise ValidationError("flow.t_max", "the flow overflows the floating-point range")
     payload = {
         "kind": field.describe(),
         "num_points": len(points),
@@ -361,17 +364,21 @@ def cmd_invariance(args, doc: dict) -> list[str]:
     opts = _integrator(doc)
     group_time = _real(_require(section, "invariance.", "group_time"), "invariance.group_time")
     kind, sigma = _kind_sigma(section, "invariance.", _FIELD_KINDS + ("loxodromic",))
-    if kind == "loxodromic":
-        transport = exp_subgroup(NORMAL_A, group_time) @ exp_subgroup(
-            ROTATION_ELLIPTIC, group_time
-        )
-    else:
-        transport = KillingField(kind, sigma)
     num_points = section.get("num_points")
     if num_points is not None:
         num_points = _count(num_points, "invariance.num_points", 7)
     traj = integrate(state, **opts)
-    report = verify_invariance(traj, transport, group_time, num_points=num_points)
+    with np.errstate(all="ignore"):  # an overflow or underflow of the transport ends in a group_time error
+        try:
+            if kind == "loxodromic":
+                transport = exp_subgroup(NORMAL_A, group_time) @ exp_subgroup(ROTATION_ELLIPTIC, group_time)
+            else:
+                transport = KillingField(kind, sigma)
+            report = verify_invariance(traj, transport, group_time, num_points=num_points)
+        except DomainError as exc:  # transported bodies off the half-plane, or a non-finite element
+            raise ValidationError("invariance.group_time", str(exc)) from None
+    if not np.all(np.isfinite(report.per_body)):
+        raise ValidationError("invariance.group_time", "the transport overflows the floating-point range")
     payload = report.to_dict()
     if kind == "loxodromic":
         payload["transport"] = "loxodromic"
@@ -406,7 +413,7 @@ def cmd_map(args, doc: dict) -> list[str]:
 
 def cmd_vlasov(args, doc: dict) -> list[str]:
     section = _section(doc, "vlasov", {"num_points"}) if "vlasov" in doc else {}
-    num_points = _count(section.get("num_points", 1001), "vlasov.num_points", 21)
+    num_points = _count(section.get("num_points", VLASOV_NUM_POINTS), "vlasov.num_points", 21)
     state = _system_state(doc)
     traj = integrate(state, **_integrator(doc))
     # the weak-form grid is built once per trajectory and shared by the tests

@@ -274,8 +274,6 @@ ROTATION_ELLIPTIC = KillingField(ROTATION, -1)
 ROTATION_PARABOLIC = KillingField(ROTATION, 0)
 ROTATION_HYPERBOLIC = KillingField(ROTATION, 1)
 
-ISOMETRY_FIELDS = (NORMAL_A, NILPOTENT_N, ROTATION_ELLIPTIC)
-
 
 def exp_subgroup(field: KillingField, t) -> MobiusElement:
     """Group element at parameter t of the subgroup generating ``field``.

@@ -28,6 +28,7 @@ GRADIENT_SIGN = -1.0
 ENERGY_COUPLING = 2.0
 
 THETA_FLOOR_SCALE = 1e-12  # singularity guard: theta_min = 1e-12 * scale^4
+VLASOV_NUM_POINTS = 1001  # default grid of vlasov_weak_residual and of the CLI's vlasov.num_points
 
 
 @dataclass
@@ -127,27 +128,25 @@ def _pair_tables(wk, wj) -> _PairTables:
     return _PairTables(dx, dy, sy, dx2, near, far, th)
 
 
-def _guard(w: np.ndarray, vals: np.ndarray, t=None):
-    """(min_theta, verdict) of positions w, shape (..., n), from their thetas
-    vals: the (..., n, n) table of _pairs with its +inf diagonal, or the
-    distinct pairs in _triu order, shape (..., n(n-1)/2).
+def _guard(w: np.ndarray, th: np.ndarray, t=None):
+    """(min_theta, verdict) of positions w, shape (..., n), from their theta
+    table th of shape (..., n, n) with the +inf diagonal of _pairs.
 
     min_theta is the smallest theta per configuration (inf for one body);
     verdict is None or the SingularityError of the first configuration
     below its theta floor, timed by ``t`` (a float, or an array over the
-    leading axes) if given.  It names the first pair in _triu order with
-    the smallest theta: in the symmetric table, the row-major argmin.
+    leading axes) if given.  It names the row-major argmin of the table,
+    which in the symmetric table is the first pair in _triu order with the
+    smallest theta.
     """
-    n = w.shape[-1]
-    full = vals.ndim > w.ndim
-    min_theta = np.minimum.reduce(vals, axis=(-2, -1) if full else -1, initial=math.inf)
+    min_theta = np.minimum.reduce(th, axis=(-2, -1), initial=math.inf)
     below = min_theta < theta_floor(w)
     if not np.count_nonzero(below):
         return min_theta, None
     row = np.unravel_index(np.argmax(below), below.shape)
-    worst = int(np.argmin(vals[row]))
-    pair = divmod(worst, n) if full else tuple(int(i[worst]) for i in _triu(n))
-    value = float(vals[row].flat[worst])
+    worst = int(np.argmin(th[row]))
+    pair = divmod(worst, w.shape[-1])
+    value = float(th[row].flat[worst])
     time = None if t is None else float(np.asarray(t)[row])
     when = "" if time is None else f" at t = {time}"
     verdict = SingularityError(
@@ -172,14 +171,6 @@ def _pairs(w: np.ndarray, t=None):
     return (tables, *_guard(w, th, t))
 
 
-def _distinct_pairs(w: np.ndarray, t=None):
-    """The pair kernel over the distinct pairs k < j only, in _triu order:
-    (tables of shape (..., n(n-1)/2), min_theta, verdict)."""
-    iu = _triu(w.shape[-1])
-    tables = _pair_tables(w[..., iu[0]], w[..., iu[1]])
-    return (tables, *_guard(w, tables.theta, t))
-
-
 def theta(wk: complex, wj: complex) -> float:
     """Pairwise singular-set function.
 
@@ -193,8 +184,8 @@ def theta(wk: complex, wj: complex) -> float:
 
 
 def min_pair_theta(positions: np.ndarray):
-    """Smallest theta over distinct pairs, per configuration of shape (..., n)."""
-    return _distinct_pairs(np.asarray(positions, dtype=complex))[1]
+    """Smallest theta over distinct pairs per configuration of shape (..., n): the min_theta of _pairs."""
+    return _pairs(np.asarray(positions, dtype=complex))[1]
 
 
 def _pair_sums(y: np.ndarray, masses: np.ndarray, tables: _PairTables):
@@ -254,16 +245,17 @@ def _over_rows(state: SystemState, fn):
 def cotangent_potential(state: SystemState):
     """Total potential (1/R) * sum_{k<j} m_k m_j * cross_{kj} / sqrt(theta_{kj}).
 
-    Mobius invariant; raises below the theta floor.  A series gives one
-    value per row.
+    Mobius invariant; a series gives one value per row.  The sum runs over the
+    k < j pairs only; below the theta floor, the verdict of _pairs on the same
+    rows is raised, with the pair, time and theta that eom_rhs would give.
     """
     iu = _triu(state.n)
     mm = np.outer(state.masses, state.masses)[iu]
 
     def rows(t, w, v):
-        tables, _, verdict = _distinct_pairs(w, t)
-        if verdict is not None:
-            raise verdict
+        tables = _pair_tables(w[..., iu[0]], w[..., iu[1]])
+        if np.any(np.minimum.reduce(tables.theta, axis=-1, initial=math.inf) < theta_floor(w)):
+            raise _pairs(w, t)[2]
         cross = -(tables.near + tables.far)
         return np.sum(mm * cross / np.sqrt(tables.theta), axis=-1) / state.R
 
@@ -503,7 +495,8 @@ def integrate(
 
     y = np.concatenate([state.positions, state.velocities])
     f = np.empty_like(y)
-    min_theta = rhs(y, t0, f)
+    # the min theta of the current y, from the rhs call that gave its f
+    theta_y = min_theta = rhs(y, t0, f)
     if not np.all(np.isfinite(f)):
         raise StepSizeError(f"non-finite derivative at t = {t0}")
     times, ys, fs = [t0], [y], [f]
@@ -525,17 +518,15 @@ def integrate(
     while t < t1:
         h = min(h, t1 - t, hmax)
         if h < 1e-14 * max(1.0, abs(t)):
-            th_here = float(min_pair_theta(y[:n]))
-            near_singular = th_here < 1e8 * theta_floor(y[:n])
-            if last_singularity is not None or near_singular:
+            if last_singularity is not None or theta_y < 1e8 * theta_floor(y[:n]):
                 traj = Trajectory(
                     np.array(times), np.array(ys), np.array(fs), masses, R,
                     IntegratorStats(steps, rejected, float(min_theta)),
                 )
                 exc = last_singularity or SingularityError(
-                    f"singularity verdict at t = {t} (theta = {th_here:.3e})",
+                    f"singularity verdict at t = {t} (theta = {theta_y:.3e})",
                     time=t,
-                    theta=th_here,
+                    theta=float(theta_y),
                 )
                 exc.trajectory = traj
                 raise exc
@@ -569,13 +560,14 @@ def integrate(
             t += h
             y, size_y = y5, size_y5
             # FSAL: the last stage is rhs(y5), which also guarded y5 against
-            # the theta floor; copy out of the stage buffer
+            # the theta floor and gave its min theta; copy out of the stage buffer
             f = k[6].copy()
             times.append(t)
             ys.append(y)
             fs.append(f)
             steps += 1
-            min_theta = min(min_theta, stage_theta)
+            theta_y = stage_theta
+            min_theta = min(min_theta, theta_y)
             h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 1e-30 else 5.0
         else:
             rejected += 1
@@ -662,7 +654,7 @@ def _weak_form_grid(traj: Trajectory, num_points: int):
     return grid
 
 
-def vlasov_weak_residual(traj: Trajectory, tests=None, num_points: int = 2001) -> float:
+def vlasov_weak_residual(traj: Trajectory, tests=None, num_points: int = VLASOV_NUM_POINTS) -> float:
     """Weak-form defect of the kinetic equation under the point-mass ansatz.
 
     For the empirical measure sum_i m_i delta(v - V_i) delta(x - X_i), the

@@ -58,7 +58,6 @@ CLASS_DRIFT: dict[EquilibriumClass, tuple[KillingField, float]] = {
     EquilibriumClass.HYPERBOLIC_CYCLIC: (ROTATION_HYPERBOLIC, 1.0),
 }
 
-SOLVABLE_CLASSES = (EquilibriumClass.HYPERBOLIC_NORMAL, EquilibriumClass.ELLIPTIC_CYCLIC)
 NONEXISTENT_CLASSES = (
     EquilibriumClass.PARABOLIC_NILPOTENT,
     EquilibriumClass.PARABOLIC_CYCLIC,
@@ -381,15 +380,16 @@ class FindOptions:
     symmetry: str = "none"  # "none" | "axis" | "mirror"
     tol: float = 1e-10
     max_iter: int = 200
-    fd_step: float = 1e-7
-    lm_lambda0: float = 1e-3
+
+
+_FD_STEP = 1e-7  # relative step of the central-difference Jacobian
+_LM_LAMBDA0 = 1e-3  # initial Levenberg-Marquardt damping
 
 
 @dataclass(frozen=True)
 class SolveReport:
     iterations: int
     residual_norm: float
-    lm_lambda: float
 
 
 def _residual_for(cls: EquilibriumClass, masses, R):
@@ -427,13 +427,13 @@ def _unpack(x: np.ndarray, n: int, symmetry: str) -> np.ndarray:
 def _levenberg_marquardt(fun, x0, opts: FindOptions):
     x = np.asarray(x0, dtype=float).copy()
     r = fun(x)
-    lam = opts.lm_lambda0
+    lam = _LM_LAMBDA0
     for it in range(opts.max_iter):
         if float(np.max(np.abs(r))) < opts.tol:
-            return x, SolveReport(it, float(np.max(np.abs(r))), lam)
+            return x, SolveReport(it, float(np.max(np.abs(r))))
         J = np.empty((r.size, x.size))
         for i in range(x.size):
-            h = opts.fd_step * max(1.0, abs(x[i]))
+            h = _FD_STEP * max(1.0, abs(x[i]))
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
@@ -471,7 +471,7 @@ def _levenberg_marquardt(fun, x0, opts: FindOptions):
                 )
     norm = float(np.max(np.abs(r)))
     if norm < opts.tol:
-        return x, SolveReport(opts.max_iter, norm, lam)
+        return x, SolveReport(opts.max_iter, norm)
     raise ConvergenceError(
         f"no convergence in {opts.max_iter} iterations (residual {norm:.3e})",
         iterations=opts.max_iter,
@@ -490,7 +490,8 @@ def find_equilibrium_detailed(
 
     ``ansatz`` provides starting positions (SystemState or complex array).
     The returned state carries the drift velocities of the class, so its
-    trajectory follows the subgroup orbit.
+    trajectory follows the subgroup orbit.  An end point where both sides of
+    the system fall below ``tol`` is a ConvergenceError: its residual says nothing.
     """
     cls = EquilibriumClass(cls)
     if cls in NONEXISTENT_CLASSES:
@@ -513,6 +514,13 @@ def find_equilibrium_detailed(
     x, report = _levenberg_marquardt(fun, _pack(positions, opts.symmetry), opts)
     w = _unpack(x, n, opts.symmetry)
     state = SystemState(0.0, w, equilibrium_velocity(cls, w), masses, R)
+    lhs_max, rhs_max = (float(np.max(np.abs(side))) for side in condition_sides(cls, state))
+    if max(lhs_max, rhs_max) < opts.tol:
+        raise ConvergenceError(
+            f"both sides vanish at the end point (max |lhs| = {lhs_max:.3e}, max |rhs| = {rhs_max:.3e}, "
+            f"tol = {opts.tol:.3e})",
+            iterations=report.iterations, residual_norm=report.residual_norm,
+        )
     return state, report
 
 

@@ -48,20 +48,10 @@ def admissible_interval(field: KillingField, w0):
     return (-math.pi / 2 - np.minimum(aa, ab), math.pi / 2 - np.maximum(aa, ab))
 
 
-def _first(mask: np.ndarray, *arrays):
-    """Entries of ``arrays`` (broadcast to the mask) at the first true index of mask."""
-    i = np.unravel_index(np.argmax(mask), mask.shape)
-    return [float(np.broadcast_to(x, mask.shape)[i]) for x in arrays]
-
-
 def _tan_shift(x0, t):
-    """tan(t + arctan(x0)), guarding the characteristic pole."""
-    arg = t + np.arctan(x0)
-    pole = np.abs(np.cos(arg)) < _POLE_MARGIN
-    if np.any(pole):
-        (at,) = _first(pole, t)
-        raise PoleError(f"characteristic pole near t = {at}", pole_time=at)
-    return np.tan(arg)
+    """tan(t + arctan(x0)); its callers run _require_admissible first, which
+    keeps t + arctan(x0) off the pole of the characteristic."""
+    return np.tan(t + np.arctan(x0))
 
 
 def _require_admissible(field: KillingField, w0, t):
@@ -69,7 +59,8 @@ def _require_admissible(field: KillingField, w0, t):
     lo, hi = admissible_interval(field, w0)
     outside = ~((lo + _POLE_MARGIN < t) & (t < hi - _POLE_MARGIN))
     if np.any(outside):
-        at, lo, hi = _first(outside, t, lo, hi)
+        i = np.unravel_index(np.argmax(outside), outside.shape)
+        at, lo, hi = (float(np.broadcast_to(x, outside.shape)[i]) for x in (t, lo, hi))
         raise PoleError(
             f"flow parameter {at} leaves the admissible interval ({lo}, {hi})",
             pole_time=hi if at >= 0 else lo,

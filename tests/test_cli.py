@@ -585,6 +585,50 @@ def test_non_finite_derivative_exits_three(tmp_path):
     assert err["message"] == "non-finite derivative at t = 0.0"
 
 
+def _transport(**section):
+    return {**INVARIANCE_DOC, "invariance": section}
+
+
+# id -> (command, config, field path): runs whose flow or transport leaves the
+# floating-point range
+RANGE_FAULTS = {
+    "flow-overflow": ("flow", {"flow": {"kind": "normal", "sigma": -1, "points": [[0.0, 1.0]], "t_max": 800}},
+                      "flow.t_max"),
+    "transport-overflow": ("invariance", _transport(kind="normal", group_time=1e308), "invariance.group_time"),
+    "loxodromic-overflow": ("invariance", _transport(kind="loxodromic", group_time=800), "invariance.group_time"),
+    "transport-underflow": ("invariance", _transport(kind="normal", group_time=-800), "invariance.group_time"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(RANGE_FAULTS))
+def test_range_faults_name_the_field_without_warnings(tmp_path, fault):
+    command, doc, field = RANGE_FAULTS[fault]
+    cfg = write_config(tmp_path, doc)
+    src = os.path.dirname(os.path.dirname(hnbody.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hnbody", command, "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    err = json.loads(proc.stdout)["error"]  # one JSON object and nothing else
+    assert err["code"] == "validation"
+    assert err["message"].startswith(f"{field}: ")
+
+
+def test_find_refuses_an_end_point_where_both_sides_vanish(tmp_path, capsys):
+    # Levenberg-Marquardt drifts to y ~ 4e5, where both sides fall below tol 1e-10
+    doc = {**SIMULATE_DOC, "bodies": [[-0.5, 1.0, 0.0, 0.0], [0.5, 1.0, 0.0, 0.0]],
+           "equilibria": {"class": "hyperbolic-normal", "symmetry": "none"}}
+    code, out = run(tmp_path, "equilibria", "find", "--config", write_config(tmp_path, doc))
+    assert code == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == "no-convergence"
+    assert err["message"].startswith("both sides vanish at the end point (max |lhs| = ")
+    assert "max |rhs| = " in err["message"]
+    assert not (out / "equilibrium.json").exists()
+
+
 # count field -> (command, config holding the count)
 COUNT_FIELDS = {
     "flow.num": ("flow", lambda c: {"flow": {"kind": "normal", "points": [[0.0, 1.0]], "t_max": 0.5, "num": c}}),

@@ -18,7 +18,7 @@ from hnbody.dynamics import (
     theta,
     vlasov_weak_residual,
 )
-from hnbody.dynamics import _distinct_pairs, _pair_tables, _pairs, _triu
+from hnbody.dynamics import _PAIR_CHUNK, _pair_tables, _pairs, _triu
 from hnbody.errors import DomainError, SingularityError, StepSizeError
 from hnbody.geometry import apply_mobius, geodesic_through
 from hnbody.equilibria import EquilibriumClass, FindOptions, find_equilibrium
@@ -226,7 +226,7 @@ class TestEomRhs:
         gathered = _pair_tables(w[..., :, None], w[..., None, :]).theta[..., iu[0], iu[1]]
         expect = gathered.min(axis=-1, initial=math.inf)
         assert np.array_equal(_pairs(w)[1], expect)
-        assert np.array_equal(_distinct_pairs(w)[1], expect)
+        assert np.array_equal(min_pair_theta(w), expect)
         if shape[-1] == 1:
             assert np.all(_pairs(w)[1] == math.inf)
 
@@ -240,8 +240,26 @@ class TestEomRhs:
         s = SystemState(0.0, w, np.zeros_like(w), np.ones(w.size), 1.0)
         with pytest.raises(SingularityError) as info:
             eom_rhs(s)
-        assert info.value.pair == pair == _distinct_pairs(w)[2].pair
-        assert info.value.theta == _distinct_pairs(w)[2].theta
+        with pytest.raises(SingularityError) as potential:
+            cotangent_potential(s)
+        assert info.value.pair == pair == potential.value.pair
+        assert info.value.theta == potential.value.theta
+        assert str(potential.value) == str(info.value)
+
+    def test_potential_verdict_over_chunks_names_the_row_of_eom_rhs(self):
+        # a series of several _over_rows chunks with one row below the floor
+        n, T, bad = 8, 3 * _PAIR_CHUNK // 64 + 5, 2 * _PAIR_CHUNK // 64 + 17
+        rng = np.random.default_rng(5)
+        w = np.linspace(-3.0, 3.0, n) + 1j * rng.uniform(0.5, 2.0, (T, n))
+        w[bad, 5] = w[bad, 2] + 1e-9j
+        s = SystemState(np.linspace(0.0, 1.0, T), w, np.zeros_like(w), np.ones(n), 1.0)
+        with pytest.raises(SingularityError) as potential:
+            cotangent_potential(s)
+        with pytest.raises(SingularityError) as row:
+            eom_rhs(SystemState(s.t[bad], w[bad], np.zeros(n, complex), s.masses, s.R))
+        assert potential.value.time == s.t[bad]
+        assert potential.value.pair == row.value.pair == (2, 5)
+        assert potential.value.theta == row.value.theta
 
     def test_non_finite_state_raises_without_warnings(self):
         # RuntimeWarnings are errors under the suite's settings
@@ -377,6 +395,16 @@ class TestIntegrate:
             stats = info.value.trajectory.stats
             assert stats.steps < 500
             assert stats.steps + stats.rejected < 1000
+
+    def test_step_underflow_verdict_carries_the_theta_of_the_last_state(self):
+        # at R = 1e-6 the approach takes t ~ 3e-4, where h falls below the
+        # absolute 1e-14 before any stage drops below the theta floor
+        with pytest.raises(SingularityError, match="^singularity verdict at t = ") as info:
+            integrate(two_body([1j, 2j], R=1e-6), 1.0, tol=1e-10)
+        traj = info.value.trajectory
+        assert info.value.pair is None
+        assert info.value.time == traj.times[-1]
+        assert info.value.theta == min_pair_theta(traj.ys[-1][:2]) == traj.stats.min_theta
 
     def test_monotone_times_and_stats(self):
         s = two_body([1j, 2j], (0.6 + 0j, -0.6 + 0j))

@@ -18,6 +18,7 @@ from hnbody.equilibria import EquilibriumClass, FindOptions, find_equilibrium
 from hnbody.errors import DomainError, PoleError
 from hnbody.geometry import apply_mobius, mobius_derivative
 from hnbody.flows import (
+    _POLE_MARGIN,
     admissible_interval,
     flow,
     flow_derivative_check,
@@ -152,6 +153,20 @@ class TestPoles:
         lo, hi = admissible_interval(ROTATION_HYPERBOLIC, w0)
         assert hi == pytest.approx(math.pi / 4, rel=1e-12)
         assert lo == pytest.approx(-math.pi / 2, rel=1e-12)
+
+    @pytest.mark.parametrize("field", [ROTATION_PARABOLIC, ROTATION_HYPERBOLIC], ids=["sigma0", "sigma1"])
+    def test_admissible_margin_is_the_one_pole_test(self, field):
+        w0 = 1.0 + 1j
+        lo, hi = admissible_interval(field, w0)
+        for t in (hi - 2 * _POLE_MARGIN, lo + 2 * _POLE_MARGIN):
+            w, v = transport(field, w0, 0.3 - 0.2j, t)
+            assert np.isfinite(flow(field, w0, t)) and np.isfinite(w) and np.isfinite(v)
+        for t in (hi - _POLE_MARGIN / 2, lo + _POLE_MARGIN / 2):
+            for fn in (lambda: flow(field, w0, t), lambda: transport(field, w0, 0.3 - 0.2j, t)):
+                with pytest.raises(PoleError, match="leaves the admissible interval") as info:
+                    fn()
+                assert info.value.interval == (lo, hi)
+                assert info.value.pole_time == (hi if t > 0 else lo)
 
     def test_isometric_kinds_have_no_poles(self):
         for field in (NORMAL_A, NILPOTENT_N, ROTATION_ELLIPTIC):
