@@ -339,7 +339,10 @@ def cmd_flow(args, doc: dict) -> list[str]:
     num = _count(section.get("num", 33), "flow.num", 2)
     with np.errstate(all="ignore"):  # an overflow ends in the error below
         ts = np.linspace(t_min, t_max, num)
-        rows = flow_samples(field, points, ts)
+        try:
+            rows = flow_samples(field, points, ts)
+        except DomainError as exc:  # a rotation kind with |t| >= pi/2 at an end of the grid
+            raise ValidationError("flow.t_max" if abs(t_min) < math.pi / 2 else "flow.t_min", str(exc)) from None
         checks = [
             flow_derivative_check(field, points, float(t))
             for t in (t_min + 0.25 * (t_max - t_min), t_min + 0.75 * (t_max - t_min))

@@ -61,12 +61,16 @@ class SystemState:
             raise DomainError("positions, velocities and masses must have equal length")
         if rows and self.t.shape != rows:
             raise DomainError("a series needs one time per row")
-        if not np.all(self.masses > 0):
+        if not (self.masses > 0).all():
             raise DomainError("masses must be positive")
         if not (self.R > 0 and math.isfinite(self.R)):
             raise DomainError("curvature radius must be a positive real")
-        if not np.all(self.positions.imag > 0):
+        if not (self.positions.imag > 0).all():
             raise DomainError("all bodies must lie in the open upper half-plane")
+        # the largest floor over all rows, in Python floats, which overflow to inf
+        # without a warning; past it theta overflows too, and inf < inf hides a collision
+        if not math.isfinite(_floor_of_scale(float(np.abs(self.positions).max(initial=1.0)))):
+            raise DomainError("positions too large: the theta floor 1e-12 max|w|^4 overflows")
 
     @property
     def n(self) -> int:
@@ -86,11 +90,15 @@ def _inf_diag(n: int) -> np.ndarray:
     return table
 
 
-def theta_floor(positions: np.ndarray):
-    """Singularity guard theta_min = 1e-12 * max(1, max_k |w_k|)^4, per configuration of shape (..., n)."""
-    scale = np.abs(positions).max(axis=-1, initial=1.0)
+def _floor_of_scale(scale):
+    """1e-12 * scale^4, for a float or an array of scales."""
     scale2 = scale * scale
     return THETA_FLOOR_SCALE * scale2 * scale2
+
+
+def theta_floor(positions: np.ndarray):
+    """Singularity guard theta_min = 1e-12 * max(1, max_k |w_k|)^4, per configuration of shape (..., n)."""
+    return _floor_of_scale(np.abs(positions).max(axis=-1, initial=1.0))
 
 
 class _PairTables(NamedTuple):

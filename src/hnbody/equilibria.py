@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .clifford import (
     KillingField,
@@ -578,6 +577,10 @@ def two_body_elliptic(m1: float, m2: float, alpha: float, R: float = 1.0) -> flo
         hi *= 4.0
         if hi > 1e9:
             raise ConvergenceError("no sign change found for the companion circle")
+    # scipy.optimize takes most of a second to import, and no CLI command
+    # reaches this function, so it is loaded here on first use
+    from scipy.optimize import brentq
+
     beta = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     if elliptic_pair_rate(m1, m2, alpha, beta, R) <= 0:
         raise ConvergenceError("companion root has a nonphysical drift rate")
@@ -676,6 +679,16 @@ def hyperbolic_contradiction_sides(heights, masses, R: float, k: int | None = No
     return float(lhs), float(rhs), k
 
 
+def _min_gap(values: np.ndarray) -> float:
+    """min |values[i] - values[j]| over i != j, in O(n) memory.
+
+    Rounding is monotone, so for sorted a <= b <= c the computed c - a is at
+    least the computed b - a: the smallest gap is between sorted neighbours,
+    bit for bit the minimum of the full difference table.
+    """
+    return float(np.diff(np.sort(values)).min())
+
+
 def certify_nonexistence(
     cls, n: int, samples: int, seed: int = 0
 ) -> NonexistenceCertificate:
@@ -699,9 +712,8 @@ def certify_nonexistence(
         rng = np.random.default_rng([seed, idx])
         for _ in range(100):
             beta = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
-            gaps = np.abs(np.subtract.outer(beta ** 2, beta ** 2))
-            gaps[np.diag_indices(n)] = math.inf
-            if gaps.min() > 1e-6 * float(np.max(beta ** 2)):
+            b2 = beta ** 2
+            if _min_gap(b2) > 1e-6 * float(np.max(b2)):
                 break
         else:
             raise ConvergenceError("could not draw a nondegenerate sample")

@@ -589,14 +589,25 @@ def _transport(**section):
     return {**INVARIANCE_DOC, "invariance": section}
 
 
-# id -> (command, config, field path): runs whose flow or transport leaves the
-# floating-point range
+# id -> (command, config, field path): runs whose flow, transport or theta floor
+# leaves the floating-point range, or whose rotation samples pass s = tan t's pole
 RANGE_FAULTS = {
     "flow-overflow": ("flow", {"flow": {"kind": "normal", "sigma": -1, "points": [[0.0, 1.0]], "t_max": 800}},
                       "flow.t_max"),
     "transport-overflow": ("invariance", _transport(kind="normal", group_time=1e308), "invariance.group_time"),
     "loxodromic-overflow": ("invariance", _transport(kind="loxodromic", group_time=800), "invariance.group_time"),
     "transport-underflow": ("invariance", _transport(kind="normal", group_time=-800), "invariance.group_time"),
+    "theta-floor-overflow": ("simulate", {**SIMULATE_DOC, "bodies": [[0, 1e80, 0, 0], [0, 2e80, 0, 0]]}, "bodies"),
+    "transport-theta-floor-overflow": (
+        "invariance", _transport(kind="nilpotent", group_time=1e308), "invariance.group_time"
+    ),
+    "rotation-samples-past-t-max": (
+        "flow", {"flow": {"kind": "rotation", "sigma": -1, "points": [[0.0, 1.0]], "t_max": 2.0}}, "flow.t_max"
+    ),
+    "rotation-samples-past-t-min": (
+        "flow", {"flow": {"kind": "rotation", "sigma": -1, "points": [[0.0, 1.0]], "t_min": -2.0, "t_max": 1.0}},
+        "flow.t_min",
+    ),
 }
 
 
@@ -653,3 +664,43 @@ def test_counts_above_the_cap_are_validation_errors(tmp_path, capsys, field, cou
     assert captured.err == ""
     assert json.loads(captured.out)["error"] == {"code": "validation", "message": f"{field}: must be <= {MAX_COUNT}"}
     assert not out.exists()
+
+
+# Each CLI call runs in a fresh process, so the package import is paid on every
+# call; scipy.optimize alone takes most of a second to import and only
+# two_body_elliptic, which no command reaches, uses it.
+COLD_START_PROBE = """
+import json, os, sys
+import hnbody.cli
+out, configs = sys.argv[1], json.loads(sys.argv[2])
+codes = []
+for name, argv in (("simulate", ["simulate"]), ("flow", ["flow"]), ("certify", ["certify"]),
+                   ("find", ["equilibria", "find"])):
+    path = os.path.join(out, name + ".json")
+    with open(path, "w") as fh:
+        json.dump(configs[name], fh)
+    codes.append(hnbody.cli.main([*argv, "--config", path, "--out", os.path.join(out, name)]))
+print()
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+from hnbody.equilibria import two_body_elliptic
+print(two_body_elliptic(1.0, 2.0, 2.0).hex())
+"""
+
+
+def test_cli_commands_run_without_loading_scipy(tmp_path):
+    configs = {
+        "simulate": SIMULATE_DOC,
+        "flow": {"flow": {"kind": "rotation", "sigma": 0, "points": [[0.0, 1.0]], "t_max": 0.5, "num": 5}},
+        "certify": CERTIFY_DOC,
+        "find": FIND_DOC,
+    }
+    src = os.path.dirname(os.path.dirname(hnbody.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START_PROBE, str(tmp_path), json.dumps(configs)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    *_, record, beta = proc.stdout.splitlines()
+    assert json.loads(record) == {"codes": [0, 0, 0, 0], "scipy": []}
+    # brentq is loaded on the first call and returns the same bits as a top-level import did
+    assert beta == "0x1.84eff8c6d1555p+0"

@@ -14,6 +14,7 @@ from hnbody.clifford import (
 from hnbody.dynamics import SystemState, theta
 from hnbody.equilibria import (
     _CONDITION_LHS,
+    _min_gap,
     CLASS_DRIFT,
     CyclicParams,
     EquilibriumClass,
@@ -604,6 +605,21 @@ class TestCertificates:
             lhs, rhs, k = hyperbolic_contradiction_sides(v, m, R)
             _, im = residual_hyperbolic_cyclic(CyclicParams(v, -v, 0.0), m, R)
             assert lhs - rhs == pytest.approx(im[k], rel=1e-12, abs=0)
+
+    def test_neighbour_gap_decides_like_the_full_difference_table(self):
+        rng = np.random.default_rng(81)
+        for draw in range(10_000):
+            n = int(rng.integers(2, 9))
+            beta = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
+            if draw % 2:  # a near-equal pair: relative gaps around the 1e-6 threshold, ulps, or none
+                i, j = rng.choice(n, 2, replace=False)
+                beta[j] = beta[i] * (1.0 + float(rng.choice([0.0, 1e-16, 3e-16, 1e-9, 5e-7, 1e-6, 2e-6])))
+            b2 = beta ** 2
+            gaps = np.abs(np.subtract.outer(b2, b2))
+            gaps[np.diag_indices(n)] = math.inf
+            assert _min_gap(b2) == gaps.min()
+            threshold = 1e-6 * float(np.max(b2))
+            assert (_min_gap(b2) > threshold) == (gaps.min() > threshold)
 
     def test_deterministic_under_seed(self):
         a = certify_nonexistence(EquilibriumClass.PARABOLIC_CYCLIC, 2, 50, seed=3)
