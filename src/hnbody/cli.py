@@ -343,6 +343,9 @@ def cmd_flow(args, doc: dict) -> list[str]:
             rows = flow_samples(field, points, ts)
         except DomainError as exc:  # a rotation kind with |t| >= pi/2 at an end of the grid
             raise ValidationError("flow.t_max" if abs(t_min) < math.pi / 2 else "flow.t_min", str(exc)) from None
+        except PoleError as exc:  # a point's flow meets a pole inside [t_min, t_max]
+            path = "flow.t_min" if exc.pole_time < 0 else "flow.t_max"
+            raise PoleError(f"{path}: {exc}", exc.pole_time, exc.interval) from None
         checks = [
             flow_derivative_check(field, points, float(t))
             for t in (t_min + 0.25 * (t_max - t_min), t_min + 0.75 * (t_max - t_min))
@@ -380,6 +383,8 @@ def cmd_invariance(args, doc: dict) -> list[str]:
             report = verify_invariance(traj, transport, group_time, num_points=num_points)
         except DomainError as exc:  # transported bodies off the half-plane, or a non-finite element
             raise ValidationError("invariance.group_time", str(exc)) from None
+        except PoleError as exc:  # the rotation flow meets a pole before group_time at a sampled position
+            raise PoleError(f"invariance.group_time: {exc}", exc.pole_time, exc.interval) from None
     if not np.all(np.isfinite(report.per_body)):
         raise ValidationError("invariance.group_time", "the transport overflows the floating-point range")
     payload = report.to_dict()

@@ -67,10 +67,12 @@ class SystemState:
             raise DomainError("curvature radius must be a positive real")
         if not (self.positions.imag > 0).all():
             raise DomainError("all bodies must lie in the open upper half-plane")
-        # the largest floor over all rows, in Python floats, which overflow to inf
-        # without a warning; past it theta overflows too, and inf < inf hides a collision
-        if not math.isfinite(_floor_of_scale(float(np.abs(self.positions).max(initial=1.0)))):
-            raise DomainError("positions too large: the theta floor 1e-12 max|w|^4 overflows")
+        # theta <= 64 max|w|^4, so the pair kernel's divisor theta^{3/2} stays below
+        # 512 max|w|^6 (|w| < 8e50): checked in Python floats, which overflow to inf
+        # without a warning; an overflowing theta or divisor would hide the force
+        scale = float(np.abs(self.positions).max(initial=1.0))
+        if not math.isfinite(512.0 * scale * scale * scale * scale * scale * scale):
+            raise DomainError("positions too large: the pair kernel divisor 512 max|w|^6 overflows")
 
     @property
     def n(self) -> int:
@@ -90,15 +92,11 @@ def _inf_diag(n: int) -> np.ndarray:
     return table
 
 
-def _floor_of_scale(scale):
-    """1e-12 * scale^4, for a float or an array of scales."""
-    scale2 = scale * scale
-    return THETA_FLOOR_SCALE * scale2 * scale2
-
-
 def theta_floor(positions: np.ndarray):
     """Singularity guard theta_min = 1e-12 * max(1, max_k |w_k|)^4, per configuration of shape (..., n)."""
-    return _floor_of_scale(np.abs(positions).max(axis=-1, initial=1.0))
+    scale = np.abs(positions).max(axis=-1, initial=1.0)
+    scale2 = scale * scale
+    return THETA_FLOOR_SCALE * scale2 * scale2
 
 
 class _PairTables(NamedTuple):

@@ -7,6 +7,7 @@ configuration and seed always produce byte-identical output.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -17,55 +18,43 @@ from .errors import DomainError
 
 def fmt_float(x: float) -> str:
     x = float(x)
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise DomainError("reports may not contain NaN or infinite values")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".17g")
+    return format(x + 0.0, ".17g")  # -0.0 + 0.0 == +0.0
+
+
+# the stdlib's C encoder: escapes quotes, backslashes, control and non-ASCII characters (lone surrogates too)
+_json_string = json.encoder.encode_basestring_ascii
 
 
 def canonical_json(obj) -> str:
     """Render a report tree deterministically; returns text ending in a newline."""
-    pieces = []
-    _write_json(obj, pieces)
-    return "".join(pieces) + "\n"
+    return _json(obj, "") + "\n"
 
 
-def _write_json(obj, out: list, indent: int = 0):
-    pad = "  " * indent
+def _json(obj, pad: str) -> str:
+    """The text of one node on a line indented by ``pad``; floats, most of a report, come first."""
+    if isinstance(obj, (float, np.floating)):
+        return fmt_float(obj)
+    inner = pad + "  "
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(obj)
-        for i, key in enumerate(keys):
+        for key in obj:
             if not isinstance(key, str):
                 raise DomainError(f"report keys must be strings, got {key!r}")
-            out.append(f'{pad}  "{key}": ')
-            _write_json(obj[key], out, indent + 1)
-            out.append(",\n" if i < len(keys) - 1 else "\n")
-        out.append(pad + "}")
+        items = [f"{inner}{_json_string(key)}: {_json(obj[key], inner)}" for key in sorted(obj)]
+        brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(obj):
-            out.append(pad + "  ")
-            _write_json(item, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
+        items = [inner + _json(item, inner) for item in obj]
+        brackets = "[]"
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        return _json_string(obj)
     elif isinstance(obj, bool) or obj is None:
-        out.append({True: "true", False: "false", None: "null"}[obj])
+        return {True: "true", False: "false", None: "null"}[obj]
     elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(fmt_float(obj))
+        return str(int(obj))
     else:
         raise DomainError(f"cannot serialize {type(obj).__name__} into a report")
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}" if items else brackets
 
 
 def write_text(path, text: str):
@@ -80,8 +69,9 @@ def write_text(path, text: str):
 _CSV_BLOCK = 2048  # rows turned into Python floats at a time, to bound the memory they take
 
 
-def _csv_rows(fmt: str, data: np.ndarray) -> list:
-    """Render ``data`` of shape (fields, rows) with one %-format per row.
+def _csv(header: str, fmt: str, data: np.ndarray) -> str:
+    """CSV text: ``header``, then ``data`` of shape (fields, rows) with one
+    %-format per row, each line ending in a newline.
 
     Floats come out as fmt_float renders them: 17 significant digits and
     -0.0 written as 0.  ``data`` is normalised in place.
@@ -89,8 +79,9 @@ def _csv_rows(fmt: str, data: np.ndarray) -> list:
     if not np.all(np.isfinite(data)):
         raise DomainError("reports may not contain NaN or infinite values")
     data += 0.0  # -0.0 + 0.0 == +0.0; every other value is unchanged
-    return [fmt % row for a in range(0, data.shape[1], _CSV_BLOCK)
+    rows = [fmt % row for a in range(0, data.shape[1], _CSV_BLOCK)
             for row in zip(*data[:, a:a + _CSV_BLOCK].tolist())]
+    return "\n".join([header, *rows, ""])
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -100,8 +91,7 @@ def trajectory_csv(traj: Trajectory) -> str:
     data = np.empty((6,) + w.shape)
     data[0], data[1] = traj.times[:, None], np.arange(n)
     data[2], data[3], data[4], data[5] = w.real, w.imag, v.real, v.imag
-    rows = _csv_rows("%.17g,%d,%.17g,%.17g,%.17g,%.17g", data.reshape(6, -1))
-    return "\n".join(["t,k,re,im,vre,vim", *rows, ""])
+    return _csv("t,k,re,im,vre,vim", "%.17g,%d,%.17g,%.17g,%.17g,%.17g", data.reshape(6, -1))
 
 
 def trajectory_sidecar(traj: Trajectory) -> dict:
@@ -128,11 +118,10 @@ def trajectory_sidecar(traj: Trajectory) -> dict:
 def flow_csv(rows) -> str:
     """CSV body with header t,s,k,re,im for flow samples."""
     data = np.array(rows, dtype=float).reshape(-1, 5).T
-    return "\n".join(["t,s,k,re,im", *_csv_rows("%.17g,%.17g,%d,%.17g,%.17g", data), ""])
+    return _csv("t,s,k,re,im", "%.17g,%.17g,%d,%.17g,%.17g", data)
 
 
 def map_csv(rows) -> str:
     """CSV body with header re,im,disk_re,disk_im,back_re,back_im for disk round trips."""
     data = np.array(rows, dtype=float).reshape(-1, 6).T
-    rows = _csv_rows("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g", data)
-    return "\n".join(["re,im,disk_re,disk_im,back_re,back_im", *rows, ""])
+    return _csv("re,im,disk_re,disk_im,back_re,back_im", "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g", data)

@@ -323,8 +323,19 @@ class TestFlow:
         cfg = write_config(tmp_path, doc)
         code, _ = run(tmp_path, "flow", "--config", cfg)
         assert code == 1
-        assert json.loads(capsys.readouterr().out)["error"]["code"] == "flow-pole"
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == "flow-pole"
+        assert err["message"].startswith("flow.t_max: flow parameter 0.8999999999999999 leaves the admissible interval")
 
+    def test_pole_at_negative_t_names_t_min(self, tmp_path, capsys):
+        # the pole of [-1, 1] lies at t = -pi/4
+        doc = {"flow": {"kind": "rotation", "sigma": 0, "points": [[-1.0, 1.0]], "t_min": -1.2, "t_max": 0.5}}
+        cfg = write_config(tmp_path, doc)
+        code, _ = run(tmp_path, "flow", "--config", cfg)
+        assert code == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == "flow-pole"
+        assert err["message"].startswith("flow.t_min: flow parameter -1.2 leaves the admissible interval")
 
     @pytest.mark.parametrize("sigma", [True, 1.0, 2, "1"])
     def test_sigma_must_be_an_integer_in_range(self, tmp_path, capsys, sigma):
@@ -367,6 +378,16 @@ class TestInvariance:
         rep = json.loads((out / "invariance.json").read_text())
         assert rep["transport"] == "loxodromic"
         assert rep["max_residual"] < 1e-8
+
+    def test_pole_crossing_names_group_time(self, tmp_path, capsys):
+        # the sigma = 0 rotation flow of every point has a pole before t = pi/2
+        doc = {**SIMULATE_DOC, "invariance": {"kind": "rotation", "sigma": 0, "group_time": 1.6}}
+        cfg = write_config(tmp_path, doc)
+        code, _ = run(tmp_path, "invariance", "--config", cfg)
+        assert code == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == "flow-pole"
+        assert err["message"].startswith("invariance.group_time: flow parameter 1.6 leaves the admissible interval")
 
 
 class TestMap:
@@ -499,6 +520,7 @@ BAD_INPUTS = {
     "find-masses-shorter-than-bodies": (
         ["equilibria", "find"], _json_bytes({**FIND_DOC, "masses": [1.0]}), "masses", "length must match bodies"
     ),
+    "newline-key": (["simulate"], _json_bytes({**SIMULATE_DOC, "bad\nkey": 1}), "bad\nkey", "unknown field"),
 }
 
 
@@ -524,6 +546,23 @@ class TestBadInputs:
         assert err["message"].startswith(f"{path}: ")
         if reason is not None:
             assert err["message"] == f"{path}: {reason}"
+
+    def test_lone_surrogate_key_prints_ascii_json(self, tmp_path):
+        # capsys does not encode stdout, so only a child process shows what a
+        # surrogate in the message does to the byte stream
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(_json_bytes({**SIMULATE_DOC, "\ud800": 1}))
+        src = os.path.dirname(os.path.dirname(hnbody.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hnbody", "simulate", "--config", str(cfg), "--out", str(tmp_path / "out")],
+            capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+        assert proc.stdout.isascii()
+        err = json.loads(proc.stdout)["error"]  # one JSON object and nothing else
+        assert err["code"] == "validation"
+        assert err["message"].startswith("\ud800: ")
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -589,8 +628,8 @@ def _transport(**section):
     return {**INVARIANCE_DOC, "invariance": section}
 
 
-# id -> (command, config, field path): runs whose flow, transport or theta floor
-# leaves the floating-point range, or whose rotation samples pass s = tan t's pole
+# id -> (command, config, field path): runs whose flow, transport, theta floor or pair
+# kernel leaves the floating-point range, or whose rotation samples pass s = tan t's pole
 RANGE_FAULTS = {
     "flow-overflow": ("flow", {"flow": {"kind": "normal", "sigma": -1, "points": [[0.0, 1.0]], "t_max": 800}},
                       "flow.t_max"),
@@ -598,6 +637,10 @@ RANGE_FAULTS = {
     "loxodromic-overflow": ("invariance", _transport(kind="loxodromic", group_time=800), "invariance.group_time"),
     "transport-underflow": ("invariance", _transport(kind="normal", group_time=-800), "invariance.group_time"),
     "theta-floor-overflow": ("simulate", {**SIMULATE_DOC, "bodies": [[0, 1e80, 0, 0], [0, 2e80, 0, 0]]}, "bodies"),
+    "pair-theta-overflow": ("simulate", {**SIMULATE_DOC, "bodies": [[0, 1e78, 0, 0], [0, 2e78, 0, 0]]}, "bodies"),
+    "kernel-divisor-overflow": (
+        "simulate", {**SIMULATE_DOC, "bodies": [[0, 1e60, 0, 0], [0, 2e60, 0, 0]]}, "bodies"
+    ),
     "transport-theta-floor-overflow": (
         "invariance", _transport(kind="nilpotent", group_time=1e308), "invariance.group_time"
     ),

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -578,3 +579,16 @@ class TestSystemStateValidation:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(DomainError):
             SystemState(0.0, [1j, 2j], [0j], [1.0, 1.0], 1.0)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e80, 8.5e50])
+    def test_rejects_positions_whose_kernel_divisor_overflows(self, scale):
+        with pytest.raises(DomainError, match=re.escape("divisor 512 max|w|^6 overflows")):
+            SystemState(0.0, [0.5j * scale, 1j * scale], [0j, 0j], [1.0, 1.0], 1.0)
+
+    def test_kernel_stays_finite_just_below_the_position_limit(self):
+        # the largest theta for |w| <= s: bodies at -s/sqrt2 + i s/sqrt2 and s/sqrt2 + i s/sqrt2
+        s = 8.3e50
+        state = SystemState(0.0, [s * (-1 + 1j) / math.sqrt(2), s * (1 + 1j) / math.sqrt(2)], [0j, 0j],
+                            [1.0, 1.0], 1.0)
+        force = eom_interaction(state)  # RuntimeWarning is an error under pytest
+        assert np.all(np.isfinite(force)) and np.all(force != 0)

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from hnbody.dynamics import IntegratorStats, SystemState, Trajectory, conserved, integrate
 from hnbody.errors import DomainError
-from hnbody.reports import flow_csv, fmt_float, map_csv, trajectory_csv, trajectory_sidecar
+from hnbody.reports import canonical_json, flow_csv, fmt_float, map_csv, trajectory_csv, trajectory_sidecar
 
 # values whose rendering is easy to get wrong: signed zero, subnormals, extremes
 AWKWARD = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1.7976931348623157e308, 0.1, -1.0 / 3.0, 2.0 ** 53, 1e-5]
@@ -71,3 +73,43 @@ def test_sidecar_series_equal_conserved_at_every_node():
     for i, state in enumerate(traj.samples):
         for key, value in conserved(state).as_dict().items():
             assert series[key][i] == value
+
+
+# every character that JSON must escape or that ASCII output must spell as \uXXXX
+ESCAPED = '"\\' + "".join(map(chr, range(0x20))) + "\x7f \u00e9 \u2603 \U0001f600 \ud800 \udfff"
+
+
+@pytest.mark.parametrize("tree", [
+    {},
+    [],
+    (),
+    {"b": 1, "a": [], "c": {}, "d": ()},
+    {"z": {"y": [1, [2, (3, {"x": None})]], "w": (True, False)}, "": -7, "0": 10 ** 30},
+    [[[]], {"k": [{}]}, "s", 0, -1],
+    {ESCAPED: [ESCAPED, {ESCAPED[::-1]: ESCAPED}], "\ud800": "\udc00"},
+])
+def test_canonical_json_equals_the_stdlib_on_float_free_trees(tree):
+    assert canonical_json(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+def test_canonical_json_is_ascii_and_round_trips_strings():
+    text = canonical_json({ESCAPED: ESCAPED})
+    assert text.isascii()
+    assert json.loads(text) == {ESCAPED: ESCAPED}
+
+
+def test_canonical_json_floats_are_fmt_float():
+    assert canonical_json(AWKWARD) == "[\n" + ",\n".join("  " + fmt_float(x) for x in AWKWARD) + "\n]\n"
+    assert canonical_json({"x": -0.0}) == '{\n  "x": 0\n}\n'
+    numpy_leaves = [np.float64(x) for x in AWKWARD] + [np.int64(-3), np.float32(0.5)]
+    assert canonical_json(numpy_leaves) == canonical_json(AWKWARD + [-3, 0.5])
+
+
+@pytest.mark.parametrize("tree", [
+    float("nan"), float("inf"), -float("inf"), [1.0, np.float64("nan")], {"a": {"b": -np.inf}},
+    {1: "a"}, {None: 1}, {"a": 1, 2: "b"}, {2: "b", "a": 1}, {("a",): 1},
+    {1, 2}, b"bytes", 1j, np.array([1.0]), np.bool_(True), {"a": object()},
+])
+def test_canonical_json_rejects_what_json_cannot_hold(tree):
+    with pytest.raises(DomainError):
+        canonical_json(tree)
