@@ -31,6 +31,7 @@ from .equilibria import (
     EquilibriumClass,
     FindOptions,
     NONEXISTENT_CLASSES,
+    SYMMETRIES,
     certify_nonexistence,
     condition_sides,
     find_equilibrium_detailed,
@@ -264,7 +265,7 @@ def cmd_equilibria(args, doc: dict) -> list[str]:
             )
         ansatz = _system_state(doc)
         symmetry = section.get("symmetry", "none")
-        if symmetry not in ("none", "axis", "mirror"):
+        if symmetry not in SYMMETRIES:
             raise ValidationError("equilibria.symmetry", "must be none, axis or mirror")
         opts = FindOptions(
             symmetry=symmetry,

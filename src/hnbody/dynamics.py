@@ -518,24 +518,19 @@ def integrate(
 
     t = t0
     steps = rejected = 0
-    last_singularity = None
+    last_singularity = verdict = None
     k = np.empty((7, 2 * n), dtype=complex)
     size_y = np.abs(y)
     while t < t1:
         h = min(h, t1 - t, hmax)
         if h < 1e-14 * max(1.0, abs(t)):
             if last_singularity is not None or theta_y < 1e8 * theta_floor(y[:n]):
-                traj = Trajectory(
-                    np.array(times), np.array(ys), np.array(fs), masses, R,
-                    IntegratorStats(steps, rejected, float(min_theta)),
-                )
-                exc = last_singularity or SingularityError(
+                verdict = last_singularity or SingularityError(
                     f"singularity verdict at t = {t} (theta = {theta_y:.3e})",
                     time=t,
                     theta=float(theta_y),
                 )
-                exc.trajectory = traj
-                raise exc
+                break
             raise StepSizeError(f"step size underflow at t = {t}")
         k[0] = f
         failed = False
@@ -579,10 +574,14 @@ def integrate(
             rejected += 1
             h *= max(0.2, 0.9 * err ** -0.2)
 
-    return Trajectory(
+    traj = Trajectory(
         np.array(times), np.array(ys), np.array(fs), masses, R,
         IntegratorStats(steps, rejected, float(min_theta)),
     )
+    if verdict is not None:
+        verdict.trajectory = traj
+        raise verdict
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +659,13 @@ def _weak_form_grid(traj: Trajectory, num_points: int):
     return grid
 
 
+def _sampled_derivative(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """4th-order central d/dt of the samples x (time on axis 0) on the uniform
+    grid ts, at the interior times ts[2:-2]."""
+    dt = ts[1] - ts[0]
+    return (-x[4:] + 8.0 * x[3:-1] - 8.0 * x[1:-3] + x[:-4]) / (12.0 * dt)
+
+
 def vlasov_weak_residual(traj: Trajectory, tests=None, num_points: int = VLASOV_NUM_POINTS) -> float:
     """Weak-form defect of the kinetic equation under the point-mass ansatz.
 
@@ -677,7 +683,6 @@ def vlasov_weak_residual(traj: Trajectory, tests=None, num_points: int = VLASOV_
     if tests is None:
         tests = default_test_functions()
     ts, W, V, A = _weak_form_grid(traj, num_points)
-    dt = ts[1] - ts[0]
     t = ts[:, None]
     m = traj.masses
     worst = 0.0
@@ -689,7 +694,7 @@ def vlasov_weak_residual(traj: Trajectory, tests=None, num_points: int = VLASOV_
                  + (np.conjugate(A) * tf.grad_v(t, W, V)).real),
             axis=1,
         )
-        dg = (-g[4:] + 8.0 * g[3:-1] - 8.0 * g[1:-3] + g[:-4]) / (12.0 * dt)
+        dg = _sampled_derivative(g, ts)
         defect = float(np.mean(np.abs(dg - rhs[2:-2])))
         worst = max(worst, defect)
     return worst

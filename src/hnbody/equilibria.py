@@ -374,11 +374,18 @@ def residual_hyperbolic_cyclic(p: CyclicParams, masses, R: float):
 # Root finding
 # ---------------------------------------------------------------------------
 
+SYMMETRIES = ("none", "axis", "mirror")  # ansatz reductions of the root finder
+
+
 @dataclass(frozen=True)
 class FindOptions:
-    symmetry: str = "none"  # "none" | "axis" | "mirror"
+    symmetry: str = "none"  # one of SYMMETRIES
     tol: float = 1e-10
     max_iter: int = 200
+
+    def __post_init__(self):
+        if self.symmetry not in SYMMETRIES:
+            raise DomainError(f"symmetry must be one of {SYMMETRIES}, got {self.symmetry!r}")
 
 
 _FD_STEP = 1e-7  # relative step of the central-difference Jacobian
@@ -679,14 +686,12 @@ def hyperbolic_contradiction_sides(heights, masses, R: float, k: int | None = No
     return float(lhs), float(rhs), k
 
 
-def _min_gap(values: np.ndarray) -> float:
-    """min |values[i] - values[j]| over i != j, in O(n) memory.
-
-    Rounding is monotone, so for sorted a <= b <= c the computed c - a is at
-    least the computed b - a: the smallest gap is between sorted neighbours,
-    bit for bit the minimum of the full difference table.
-    """
-    return float(np.diff(np.sort(values)).min())
+def _well_separated(values: np.ndarray) -> bool:
+    """True when every two of the positive values differ by more than 1e-6
+    of the larger.  Sorted neighbours suffice: for a < b < c with both
+    neighbour gaps above threshold, c - a exceeds 1e-6 c by at least 1e-6 b."""
+    s = np.sort(values)
+    return bool(np.all(np.diff(s) > 1e-6 * s[1:]))
 
 
 def certify_nonexistence(
@@ -696,7 +701,8 @@ def certify_nonexistence(
 
     Draws axis configurations (sizes log-uniform on [0.1, 10], masses
     log-uniform on [0.1, 10], R from {0.5, 1, 2}, one substream per sample
-    index) and records both sides.  The verdict is true exactly when every
+    index; sizes whose squares are not well separated are redrawn, up to
+    100 times) and records both sides.  The verdict is true exactly when every
     sample has a positive left and a negative right side.
     """
     cls = EquilibriumClass(cls)
@@ -712,8 +718,7 @@ def certify_nonexistence(
         rng = np.random.default_rng([seed, idx])
         for _ in range(100):
             beta = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
-            b2 = beta ** 2
-            if _min_gap(b2) > 1e-6 * float(np.max(b2)):
+            if _well_separated(beta ** 2):
                 break
         else:
             raise ConvergenceError("could not draw a nondegenerate sample")

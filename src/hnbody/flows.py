@@ -25,7 +25,7 @@ from .clifford import (
     exp_subgroup,
     killing_velocity,
 )
-from .dynamics import SystemState, Trajectory, eom_rhs
+from .dynamics import SystemState, Trajectory, _sampled_derivative, eom_rhs
 from .errors import DomainError, PoleError
 from .geometry import apply_mobius, as_points, mobius_derivative, require_upper
 
@@ -48,12 +48,6 @@ def admissible_interval(field: KillingField, w0):
     return (-math.pi / 2 - np.minimum(aa, ab), math.pi / 2 - np.maximum(aa, ab))
 
 
-def _tan_shift(x0, t):
-    """tan(t + arctan(x0)); its callers run _require_admissible first, which
-    keeps t + arctan(x0) off the pole of the characteristic."""
-    return np.tan(t + np.arctan(x0))
-
-
 def _require_admissible(field: KillingField, w0, t):
     """Raise PoleError unless every t lies inside the admissible interval of its point."""
     lo, hi = admissible_interval(field, w0)
@@ -68,60 +62,52 @@ def _require_admissible(field: KillingField, w0, t):
         )
 
 
-def flow(field: KillingField, w0, t):
-    """Point of the flow of ``field`` through w0 at parameter t.
+def _flow_map(field: KillingField, w, t):
+    """Image u + iv of w = x + iy under the time-t flow map, and its partials
+    (du/dx, du/dy, dv/dx, dv/dy).
 
-    normal: e^t w0.  nilpotent: w0 + t.  rotation sigma=-1: the fractional
-    linear rotation image.  sigma=0: real part tan-advected, imaginary part
-    scaled by (1 + u^2)/(1 + u0^2).  sigma=+1: both characteristics
-    u +/- v tan-advected independently.  Arrays of points and parameters
-    broadcast against each other; scalars give a complex number.
-    """
-    w0 = require_upper(w0, "w0")
-    t = np.asarray(t, dtype=float)[()]
-    if field.kind == NORMAL:
-        return np.exp(t) * w0
-    if field.kind == NILPOTENT:
-        return w0 + t
-    if field.sigma == -1:
-        return apply_mobius(exp_subgroup(field, t), w0)
-    _require_admissible(field, w0, t)
-    if field.sigma == 0:
-        u = _tan_shift(w0.real, t)
-        v = w0.imag * (1.0 + u * u) / (1.0 + w0.real ** 2)
-        return u + 1j * v
-    p = _tan_shift(w0.real + w0.imag, t)
-    q = _tan_shift(w0.real - w0.imag, t)
-    return (p + q) / 2.0 + 1j * (p - q) / 2.0
-
-
-def _partials(field: KillingField, w, t: float):
-    """(du/dx, du/dy, dv/dx, dv/dy) of the time-t flow map u + iv at w = x + iy.
-
-    Conformal for the isometric kinds.  For sigma = 0, with u = tan(t + atan x)
-    and k = (1 + u^2)/(1 + x^2): du/dx = dv/dy = k, du/dy = 0 and
-    dv/dx = 2y (1 + u^2)(u - x)/(1 + x^2)^2.  For sigma = +1, u + v and u - v
-    are the tan-shifts p and q of x + y and x - y; with P = (1 + p^2)/(1 + (x+y)^2)
+    normal: e^t w.  nilpotent: w + t.  rotation sigma=-1: the fractional
+    linear rotation image.  These act by isometries, with conformal partials.
+    sigma=0: u = tan(t + atan x) and v = y (1 + u^2)/(1 + x^2); with
+    k = (1 + u^2)/(1 + x^2): du/dx = dv/dy = k, du/dy = 0 and
+    dv/dx = 2y (1 + u^2)(u - x)/(1 + x^2)^2.  sigma=+1: u + v and u - v are
+    the tan-shifts p and q of x + y and x - y; with P = (1 + p^2)/(1 + (x+y)^2)
     and Q = (1 + q^2)/(1 + (x-y)^2): du/dx = dv/dy = (P + Q)/2 and
-    du/dy = dv/dx = (P - Q)/2.
+    du/dy = dv/dx = (P - Q)/2.  These two raise PoleError, before any
+    tan-shift, when a t leaves the admissible interval of its point.
     """
     if field.isometric:
         if field.kind == NORMAL:
-            d = np.exp(t) + 0j
+            e = np.exp(t)
+            image, d = e * w, e + 0j
         elif field.kind == NILPOTENT:
-            d = 1.0 + 0j
+            image, d = w + t, 1.0 + 0j
         else:
-            d = mobius_derivative(exp_subgroup(field, t), w)
-        return d.real, -d.imag, d.imag, d.real
+            A = exp_subgroup(field, t)
+            image, d = apply_mobius(A, w), mobius_derivative(A, w)
+        return image, (d.real, -d.imag, d.imag, d.real)
     _require_admissible(field, w, t)
     x, y = w.real, w.imag
     if field.sigma == 0:
-        u = _tan_shift(x, t)
+        u = np.tan(t + np.arctan(x))
         k = (1.0 + u * u) / (1.0 + x * x)
-        return k, 0.0, 2.0 * y * (1.0 + u * u) * (u - x) / (1.0 + x * x) ** 2, k
-    P = (1.0 + _tan_shift(x + y, t) ** 2) / (1.0 + (x + y) ** 2)
-    Q = (1.0 + _tan_shift(x - y, t) ** 2) / (1.0 + (x - y) ** 2)
-    return (P + Q) / 2.0, (P - Q) / 2.0, (P - Q) / 2.0, (P + Q) / 2.0
+        image = u + 1j * (y * (1.0 + u * u) / (1.0 + x ** 2))
+        return image, (k, 0.0, 2.0 * y * (1.0 + u * u) * (u - x) / (1.0 + x * x) ** 2, k)
+    p = np.tan(t + np.arctan(x + y))
+    q = np.tan(t + np.arctan(x - y))
+    P = (1.0 + p ** 2) / (1.0 + (x + y) ** 2)
+    Q = (1.0 + q ** 2) / (1.0 + (x - y) ** 2)
+    return (p + q) / 2.0 + 1j * (p - q) / 2.0, ((P + Q) / 2.0, (P - Q) / 2.0, (P - Q) / 2.0, (P + Q) / 2.0)
+
+
+def flow(field: KillingField, w0, t):
+    """Point of the flow of ``field`` through w0 at parameter t.
+
+    Arrays of points and parameters broadcast against each other; scalars
+    give a complex number.
+    """
+    w0 = require_upper(w0, "w0")
+    return _flow_map(field, w0, np.asarray(t, dtype=float)[()])[0]
 
 
 def flow_jacobian(field: KillingField, w, t: float):
@@ -130,16 +116,16 @@ def flow_jacobian(field: KillingField, w, t: float):
     An array of points gives shape w.shape + (2, 2).
     """
     w = as_points(w)
-    _, ux, uy, vx, vy = np.broadcast_arrays(w, *_partials(field, w, t))
+    _, ux, uy, vx, vy = np.broadcast_arrays(w, *_flow_map(field, w, t)[1])
     return np.stack([np.stack([ux, uy], axis=-1), np.stack([vx, vy], axis=-1)], axis=-2)
 
 
 def transport(field: KillingField, w, v, t: float):
     """Push positions and velocities through the time-t flow map."""
-    w = as_points(w)
+    w = require_upper(w)
     v = as_points(v)
-    ux, uy, vx, vy = _partials(field, w, t)
-    return flow(field, w, t), (ux * v.real + uy * v.imag) + 1j * (vx * v.real + vy * v.imag)
+    image, (ux, uy, vx, vy) = _flow_map(field, w, t)
+    return image, (ux * v.real + uy * v.imag) + 1j * (vx * v.real + vy * v.imag)
 
 
 def flow_derivative_check(field: KillingField, w0, t: float, h: float = 1e-6):
@@ -214,7 +200,6 @@ def verify_invariance(
         num_points = min(4001, max(201, int(round(span / 0.002)) + 1))
 
     ts = np.linspace(traj.t0, traj.t1, num_points)
-    dt = ts[1] - ts[0]
     W, V = traj.sample_many(ts)
     if isinstance(transport_spec, KillingField):
         label = transport_spec.describe()
@@ -223,7 +208,7 @@ def verify_invariance(
         label = "mobius-element"
         Wt, Vt = apply_mobius(transport_spec, W), mobius_derivative(transport_spec, W) * V
 
-    At = (-Vt[4:] + 8.0 * Vt[3:-1] - 8.0 * Vt[1:-3] + Vt[:-4]) / (12.0 * dt)
+    At = _sampled_derivative(Vt, ts)
     inner = SystemState(ts[2:-2], Wt[2:-2], Vt[2:-2], traj.masses, traj.R)
     per_body = np.abs(At - eom_rhs(inner)).max(axis=0)
     return ResidualReport(

@@ -257,6 +257,15 @@ class TestCertify:
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["sample_count"] == 17
 
+    @pytest.mark.parametrize("cls", ["parabolic-cyclic", "hyperbolic-cyclic"])
+    def test_thousand_bodies_certify(self, tmp_path, cls):
+        doc = {"seed": 1, "certify": {"class": cls, "n": 1000, "samples": 20}}
+        cfg = write_config(tmp_path, doc)
+        code, out = run(tmp_path, "certify", "--config", cfg)
+        assert code == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["verdict"] is True and cert["sample_count"] == 20
+
     def test_zero_samples_exits_one(self, tmp_path):
         doc = {"certify": {"class": "parabolic-cyclic", "n": 2, "samples": 0}}
         cfg = write_config(tmp_path, doc)

@@ -14,7 +14,7 @@ from hnbody.clifford import (
 from hnbody.dynamics import SystemState, theta
 from hnbody.equilibria import (
     _CONDITION_LHS,
-    _min_gap,
+    _well_separated,
     CLASS_DRIFT,
     CyclicParams,
     EquilibriumClass,
@@ -518,6 +518,11 @@ class TestFindEquilibrium:
         )
         assert np.max(np.abs(residual_elliptic_cyclic(state))) < 1e-10
 
+    @pytest.mark.parametrize("symmetry", ["Axis", "", "mirrored", None])
+    def test_unknown_symmetry_is_refused(self, symmetry):
+        with pytest.raises(DomainError, match="symmetry must be one of"):
+            FindOptions(symmetry=symmetry)
+
     @pytest.mark.parametrize(
         "cls",
         [
@@ -617,9 +622,10 @@ class TestCertificates:
             b2 = beta ** 2
             gaps = np.abs(np.subtract.outer(b2, b2))
             gaps[np.diag_indices(n)] = math.inf
-            assert _min_gap(b2) == gaps.min()
-            threshold = 1e-6 * float(np.max(b2))
-            assert (_min_gap(b2) > threshold) == (gaps.min() > threshold)
+            assert _well_separated(b2) == bool(np.all(gaps > 1e-6 * np.maximum.outer(b2, b2)))
+            # every draw the rule scaled by the largest square accepted is still accepted
+            if gaps.min() > 1e-6 * float(np.max(b2)):
+                assert _well_separated(b2)
 
     def test_deterministic_under_seed(self):
         a = certify_nonexistence(EquilibriumClass.PARABOLIC_CYCLIC, 2, 50, seed=3)

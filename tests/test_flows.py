@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hnbody.flows
 from hnbody.clifford import (
     KillingField,
     NILPOTENT_N,
@@ -350,6 +351,58 @@ class TestArrayTransport:
             apply_mobius(exp_subgroup(ROTATION_ELLIPTIC, 0.3), points)
         with pytest.raises(DomainError):
             transport(ROTATION_HYPERBOLIC, points, points, 0.1)
+
+
+ARRAY_POINTS = np.array([0.1 + 0.2j, -0.3 + 1.2j, 0.05 + 0.3j, 1.0 + 1j])
+ARRAY_VELOCITIES = np.array([0.3 - 0.2j, -1.1 + 0.4j, 0.0 + 2.0j, 0.7 + 0.0j])
+
+
+def _counting_pole_tests(monkeypatch):
+    """Count the calls of the flows' one pole test."""
+    calls = []
+    original = hnbody.flows._require_admissible
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(hnbody.flows, "_require_admissible", counted)
+    return calls
+
+
+class TestOneFlowMap:
+    @pytest.mark.parametrize("field", ALL_FIELDS)
+    def test_transport_image_is_the_flow_bit_for_bit(self, field):
+        w, _ = transport(field, ARRAY_POINTS, ARRAY_VELOCITIES, 0.3)
+        assert w.shape == ARRAY_POINTS.shape
+        assert w.tobytes() == flow(field, ARRAY_POINTS, 0.3).tobytes()
+
+    @pytest.mark.parametrize("field", ALL_FIELDS)
+    def test_transport_velocity_is_the_jacobian_product(self, field):
+        _, v = transport(field, ARRAY_POINTS, ARRAY_VELOCITIES, 0.3)
+        J = flow_jacobian(field, ARRAY_POINTS, 0.3)
+        ref = J @ np.stack([ARRAY_VELOCITIES.real, ARRAY_VELOCITIES.imag], axis=-1)[..., None]
+        ref = ref[..., 0, 0] + 1j * ref[..., 1, 0]
+        scale = np.abs(J).max(axis=(-2, -1)) * np.abs(ARRAY_VELOCITIES)
+        assert np.all(np.abs(v - ref) <= 4 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("field", ALL_FIELDS)
+    def test_transport_runs_at_most_one_pole_test(self, field, monkeypatch):
+        calls = _counting_pole_tests(monkeypatch)
+        transport(field, ARRAY_POINTS, ARRAY_VELOCITIES, 0.3)
+        assert len(calls) == (0 if field.isometric else 1)
+
+    @pytest.mark.parametrize("field, t", [(ROTATION_PARABOLIC, 0.8), (ROTATION_HYPERBOLIC, 0.5)],
+                             ids=["sigma0", "sigma1"])
+    def test_point_past_its_pole_raises_one_pole_error(self, field, t, monkeypatch):
+        # only the last point, 1 + i, has its pole before t (pi/4 and pi/2 - atan 2)
+        lo, hi = admissible_interval(field, ARRAY_POINTS)
+        assert np.flatnonzero(hi - _POLE_MARGIN <= t).tolist() == [3]
+        calls = _counting_pole_tests(monkeypatch)
+        with pytest.raises(PoleError, match="leaves the admissible interval") as info:
+            transport(field, ARRAY_POINTS, ARRAY_VELOCITIES, t)
+        assert len(calls) == 1
+        assert info.value.pole_time == hi[3] and info.value.interval == (lo[3], hi[3])
 
 
 class TestFlowSamples:
