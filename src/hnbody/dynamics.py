@@ -5,8 +5,10 @@ model coordinates; its singular set is the zero locus of the pairwise
 function theta.  The motion equations combine the geodesic term with the
 metric gradient of the potential, here kept in the fully explicit closed
 form.  An embedded Runge-Kutta 5(4) pair with cubic Hermite dense output
-integrates the first-order system, and Noether functionals of the three
-isometric subgroups provide conserved-quantity monitors.
+integrates the first-order system; its step size follows Gustafsson's
+predictive controller, which extrapolates the step-size trend into a
+collision.  Noether functionals of the three isometric subgroups provide
+conserved-quantity monitors.
 """
 
 from __future__ import annotations
@@ -29,6 +31,14 @@ ENERGY_COUPLING = 2.0
 
 THETA_FLOOR_SCALE = 1e-12  # singularity guard: theta_min = 1e-12 * scale^4
 VLASOV_NUM_POINTS = 1001  # default grid of vlasov_weak_residual and of the CLI's vlasov.num_points
+_DIVISOR_OVERFLOWS = "the pair kernel divisor 512 max|w|^6 overflows"
+
+
+def _divisor_bound(scale):
+    """512 scale^6, a bound on the pair kernel's divisor theta^{3/2} at positions
+    with max|w| = scale (theta <= 64 max|w|^4).  It is finite for scale below
+    about 8e50; past that an overflowing theta or divisor would hide the force."""
+    return 512.0 * scale * scale * scale * scale * scale * scale
 
 
 @dataclass
@@ -67,12 +77,9 @@ class SystemState:
             raise DomainError("curvature radius must be a positive real")
         if not (self.positions.imag > 0).all():
             raise DomainError("all bodies must lie in the open upper half-plane")
-        # theta <= 64 max|w|^4, so the pair kernel's divisor theta^{3/2} stays below
-        # 512 max|w|^6 (|w| < 8e50): checked in Python floats, which overflow to inf
-        # without a warning; an overflowing theta or divisor would hide the force
-        scale = float(np.abs(self.positions).max(initial=1.0))
-        if not math.isfinite(512.0 * scale * scale * scale * scale * scale * scale):
-            raise DomainError("positions too large: the pair kernel divisor 512 max|w|^6 overflows")
+        # checked in Python floats, which overflow to inf without a warning
+        if not math.isfinite(_divisor_bound(float(np.abs(self.positions).max(initial=1.0)))):
+            raise DomainError(f"positions too large: {_DIVISOR_OVERFLOWS}")
 
     @property
     def n(self) -> int:
@@ -385,13 +392,16 @@ _DP_A = [np.array(a, dtype=complex) for a in (
 )]
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 _DP_E = np.append(_DP_A[6], 0.0) - _DP_B4  # 5th- minus 4th-order weights
+_ERR_ACC_FLOOR = 1e-4  # floor of the remembered error norm in the predictive step-size rule
 
 
 @dataclass(frozen=True)
 class IntegratorStats:
     steps: int
-    rejected: int
+    rejected: int  # all rejected attempts; rejected - stage_failures failed the error test
     min_theta: float
+    rhs_calls: int
+    stage_failures: int  # attempts rejected for a singular stage or one below the real axis
 
 
 @dataclass
@@ -472,9 +482,16 @@ def integrate(
     """Integrate the motion equations from state.t to t_end.
 
     Embedded 5(4) pair with mixed absolute/relative per-component error
-    control at ``tol``; halts with a singularity error if any pair drops
-    below the theta floor, and with a step-size error on underflow or on a
-    non-finite initial derivative, step size or error estimate.
+    control at ``tol``.  After an accepted step the next step is the smaller
+    of the I-controller's proposal h min(5, max(0.2, 0.9 err^-1/5)) and
+    Gustafsson's predictive proposal h max(0.2, 0.9 (h / h_acc)
+    (err_acc / err^2)^1/5) from the previous accepted step (Hairer & Wanner,
+    Solving ODEs II, IV.8); a rejection shrinks the step by
+    max(0.2, 0.9 err^-1/5), a failed stage by 0.25.  Halts with a
+    singularity error if any pair drops below the theta floor, and with a
+    step-size error on underflow, on a non-finite initial derivative, step
+    size or error estimate, or on an accepted state past the position bound
+    of SystemState.
     """
     if state.positions.ndim != 1:
         raise DomainError("integration starts from one state, not a series")
@@ -517,7 +534,9 @@ def integrate(
         raise StepSizeError(f"non-finite step size at t = {t0}")
 
     t = t0
-    steps = rejected = 0
+    steps = rejected = stage_failures = 0
+    rhs_calls = 1
+    h_acc = err_acc = None  # step and floored error norm of the last accepted step
     last_singularity = verdict = None
     k = np.empty((7, 2 * n), dtype=complex)
     size_y = np.abs(y)
@@ -547,9 +566,11 @@ def integrate(
             except DomainError:
                 failed = True
                 break
+        rhs_calls += i  # stages 1 to i ran
         if failed:
             h *= 0.25
             rejected += 1
+            stage_failures += 1
             continue
         y5, size_y5 = yi, np.abs(yi)
         e = h * (_DP_E @ k)
@@ -569,14 +590,26 @@ def integrate(
             steps += 1
             theta_y = stage_theta
             min_theta = min(min_theta, theta_y)
-            h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 1e-30 else 5.0
+            if err > 1e-30:
+                factor = min(5.0, max(0.2, 0.9 * err ** -0.2))
+                if h_acc is not None:
+                    factor = min(factor, max(0.2, 0.9 * (h / h_acc) * (err_acc / (err * err)) ** 0.2))
+            else:
+                factor = 5.0
+            h_acc, err_acc = h, max(err, _ERR_ACC_FLOOR)
+            h *= factor
         else:
             rejected += 1
             h *= max(0.2, 0.9 * err ** -0.2)
 
+    times, ys = np.array(times), np.array(ys)
+    # the position bound of SystemState over the accepted nodes, checked once
+    past = ~np.isfinite(_divisor_bound(np.abs(ys[:, :n]).max(axis=1)))
+    if past.any():
+        raise StepSizeError(f"positions too large at t = {times[past.argmax()]}: {_DIVISOR_OVERFLOWS}")
     traj = Trajectory(
-        np.array(times), np.array(ys), np.array(fs), masses, R,
-        IntegratorStats(steps, rejected, float(min_theta)),
+        times, ys, np.array(fs), masses, R,
+        IntegratorStats(steps, rejected, float(min_theta), rhs_calls, stage_failures),
     )
     if verdict is not None:
         verdict.trajectory = traj

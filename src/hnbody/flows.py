@@ -115,7 +115,7 @@ def flow_jacobian(field: KillingField, w, t: float):
 
     An array of points gives shape w.shape + (2, 2).
     """
-    w = as_points(w)
+    w = require_upper(w)
     _, ux, uy, vx, vy = np.broadcast_arrays(w, *_flow_map(field, w, t)[1])
     return np.stack([np.stack([ux, uy], axis=-1), np.stack([vx, vy], axis=-1)], axis=-2)
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -631,6 +632,26 @@ def test_non_finite_derivative_exits_three(tmp_path):
     err = json.loads(proc.stdout)["error"]
     assert err["code"] == "integrator-failure"
     assert err["message"] == "non-finite derivative at t = 0.0"
+
+
+def test_bodies_drifting_past_the_position_bound_exit_three(tmp_path):
+    # both bodies start inside |w| < 8e50 and separate past it near t = 0.33,
+    # where the pair kernel divisor would overflow and hide the force
+    doc = {"R": 1.0, "masses": [1.0, 1.0], "bodies": [[0, 4e50, 0, 4e50], [1e50, 6e50, 0, 6e50]],
+           "integrator": {"tol": 1e-8, "t_end": 2.0}}
+    cfg = write_config(tmp_path, doc)
+    src = os.path.dirname(os.path.dirname(hnbody.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hnbody", "simulate", "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    err = json.loads(proc.stdout)["error"]  # one JSON object and nothing else
+    assert err["code"] == "integrator-failure"
+    assert re.fullmatch(r"positions too large at t = 0\.3\d*: the pair kernel divisor 512 max\|w\|\^6 overflows",
+                        err["message"])
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
 def _transport(**section):

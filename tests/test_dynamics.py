@@ -396,6 +396,13 @@ class TestIntegrate:
             stats = info.value.trajectory.stats
             assert stats.steps < 500
             assert stats.steps + stats.rejected < 1000
+            if tol == 1e-8:
+                # the predictive controller follows the shrinking step without
+                # alternating accept and reject (the I-controller made 206 + 201)
+                assert stats.steps + stats.rejected <= 250
+                assert stats.rejected <= 20
+                assert stats.stage_failures <= stats.rejected
+                assert stats.rhs_calls <= 1 + 6 * (stats.steps + stats.rejected)
 
     def test_step_underflow_verdict_carries_the_theta_of_the_last_state(self):
         # at R = 1e-6 the approach takes t ~ 3e-4, where h falls below the
@@ -491,8 +498,12 @@ class TestArraySampling:
 
 class TestConservation:
     def test_two_body_drift(self):
+        # the README orbit; the predictive step-size rule seldom binds on it,
+        # so it keeps the 3,277 steps of the I-controller alone within 5%
         s = two_body([1j, 2j], (0.6 + 0j, -0.6 + 0j))
         traj = integrate(s, 10.0, tol=1e-10)
+        assert abs(traj.stats.steps - 3277) <= 0.05 * 3277
+        assert traj.stats.rhs_calls == 1 + 6 * (traj.stats.steps + traj.stats.rejected)
         e0 = conserved(traj.samples[0]).energy
         j0 = conserved(traj.samples[0]).momenta
         for state in traj.samples[:: max(1, len(traj.times) // 200)]:

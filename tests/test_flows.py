@@ -219,6 +219,11 @@ class TestTransport:
         with pytest.raises(PoleError):
             flow_jacobian(ROTATION_PARABOLIC, 1.0 + 1j, 1.2)  # the pole is at pi/4
 
+    @pytest.mark.parametrize("field", ALL_FIELDS)
+    def test_jacobian_below_the_real_axis_raises(self, field):
+        with pytest.raises(DomainError, match="open upper half-plane"):
+            flow_jacobian(field, 0.3 - 1j, 0.1)
+
 
 @pytest.fixture(scope="module")
 def geodesic_traj():

@@ -29,7 +29,7 @@ def _awkward_trajectory(n=3, nodes=5, bad=None):
     if bad is not None:
         ys[2, 1] = complex(0.5, bad)
     times = np.array([-0.0, 5e-324, 0.1, 1.0, 1e300])[:nodes]
-    return Trajectory(times, ys, np.zeros_like(ys), np.ones(n), 1.0, IntegratorStats(nodes - 1, 0, 1.0))
+    return Trajectory(times, ys, np.zeros_like(ys), np.ones(n), 1.0, IntegratorStats(nodes - 1, 0, 1.0, 1 + 6 * (nodes - 1), 0))
 
 
 def test_trajectory_csv_matches_fmt_float():
