@@ -105,9 +105,9 @@ def _integer(value, path: str, minimum=None) -> int:
     return value
 
 
-# The one upper bound of the count fields: flow.num, certify.n,
-# certify.samples (also from --samples), invariance.num_points, map.samples
-# and vlasov.num_points.  A count above it is a validation error.
+# The one upper bound of the count fields: flow.num, certify.n, certify.samples (also
+# from --samples), map.samples, invariance.num_points and vlasov.num_points (at least
+# this many evaluation points, the steps split evenly); above it is a validation error.
 MAX_COUNT = 100_000
 
 
@@ -425,7 +425,7 @@ def cmd_vlasov(args, doc: dict) -> list[str]:
     num_points = _count(section.get("num_points", VLASOV_NUM_POINTS), "vlasov.num_points", 21)
     state = _system_state(doc)
     traj = integrate(state, **_integrator(doc))
-    # the weak-form grid is built once per trajectory and shared by the tests
+    # the evaluation points are built once per trajectory and shared by the tests
     per_test = {
         tf.name: float(vlasov_weak_residual(traj, tests=(tf,), num_points=num_points))
         for tf in default_test_functions()

@@ -133,11 +133,6 @@ class MobiusElement:
     def identity(cls) -> "MobiusElement":
         return cls(1.0, 0.0, 0.0, 1.0)
 
-    @classmethod
-    def from_rows(cls, rows) -> "MobiusElement":
-        (a, b), (c, d) = rows
-        return cls(float(a), float(b), float(c), float(d))
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 

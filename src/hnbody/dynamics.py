@@ -30,7 +30,7 @@ GRADIENT_SIGN = -1.0
 ENERGY_COUPLING = 2.0
 
 THETA_FLOOR_SCALE = 1e-12  # singularity guard: theta_min = 1e-12 * scale^4
-VLASOV_NUM_POINTS = 1001  # default grid of vlasov_weak_residual and of the CLI's vlasov.num_points
+VLASOV_NUM_POINTS = 1001  # default of vlasov_weak_residual and of the CLI's vlasov.num_points
 _DIVISOR_OVERFLOWS = "the pair kernel divisor 512 max|w|^6 overflows"
 
 
@@ -419,8 +419,8 @@ class Trajectory:
     masses: np.ndarray
     R: float
     stats: IntegratorStats
-    # weak-form grids by size (vlasov_weak_residual)
-    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # evaluation points by parts per step (_step_points)
+    _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -458,10 +458,6 @@ class Trajectory:
         """Positions and velocities at time t."""
         w, v = self.sample_many([t])
         return w[0], v[0]
-
-    def state_at(self, t: float) -> SystemState:
-        w, v = self.sample(t)
-        return SystemState(t, w, v, self.masses, self.R)
 
     @property
     def samples(self):
@@ -679,24 +675,25 @@ def default_test_functions() -> tuple:
     )
 
 
-def _weak_form_grid(traj: Trajectory, num_points: int):
-    """(ts, W, V, A) on the uniform grid of num_points over the span, with A
-    the accelerations of the motion equations; built once per trajectory
-    and grid size."""
-    grid = traj._grids.get(num_points)
-    if grid is None:
-        ts = np.linspace(traj.t0, traj.t1, num_points)
-        W, V = traj.sample_many(ts)
-        A = eom_rhs(SystemState(ts, W, V, traj.masses, traj.R))
-        grid = traj._grids[num_points] = (ts, W, V, A)
-    return grid
-
-
-def _sampled_derivative(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """4th-order central d/dt of the samples x (time on axis 0) on the uniform
-    grid ts, at the interior times ts[2:-2]."""
-    dt = ts[1] - ts[0]
-    return (-x[4:] + 8.0 * x[3:-1] - 8.0 * x[1:-3] + x[:-4]) / (12.0 * dt)
+def _step_points(traj: Trajectory, num_points: int | None = None, per_part: int = 1):
+    """(ts, W, V, A), A the motion equations' acceleration, at the accepted nodes (ys
+    and fs themselves) and at the points that split every step into per_part * m
+    equal parts, m the fewest that give at least num_points points (1 for None);
+    the split points cost one sample_many and one eom_rhs call per trajectory."""
+    steps = len(traj.times) - 1
+    parts = per_part * (1 if num_points is None else max(1, -(-(num_points - 1) // steps)))
+    points = traj._points.get(parts)
+    if points is None:
+        n, nodes = traj.n, traj.times
+        ts = np.append((nodes[:-1, None] + np.arange(parts) / parts * np.diff(nodes)[:, None]).ravel(), nodes[-1])
+        W, V, A = (np.empty((len(ts), n), dtype=complex) for _ in range(3))
+        W[::parts], V[::parts], A[::parts] = traj.ys[:, :n], traj.ys[:, n:], traj.fs[:, n:]
+        if parts > 1:
+            inner = np.arange(len(ts)) % parts != 0
+            W[inner], V[inner] = traj.sample_many(ts[inner])
+            A[inner] = eom_rhs(SystemState(ts[inner], W[inner], V[inner], traj.masses, traj.R))
+        points = traj._points[parts] = (ts, W, V, A)
+    return points
 
 
 def vlasov_weak_residual(traj: Trajectory, tests=None, num_points: int = VLASOV_NUM_POINTS) -> float:
@@ -708,14 +705,16 @@ def vlasov_weak_residual(traj: Trajectory, tests=None, num_points: int = VLASOV_
         d/dt sum_i m_i phi(t, X_i, V_i)
             = sum_i m_i [dphi/dt + <V_i, grad_x phi> + <a_i, grad_v phi>],
 
-    with a_i the acceleration delivered by the motion equations.  The left
-    side is taken by 4th-order central differences on a uniform grid; the
-    returned value is the largest time-averaged absolute defect over the
-    test-function library.
+    with a_i the acceleration delivered by the motion equations.  Per accepted
+    step, the change of the left side between its nodes is compared with
+    composite Simpson of the right side over the 2m pieces of _step_points;
+    the result is the largest sum of |defect| / span over the test functions.
     """
     if tests is None:
         tests = default_test_functions()
-    ts, W, V, A = _weak_form_grid(traj, num_points)
+    ts, W, V, A = _step_points(traj, num_points, per_part=2)
+    pieces = (len(ts) - 1) // (len(traj.times) - 1)
+    h = np.diff(traj.times) / (3.0 * pieces)
     t = ts[:, None]
     m = traj.masses
     worst = 0.0
@@ -727,7 +726,8 @@ def vlasov_weak_residual(traj: Trajectory, tests=None, num_points: int = VLASOV_
                  + (np.conjugate(A) * tf.grad_v(t, W, V)).real),
             axis=1,
         )
-        dg = _sampled_derivative(g, ts)
-        defect = float(np.mean(np.abs(dg - rhs[2:-2])))
+        r = rhs[:-1].reshape(-1, pieces)  # row i: step i's points but its last
+        integral = h * (r[:, 0] + 4.0 * r[:, 1::2].sum(1) + 2.0 * r[:, 2::2].sum(1) + rhs[pieces::pieces])
+        defect = float(np.sum(np.abs(np.diff(g[::pieces]) - integral)) / (traj.t1 - traj.t0))
         worst = max(worst, defect)
     return worst

@@ -5,14 +5,14 @@ half-plane; the parabolic and hyperbolic rotation flavours have explicit
 closed forms through the change of variable s = tan t, with poles where a
 characteristic tangent blows up.  ``verify_invariance`` implements the
 relative-equilibrium definition operationally: transport an integrated
-trajectory by a subgroup element and measure how badly the transported
-curve violates the motion equations.
+trajectory by a subgroup element and measure, at the accepted nodes, how
+badly the transported curve violates the motion equations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .clifford import (
     exp_subgroup,
     killing_velocity,
 )
-from .dynamics import SystemState, Trajectory, _sampled_derivative, eom_rhs
+from .dynamics import SystemState, Trajectory, _step_points, eom_rhs
 from .errors import DomainError, PoleError
 from .geometry import apply_mobius, as_points, mobius_derivative, require_upper
 
@@ -167,13 +167,15 @@ class ResidualReport:
     num_points: int
 
     def to_dict(self) -> dict:
-        return {
-            "transport": self.transport,
-            "group_time": self.group_time,
-            "max_residual": self.max_residual,
-            "per_body": list(self.per_body),
-            "num_points": self.num_points,
-        }
+        return asdict(self)
+
+
+def _tan_shift_partials(phi, s):
+    """phi', phi'' and phi''' of the tan-shift phi(s) = tan(t + atan s), from phi."""
+    ds = 1.0 + s * s
+    d1 = (1.0 + phi * phi) / ds
+    d2 = 2.0 * d1 * (phi - s) / ds
+    return d1, d2, 2.0 * (d2 * (phi - 2.0 * s) + d1 * (d1 - 1.0)) / ds
 
 
 def verify_invariance(
@@ -184,39 +186,42 @@ def verify_invariance(
 ) -> ResidualReport:
     """Transport a trajectory by a subgroup element and test it as a solution.
 
-    Positions move through the flow, velocities through its spatial
-    differential; the transported accelerations come from 4th-order finite
-    differences of the dense-output samples, and the report carries the
-    maximal defect against the motion equations over the interior grid.
+    Positions move through the flow, velocities through its differential, and
+    the accelerations stored at the accepted nodes by the chain rule: through
+    g' = den^-2 and g'' = -2c den^-3 for an isometry g = (aw + b)/(den = cw + d),
+    through J A + H[V, V] for the sigma = 0 and +1 rotations, H the second
+    partials of the tan-shift phi (u = phi(x), v = y phi'(x) for sigma = 0,
+    u +- v = phi(x +- y) for +1).  The report carries the largest defect against
+    the motion equations at the transported nodes, or at the points of
+    _step_points if num_points asks for more, and the number of points checked.
     """
-    if not isinstance(transport_spec, (KillingField, MobiusElement)):
+    spec = transport_spec
+    if not isinstance(spec, (KillingField, MobiusElement)):
         raise DomainError("transport must be a KillingField or a MobiusElement")
-    span = traj.t1 - traj.t0
-    if not span > 0:
+    if not traj.t1 - traj.t0 > 0:
         raise DomainError("trajectory must span a positive time interval")
-    if num_points is None:
-        # grid fine enough that the 4th-order stencil truncation stays
-        # below ~1e-9 for order-one orbits
-        num_points = min(4001, max(201, int(round(span / 0.002)) + 1))
-
-    ts = np.linspace(traj.t0, traj.t1, num_points)
-    W, V = traj.sample_many(ts)
-    if isinstance(transport_spec, KillingField):
-        label = transport_spec.describe()
-        Wt, Vt = transport(transport_spec, W, V, group_time)
+    ts, W, V, A = _step_points(traj, num_points)
+    if isinstance(spec, MobiusElement) or spec.isometric:
+        g = spec if isinstance(spec, MobiusElement) else exp_subgroup(spec, group_time)
+        den = g.c * W + g.d
+        Wt, Vt, At = apply_mobius(g, W), V / (den * den), (A - 2.0 * g.c * V * V / den) / (den * den)
     else:
-        label = "mobius-element"
-        Wt, Vt = apply_mobius(transport_spec, W), mobius_derivative(transport_spec, W) * V
-
-    At = _sampled_derivative(Vt, ts)
-    inner = SystemState(ts[2:-2], Wt[2:-2], Vt[2:-2], traj.masses, traj.R)
-    per_body = np.abs(At - eom_rhs(inner)).max(axis=0)
+        Wt, (Vt, At) = transport(spec, W, np.stack([V, A]), group_time)
+        x, y, a, b = W.real, W.imag, V.real, V.imag
+        if spec.sigma == 0:
+            _, d2, d3 = _tan_shift_partials(Wt.real, x)
+            At += d2 * a * a + 1j * (y * d3 * a * a + 2.0 * d2 * a * b)
+        else:
+            hp = _tan_shift_partials(Wt.real + Wt.imag, x + y)[1] * (a + b) ** 2
+            hm = _tan_shift_partials(Wt.real - Wt.imag, x - y)[1] * (a - b) ** 2
+            At += (hp + hm) / 2.0 + 1j * (hp - hm) / 2.0
+    per_body = np.abs(At - eom_rhs(SystemState(ts, Wt, Vt, traj.masses, traj.R))).max(axis=0)
     return ResidualReport(
-        transport=label,
+        transport=spec.describe() if isinstance(spec, KillingField) else "mobius-element",
         group_time=float(group_time),
         max_residual=float(per_body.max()),
         per_body=tuple(float(x) for x in per_body),
-        num_points=num_points,
+        num_points=len(ts),
     )
 
 

@@ -440,7 +440,7 @@ class TestVlasov:
 
 
     def test_six_tests_share_one_sampled_grid(self, tmp_path, monkeypatch):
-        from hnbody.dynamics import Trajectory, default_test_functions
+        from hnbody.dynamics import SystemState, Trajectory, default_test_functions, integrate
 
         calls = []
         sample_many = Trajectory.sample_many
@@ -455,7 +455,12 @@ class TestVlasov:
         assert code == 0
         rep = json.loads((out / "vlasov.json").read_text())
         assert len(rep["per_test"]) == len(default_test_functions()) == 6
-        assert calls == [101]
+        # 101 points need no split of the steps, so Simpson adds one midpoint per step
+        bodies = [complex(re, im) for re, im, _, _ in SIMULATE_DOC["bodies"]]
+        velocities = [complex(vre, vim) for _, _, vre, vim in SIMULATE_DOC["bodies"]]
+        traj = integrate(SystemState(0.0, bodies, velocities, SIMULATE_DOC["masses"], 1.0), 1.0, tol=1e-10)
+        assert traj.stats.steps >= 100
+        assert calls == [traj.stats.steps]
 
 
 class TestDeterminism:

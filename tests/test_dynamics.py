@@ -9,6 +9,7 @@ from hnbody.clifford import exp_subgroup, NORMAL_A, NILPOTENT_N, random_unimodul
 from hnbody.dynamics import (
     ConservedQuantities,
     SystemState,
+    Trajectory,
     conserved,
     cotangent_potential,
     eom_interaction,
@@ -551,27 +552,54 @@ class TestVlasovWeakForm:
         traj = integrate(elliptic_pair, 2.0, tol=1e-12, max_step=0.005)
         assert vlasov_weak_residual(traj, num_points=1001) < 1e-6
 
+    def test_readme_orbit(self):
+        s = SystemState(0.0, [1j, 2j], [0.6 + 0j, -0.6 + 0j], [1.0, 1.0], 1.0)
+        assert vlasov_weak_residual(integrate(s, 10.0, tol=1e-10)) < 1e-4
+
+    def test_perturbed_node_raises_the_residual(self, elliptic_pair):
+        traj = integrate(elliptic_pair, 2.0, tol=1e-12, max_step=0.005)
+        clean = vlasov_weak_residual(traj, num_points=1001)
+        ys = traj.ys.copy()
+        ys[len(ys) // 2, 0] += 1e-6
+        bent = Trajectory(traj.times, ys, traj.fs, traj.masses, traj.R, traj.stats)
+        assert clean < 1e-8
+        assert vlasov_weak_residual(bent, num_points=1001) > 1e-7
+
+    def test_refining_keeps_the_residual(self, elliptic_pair):
+        traj = integrate(elliptic_pair, 2.0, tol=1e-12, max_step=0.005)
+        coarse, fine = (vlasov_weak_residual(traj, num_points=num) for num in (21, 5001))
+        assert abs(fine - coarse) <= 0.1 * coarse
+
     def test_matches_per_point_reference(self):
         from hnbody.dynamics import default_test_functions
 
         s = SystemState(0.0, [1j, 2j, 0.5 + 1.5j], [0.6 + 0j, -0.6 + 0j, 0.1j], [1.0, 0.5, 2.0], 1.0)
         traj = integrate(s, 1.0, tol=1e-10)
-        ts = np.linspace(traj.t0, traj.t1, 201)
+        num = 201
+        pieces = 2 * math.ceil((num - 1) / (len(traj.times) - 1))  # Simpson over 2m pieces per step
         m = traj.masses
+        steps = []  # per step: its width and (t, w, v, a) at its pieces + 1 points
+        for t0, t1 in zip(traj.times[:-1], traj.times[1:]):
+            points = []
+            for t in [t0 + j / pieces * (t1 - t0) for j in range(pieces)] + [t1]:
+                w, v = traj.sample(t)
+                points.append((t, w, v, eom_rhs(SystemState(t, w, v, traj.masses, traj.R))))
+            steps.append((t1 - t0, points))
         for tf in default_test_functions():
-            g, rhs = np.zeros(ts.size), np.zeros(ts.size)
-            for i, t in enumerate(ts):
-                state = traj.state_at(t)
-                a = eom_rhs(state)
-                for k in range(traj.n):
-                    x, v = complex(state.positions[k]), complex(state.velocities[k])
-                    g[i] += m[k] * tf.value(t, x, v)
-                    rhs[i] += m[k] * (tf.dt(t, x, v) + (np.conjugate(v) * tf.grad_x(t, x, v)).real
-                                      + (np.conjugate(a[k]) * tf.grad_v(t, x, v)).real)
-            dg = (-g[4:] + 8.0 * g[3:-1] - 8.0 * g[1:-3] + g[:-4]) / (12.0 * (ts[1] - ts[0]))
-            expected = np.mean(np.abs(dg - rhs[2:-2]))
-            got = vlasov_weak_residual(traj, tests=(tf,), num_points=201)
-            assert got == pytest.approx(expected, rel=1e-12, abs=1e-15), tf.name
+            total = 0.0
+            for h, points in steps:
+                g, rhs = np.zeros(pieces + 1), np.zeros(pieces + 1)
+                for i, (t, w, v, a) in enumerate(points):
+                    for k in range(traj.n):
+                        x, vk = complex(w[k]), complex(v[k])
+                        g[i] += m[k] * tf.value(t, x, vk)
+                        rhs[i] += m[k] * (tf.dt(t, x, vk) + (np.conjugate(vk) * tf.grad_x(t, x, vk)).real
+                                          + (np.conjugate(a[k]) * tf.grad_v(t, x, vk)).real)
+                simpson = rhs[0] + rhs[-1] + sum((4.0 if j % 2 else 2.0) * rhs[j] for j in range(1, pieces))
+                total += abs(g[-1] - g[0] - h / (3.0 * pieces) * simpson)
+            expected = total / (traj.t1 - traj.t0)
+            got = vlasov_weak_residual(traj, tests=(tf,), num_points=num)
+            assert got == pytest.approx(expected, rel=1e-9, abs=1e-15), tf.name
 
 
 class TestSystemStateValidation:

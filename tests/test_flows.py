@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hnbody.dynamics
 import hnbody.flows
 from hnbody.clifford import (
     KillingField,
@@ -270,11 +271,49 @@ class TestVerifyInvariance:
         assert rep.max_residual > 1e-4
 
     def test_report_shape(self, geodesic_traj):
+        # 301 points on 250 steps split every step in two: 501 points checked
+        assert len(geodesic_traj.times) == 251
         rep = verify_invariance(geodesic_traj, NORMAL_A, 0.3, num_points=301)
-        assert rep.num_points == 301
+        assert rep.num_points == 501
+        assert verify_invariance(geodesic_traj, NORMAL_A, 0.3).num_points == 251
         assert len(rep.per_body) == 1
         d = rep.to_dict()
         assert d["transport"] == "normal"
+
+
+@pytest.fixture(scope="module")
+def readme_orbit():
+    """The README's sim.json orbit: two bodies passing each other, t in [0, 10]."""
+    s = SystemState(0.0, [1j, 2j], [0.6 + 0j, -0.6 + 0j], [1.0, 1.0], 1.0)
+    return integrate(s, 10.0, tol=1e-10)
+
+
+class TestExactOracles:
+    @pytest.mark.parametrize("spec, tau", [
+        (ROTATION_ELLIPTIC, 0.7), (NORMAL_A, 0.7), (NILPOTENT_N, 0.7),
+        (exp_subgroup(NORMAL_A, 0.5) @ exp_subgroup(ROTATION_ELLIPTIC, 0.5), 0.5),
+    ], ids=["elliptic", "normal", "nilpotent", "loxodromic"])
+    def test_isometries_keep_the_readme_orbit_a_solution(self, readme_orbit, spec, tau):
+        assert verify_invariance(readme_orbit, spec, tau).max_residual < 1e-9
+
+    def test_hyperbolic_rotation_breaks_the_readme_orbit(self, readme_orbit):
+        assert verify_invariance(readme_orbit, ROTATION_HYPERBOLIC, 0.1).max_residual > 1.0
+
+    def test_nodes_cost_one_eom_rhs_call_on_the_transported_nodes(self, monkeypatch):
+        calls = []
+
+        def counted(state):
+            calls.append(state)
+            return eom_rhs(state)
+
+        monkeypatch.setattr(hnbody.flows, "eom_rhs", counted)
+        monkeypatch.setattr(hnbody.dynamics, "eom_rhs", counted)
+        traj = integrate(SystemState(0.0, [1j, 2j], [0.6 + 0j, -0.6 + 0j], [1.0, 1.0], 1.0), 1.0, tol=1e-10)
+        rep = verify_invariance(traj, ROTATION_ELLIPTIC, 0.7)
+        assert rep.num_points == len(traj.times) and len(calls) == 1
+        n, g = traj.n, exp_subgroup(ROTATION_ELLIPTIC, 0.7)
+        assert np.array_equal(calls[0].t, traj.times)
+        assert np.array_equal(calls[0].positions, apply_mobius(g, traj.ys[:, :n]))
 
 
 def _transport_per_point(spec, W, V, tau):
@@ -308,17 +347,29 @@ class TestArrayTransport:
 
     @pytest.mark.parametrize("spec", TRANSPORTS)
     def test_report_matches_per_point_reference(self, elliptic_traj, spec):
-        tau, num = 0.2, 201
-        rep = verify_invariance(elliptic_traj, spec, tau, num_points=num)
-        ts = np.linspace(elliptic_traj.t0, elliptic_traj.t1, num)
-        Wt, Vt = _transport_per_point(spec, *elliptic_traj.sample_many(ts), tau)
-        At = (-Vt[4:] + 8.0 * Vt[3:-1] - 8.0 * Vt[1:-3] + Vt[:-4]) / (12.0 * (ts[1] - ts[0]))
-        per_body = np.zeros(elliptic_traj.n)
-        for i in range(At.shape[0]):
-            state = SystemState(ts[i + 2], Wt[i + 2], Vt[i + 2], elliptic_traj.masses, elliptic_traj.R)
-            per_body = np.maximum(per_body, np.abs(At[i] - eom_rhs(state)))
-        assert np.max(np.abs(np.array(rep.per_body) - per_body)) <= 1e-10
-        assert abs(rep.max_residual - per_body.max()) <= 1e-10
+        # at every node, the curve w + e v + e^2 a / 2 through the node's position,
+        # velocity and acceleration is pushed through the transport, and its
+        # central differences in e give the transported velocity and acceleration
+        tau, eps, traj = 0.2, 3e-4, elliptic_traj
+        n = traj.n
+
+        def moved(w):
+            return flow(spec, w, tau) if isinstance(spec, KillingField) else apply_mobius(spec, w)
+
+        rep = verify_invariance(traj, spec, tau)
+        per_body = np.zeros(n)
+        for t, y, f in zip(traj.times, traj.ys, traj.fs):
+            Wt, Vt, At = (np.empty(n, dtype=complex) for _ in range(3))
+            for k in range(n):
+                w, v, a = complex(y[k]), complex(y[n + k]), complex(f[n + k])
+                ahead, here, back = (moved(w + e * v + e * e * a / 2.0) for e in (eps, 0.0, -eps))
+                Wt[k], Vt[k], At[k] = here, (ahead - back) / (2.0 * eps), (ahead - 2.0 * here + back) / eps ** 2
+            state = SystemState(float(t), Wt, Vt, traj.masses, traj.R)
+            per_body = np.maximum(per_body, np.abs(At - eom_rhs(state)))
+        assert rep.num_points == len(traj.times)
+        tol = 1e-6 * max(1.0, per_body.max())
+        assert np.max(np.abs(np.array(rep.per_body) - per_body)) <= tol
+        assert abs(rep.max_residual - per_body.max()) <= tol
 
     def test_flow_grid_matches_per_point(self):
         points = np.array([0.2 + 0.5j, -0.3 + 1.2j, 0.05 + 0.3j])
