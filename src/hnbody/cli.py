@@ -109,6 +109,9 @@ def _integer(value, path: str, minimum=None) -> int:
 # from --samples), map.samples, invariance.num_points and vlasov.num_points (at least
 # this many evaluation points, the steps split evenly); above it is a validation error.
 MAX_COUNT = 100_000
+# The bound on certify.n * certify.samples: the heights, masses and sides of every
+# sample are held at once, so this caps each array at 8 MB.
+MAX_CERTIFY_WORK = 1_000_000
 
 
 def _count(value, path: str, minimum: int) -> int:
@@ -319,6 +322,10 @@ def cmd_certify(args, doc: dict) -> list[str]:
     if samples is None:
         raise ValidationError("certify.samples", "missing required field")
     samples = _count(samples, "certify.samples", 1)
+    if n * samples > MAX_CERTIFY_WORK:
+        raise ValidationError(
+            "certify.samples", f"must be <= {MAX_CERTIFY_WORK // n} at n = {n} (n * samples <= {MAX_CERTIFY_WORK})"
+        )
     cert = certify_nonexistence(cls, n, samples, seed=_seed(doc, args))
     payload = cert.to_dict()
     if cls is EquilibriumClass.PARABOLIC_CYCLIC:

@@ -633,29 +633,44 @@ class NonexistenceCertificate:
         }
 
 
-def parabolic_contradiction_sides(beta, masses, R: float, k: int = 0):
-    """Two sides of the parabolic-cyclic axis identity.
+def _axis_row(heights: np.ndarray, k: np.ndarray):
+    """Pair tables of the axis body i h_k against every axis body i h_j, per sample of
+    shape (..., n) and body k of shape (...), their divisors theta^{3/2} and h_k.
+
+    theta_kk is +inf, as in _inf_diag, so the terms j = k vanish.  On the axis
+    theta = 4 (h_k - h_j)^2 (h_k + h_j)^2, so a zero divisor (DomainError)
+    means a body j != k with h_j^2 = h_k^2.
+    """
+    hk = np.take_along_axis(heights, k[..., None], axis=-1)
+    tables = _pair_tables(1j * hk, 1j * heights)
+    th = tables.theta
+    np.put_along_axis(th, k[..., None], math.inf, axis=-1)
+    divisor = th * np.sqrt(th)
+    if not divisor.all():
+        raise DomainError("degenerate sample: another body has the squared height of body k")
+    return tables, divisor, hk[..., 0]
+
+
+def parabolic_contradiction_sides(beta, masses, R, k: int = 0):
+    """Two sides of the parabolic-cyclic axis identity, for one sample of shape
+    (n,) or a stack of shape (S, n) (masses alike, R a float or one per sample).
 
     For bodies at i*beta_j (all alpha = 0, s = 0) the condition forces
     R/(64 beta_k^2) = -sum_{j != k} m_j beta_j^2 / (4 (beta_j^2 - beta_k^2)^2);
-    the left side is positive, the right side negative, for every k.
+    the left side is positive, the right side negative, for every k.  The
+    denominator is the pair kernel's theta_kj, free of cancellation.
     """
     beta = np.asarray(beta, dtype=float)
-    m = np.asarray(masses, dtype=float)
-    lhs = R / (64.0 * beta[k] ** 2)
-    rhs = 0.0
-    for j in range(beta.size):
-        if j == k:
-            continue
-        gap = beta[j] ** 2 - beta[k] ** 2
-        if gap == 0:
-            raise DomainError("degenerate sample: equal beta values")
-        rhs -= m[j] * beta[j] ** 2 / (4.0 * gap ** 2)
-    return float(lhs), float(rhs)
+    tables, _, bk = _axis_row(beta, np.full(beta.shape[:-1], k))
+    lhs = R / (64.0 * (bk * bk))
+    rhs = -np.add.reduce(np.asarray(masses, dtype=float) * beta * beta / tables.theta, axis=-1)
+    return (lhs.item(), rhs.item()) if beta.ndim == 1 else (lhs, rhs)
 
 
-def hyperbolic_contradiction_sides(heights, masses, R: float, k: int | None = None):
-    """Two sides of the hyperbolic-cyclic axis identity.
+def hyperbolic_contradiction_sides(heights, masses, R, k=None):
+    """Two sides of the hyperbolic-cyclic axis identity and the body k, for one
+    sample of shape (n,) or a stack of shape (S, n) (masses alike, R a float or
+    one per sample).
 
     Axis bodies at i*v_j correspond to alpha_j = -beta_j = v_j.  With k the
     topmost body,
@@ -664,34 +679,18 @@ def hyperbolic_contradiction_sides(heights, masses, R: float, k: int | None = No
       rhs = -(2 (alpha_k - beta_k)^3 / R) sum_j (alpha_j - beta_j)^2 m_j
             (D_k^2 - D_j^2) / Theta^{3/2}                          < 0,
     the imaginary left and right sides of residual_hyperbolic_cyclic at
-    s = 0 for body k.
+    s = 0 for body k.  D_k^2 - D_j^2 is the pair kernel's dy sy.
     """
     v = np.asarray(heights, dtype=float)
-    m = np.asarray(masses, dtype=float)
-    if k is None:
-        k = int(np.argmax(v))
-    alpha, beta = v, -v
-    dk = alpha[k] - beta[k]
-    lhs = dk * (1.0 + beta[k] ** 2) + 2.0 * (1.0 + alpha[k] ** 2) * (1.0 + beta[k] ** 2) / dk
-    th_k = _pair_tables(1j * v[k], 1j * v).theta
-    total = 0.0
-    for j in range(v.size):
-        if j == k:
-            continue
-        th = th_k[j]
-        if th <= 0:
-            raise DomainError("degenerate sample: equal heights")
-        total += (alpha[j] - beta[j]) ** 2 * m[j] * (v[k] ** 2 - v[j] ** 2) / th ** 1.5
-    rhs = -(2.0 * dk ** 3 / R) * total
-    return float(lhs), float(rhs), k
-
-
-def _well_separated(values: np.ndarray) -> bool:
-    """True when every two of the positive values differ by more than 1e-6
-    of the larger.  Sorted neighbours suffice: for a < b < c with both
-    neighbour gaps above threshold, c - a exceeds 1e-6 c by at least 1e-6 b."""
-    s = np.sort(values)
-    return bool(np.all(np.diff(s) > 1e-6 * s[1:]))
+    k = np.argmax(v, axis=-1) if k is None else np.full(v.shape[:-1], k)
+    tables, divisor, vk = _axis_row(v, k)
+    dk = 2.0 * vk  # alpha_k - beta_k
+    bk = 1.0 + vk * vk  # 1 + alpha_k^2 = 1 + beta_k^2
+    lhs = dk * bk + 2.0 * bk * bk / dk
+    d = 2.0 * v  # alpha_j - beta_j
+    terms = d * d * np.asarray(masses, dtype=float) * (tables.dy * tables.sy) / divisor
+    rhs = -(2.0 * (dk * dk * dk) / R) * np.add.reduce(terms, axis=-1)
+    return (lhs.item(), rhs.item(), k.item()) if v.ndim == 1 else (lhs, rhs, k)
 
 
 def certify_nonexistence(
@@ -701,9 +700,9 @@ def certify_nonexistence(
 
     Draws axis configurations (sizes log-uniform on [0.1, 10], masses
     log-uniform on [0.1, 10], R from {0.5, 1, 2}, one substream per sample
-    index; sizes whose squares are not well separated are redrawn, up to
-    100 times) and records both sides.  The verdict is true exactly when every
-    sample has a positive left and a negative right side.
+    index; sizes with two equal values are redrawn, up to 100 times) and
+    records both sides, evaluated over all samples at once.  The verdict is
+    true exactly when every sample has a positive left and a negative right side.
     """
     cls = EquilibriumClass(cls)
     if cls not in CERTIFIABLE_CLASSES:
@@ -713,33 +712,27 @@ def certify_nonexistence(
     if samples < 1:
         raise DomainError("at least one sample is required")
 
-    out = []
+    betas, masses, Rs = [], [], []
     for idx in range(samples):
         rng = np.random.default_rng([seed, idx])
         for _ in range(100):
             beta = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
-            if _well_separated(beta ** 2):
+            if len(set(beta.tolist())) == n:
                 break
         else:
             raise ConvergenceError("could not draw a nondegenerate sample")
-        masses = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
-        R = float(rng.choice([0.5, 1.0, 2.0]))
-        if cls is EquilibriumClass.PARABOLIC_CYCLIC:
-            lhs, rhs = parabolic_contradiction_sides(beta, masses, R, k=0)
-            k = 0
-        else:
-            lhs, rhs, k = hyperbolic_contradiction_sides(beta, masses, R)
-        out.append(
-            CertificateSample(
-                {
-                    "beta": [float(b) for b in beta],
-                    "masses": [float(mm) for mm in masses],
-                    "R": R,
-                    "k": k,
-                },
-                lhs,
-                rhs,
-            )
-        )
+        betas.append(beta)
+        masses.append(np.exp(rng.uniform(math.log(0.1), math.log(10.0), n)))
+        Rs.append(float(rng.choice([0.5, 1.0, 2.0])))
+    beta, m, R = np.array(betas), np.array(masses), np.array(Rs)
+    if cls is EquilibriumClass.PARABOLIC_CYCLIC:
+        lhs, rhs = parabolic_contradiction_sides(beta, m, R, k=0)
+        k = np.zeros(samples, dtype=int)
+    else:
+        lhs, rhs, k = hyperbolic_contradiction_sides(beta, m, R)
+    out = [
+        CertificateSample({"beta": b, "masses": mm, "R": r, "k": kk}, lo, hi)
+        for b, mm, r, kk, lo, hi in zip(beta.tolist(), m.tolist(), Rs, k.tolist(), lhs.tolist(), rhs.tolist())
+    ]
     verdict = all(s.witnesses for s in out)
     return NonexistenceCertificate(cls, n, seed, tuple(out), verdict)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hnbody
-from hnbody.cli import MAX_COUNT, main
+from hnbody.cli import MAX_CERTIFY_WORK, MAX_COUNT, main
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -266,6 +266,17 @@ class TestCertify:
         assert code == 0
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["verdict"] is True and cert["sample_count"] == 20
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    @pytest.mark.parametrize("cls", ["parabolic-cyclic", "hyperbolic-cyclic"])
+    def test_large_n_certify(self, tmp_path, cls, n):
+        # any distinct heights give exact-sign sides, so no draw is refused at large n
+        doc = {"seed": 1, "certify": {"class": cls, "n": n, "samples": 3}}
+        cfg = write_config(tmp_path, doc)
+        code, out = run(tmp_path, "certify", "--config", cfg)
+        assert code == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["verdict"] is True and cert["sample_count"] == 3
 
     def test_zero_samples_exits_one(self, tmp_path):
         doc = {"certify": {"class": "parabolic-cyclic", "n": 2, "samples": 0}}
@@ -741,6 +752,24 @@ def test_counts_above_the_cap_are_validation_errors(tmp_path, capsys, field, cou
     assert code == 1
     assert captured.err == ""
     assert json.loads(captured.out)["error"] == {"code": "validation", "message": f"{field}: must be <= {MAX_COUNT}"}
+    assert not out.exists()
+
+
+# certify.n * certify.samples above MAX_CERTIFY_WORK with both counts within MAX_COUNT,
+# samples from the config or from --samples
+@pytest.mark.parametrize(("n", "samples", "flag"), [(11, MAX_COUNT, False), (MAX_COUNT, 11, False), (1000, 1001, True)])
+def test_certify_work_above_the_bound_is_a_validation_error(tmp_path, capsys, n, samples, flag):
+    doc = {"certify": {"class": "hyperbolic-cyclic", "n": n, "samples": 1 if flag else samples}}
+    cfg = write_config(tmp_path, doc)
+    code, out = run(tmp_path, "certify", "--config", cfg, *(["--samples", str(samples)] if flag else []))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert json.loads(captured.out)["error"] == {
+        "code": "validation",
+        "message": f"certify.samples: must be <= {MAX_CERTIFY_WORK // n} at n = {n} "
+                   f"(n * samples <= {MAX_CERTIFY_WORK})",
+    }
     assert not out.exists()
 
 

@@ -14,7 +14,7 @@ from hnbody.clifford import (
 from hnbody.dynamics import SystemState, theta
 from hnbody.equilibria import (
     _CONDITION_LHS,
-    _well_separated,
+    CERTIFIABLE_CLASSES,
     CLASS_DRIFT,
     CyclicParams,
     EquilibriumClass,
@@ -45,6 +45,24 @@ def state_of(positions, masses=None, R=1.0):
     w = np.asarray(positions, dtype=complex)
     m = np.ones(w.size) if masses is None else np.asarray(masses, float)
     return SystemState(0.0, w, np.zeros_like(w), m, R)
+
+
+def exact_contradiction_sides(cls, params):
+    """(lhs, rhs) of a certificate sample's contradiction identity on Fractions, in
+    the paper's closed forms: for the parabolic class
+    R/(64 b_k^2) and -sum_j m_j b_j^2 / (4 (b_j^2 - b_k^2)^2); for the hyperbolic
+    class (alpha, beta) = (v, -v) and Theta = 4 (v_k^2 - v_j^2)^2, so that
+    Theta^{3/2} = 8 |v_k^2 - v_j^2|^3 is rational."""
+    b = [Fraction(x) for x in params["beta"]]
+    m = [Fraction(x) for x in params["masses"]]
+    R, k = Fraction(params["R"]), params["k"]
+    others = [j for j in range(len(b)) if j != k]
+    if cls is EquilibriumClass.PARABOLIC_CYCLIC:
+        return R / (64 * b[k] ** 2), -sum(m[j] * b[j] ** 2 / (4 * (b[j] ** 2 - b[k] ** 2) ** 2) for j in others)
+    dk, bk = 2 * b[k], 1 + b[k] ** 2
+    gap = [b[k] ** 2 - b[j] ** 2 for j in range(len(b))]
+    total = sum((2 * b[j]) ** 2 * m[j] * gap[j] / (8 * abs(gap[j]) ** 3) for j in others)
+    return dk * bk + 2 * bk * bk / dk, -(2 * dk ** 3 / R) * total
 
 
 def exact_theta(xk, yk, xj, yj):
@@ -611,21 +629,54 @@ class TestCertificates:
             _, im = residual_hyperbolic_cyclic(CyclicParams(v, -v, 0.0), m, R)
             assert lhs - rhs == pytest.approx(im[k], rel=1e-12, abs=0)
 
-    def test_neighbour_gap_decides_like_the_full_difference_table(self):
-        rng = np.random.default_rng(81)
-        for draw in range(10_000):
-            n = int(rng.integers(2, 9))
-            beta = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
-            if draw % 2:  # a near-equal pair: relative gaps around the 1e-6 threshold, ulps, or none
-                i, j = rng.choice(n, 2, replace=False)
-                beta[j] = beta[i] * (1.0 + float(rng.choice([0.0, 1e-16, 3e-16, 1e-9, 5e-7, 1e-6, 2e-6])))
-            b2 = beta ** 2
-            gaps = np.abs(np.subtract.outer(b2, b2))
-            gaps[np.diag_indices(n)] = math.inf
-            assert _well_separated(b2) == bool(np.all(gaps > 1e-6 * np.maximum.outer(b2, b2)))
-            # every draw the rule scaled by the largest square accepted is still accepted
-            if gaps.min() > 1e-6 * float(np.max(b2)):
-                assert _well_separated(b2)
+    def test_stack_gives_the_one_sample_sides_bit_for_bit(self):
+        rng = np.random.default_rng(82)
+        for n in (2, 3, 9, 40):
+            beta = np.exp(rng.uniform(math.log(0.1), math.log(10.0), (25, n)))
+            m = np.exp(rng.uniform(math.log(0.1), math.log(10.0), (25, n)))
+            R = rng.choice([0.5, 1.0, 2.0], 25)
+            for k in (0, n - 1):
+                lhs, rhs = parabolic_contradiction_sides(beta, m, R, k=k)
+                rows = [parabolic_contradiction_sides(b, mm, float(r), k=k) for b, mm, r in zip(beta, m, R)]
+                assert [type(x) for x in rows[0]] == [float, float]
+                assert rows == list(zip(lhs.tolist(), rhs.tolist()))
+            lhs, rhs, k = hyperbolic_contradiction_sides(beta, m, R)
+            rows = [hyperbolic_contradiction_sides(b, mm, float(r)) for b, mm, r in zip(beta, m, R)]
+            assert [type(x) for x in rows[0]] == [float, float, int]
+            assert rows == list(zip(lhs.tolist(), rhs.tolist(), k.tolist()))
+
+    def test_equal_squared_heights_raise(self):
+        b = 1.5
+        match = "another body has the squared height of body k"
+        with pytest.raises(DomainError, match=match):
+            parabolic_contradiction_sides([b, 0.3, 2.0, b], [1.0] * 4, 1.0, k=0)
+        with pytest.raises(DomainError, match=match):
+            hyperbolic_contradiction_sides([0.3, b, 0.7, b], [1.0] * 4, 1.0)
+        with pytest.raises(DomainError, match=match):
+            parabolic_contradiction_sides([b, 0.3, -b], [1.0] * 3, 1.0, k=0)
+        # one bad row of a stack is enough
+        stack = np.array([[0.3, 0.7, 2.0], [0.3, b, b]])
+        with pytest.raises(DomainError, match=match):
+            hyperbolic_contradiction_sides(stack, np.ones((2, 3)), 1.0)
+        # adjacent floats are distinct heights with finite sides of the proven signs
+        pair = [b, math.nextafter(b, 2.0)]
+        lhs, rhs = parabolic_contradiction_sides(pair, [1.0, 1.0], 1.0, k=0)
+        assert lhs > 0 and -math.inf < rhs < 0
+        lhs, rhs, k = hyperbolic_contradiction_sides(pair, [1.0, 1.0], 1.0)
+        assert k == 1 and lhs > 0 and -math.inf < rhs < 0
+
+    @pytest.mark.parametrize("cls", list(CERTIFIABLE_CLASSES))
+    def test_sides_match_exact_arithmetic(self, cls):
+        # the acceptance-seed certificates and a pair of adjacent floats, within 2e-15
+        certs = [certify_nonexistence(cls, n, 1000, seed=2026) for n in (2, 3, 4)]
+        cases = [(s.params, (s.lhs, s.rhs)) for cert in certs for s in cert.samples]
+        parabolic = cls is EquilibriumClass.PARABOLIC_CYCLIC
+        pair = {"beta": [1.5, math.nextafter(1.5, 2.0)], "masses": [1.0, 1.0], "R": 1.0, "k": 0 if parabolic else 1}
+        sides = parabolic_contradiction_sides if parabolic else hyperbolic_contradiction_sides
+        cases.append((pair, sides(pair["beta"], pair["masses"], pair["R"], k=pair["k"])[:2]))
+        for params, got in cases:
+            for value, exact in zip(got, exact_contradiction_sides(cls, params)):
+                assert abs(Fraction(value) - exact) <= Fraction(2e-15) * abs(exact)
 
     def test_deterministic_under_seed(self):
         a = certify_nonexistence(EquilibriumClass.PARABOLIC_CYCLIC, 2, 50, seed=3)
