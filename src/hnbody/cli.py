@@ -11,6 +11,7 @@ Every failure prints one JSON error object on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -459,6 +460,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(self.prog, message)
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one per process serves every main() call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hnbody",

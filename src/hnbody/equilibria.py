@@ -693,16 +693,15 @@ def hyperbolic_contradiction_sides(heights, masses, R, k=None):
     return (lhs.item(), rhs.item(), k.item()) if v.ndim == 1 else (lhs, rhs, k)
 
 
-def certify_nonexistence(
-    cls, n: int, samples: int, seed: int = 0
-) -> NonexistenceCertificate:
+def certify_nonexistence(cls, n: int, samples: int, seed: int = 0) -> NonexistenceCertificate:
     """Sample the contradiction identity of a cyclic class over admissible data.
 
-    Draws axis configurations (sizes log-uniform on [0.1, 10], masses
-    log-uniform on [0.1, 10], R from {0.5, 1, 2}, one substream per sample
-    index; sizes with two equal values are redrawn, up to 100 times) and
-    records both sides, evaluated over all samples at once.  The verdict is
-    true exactly when every sample has a positive left and a negative right side.
+    Draws axis configurations as the rows of one seeded uniform table (n log-sizes
+    and n log-masses on [log 0.1, log 10], then 3u for R = (0.5, 1, 2)[floor(3u)]),
+    so k samples are the first k rows of a longer draw.  Rows with two equal sizes
+    are redrawn from the same generator (the one exception), in up to 100 rounds.
+    Both sides are evaluated over all samples at once.  The verdict is true exactly
+    when every sample has a positive left and a negative right side.
     """
     cls = EquilibriumClass(cls)
     if cls not in CERTIFIABLE_CLASSES:
@@ -712,19 +711,19 @@ def certify_nonexistence(
     if samples < 1:
         raise DomainError("at least one sample is required")
 
-    betas, masses, Rs = [], [], []
-    for idx in range(samples):
-        rng = np.random.default_rng([seed, idx])
-        for _ in range(100):
-            beta = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
-            if len(set(beta.tolist())) == n:
-                break
-        else:
-            raise ConvergenceError("could not draw a nondegenerate sample")
-        betas.append(beta)
-        masses.append(np.exp(rng.uniform(math.log(0.1), math.log(10.0), n)))
-        Rs.append(float(rng.choice([0.5, 1.0, 2.0])))
-    beta, m, R = np.array(betas), np.array(masses), np.array(Rs)
+    rng = np.random.default_rng(seed)
+    low = np.append(np.full(2 * n, math.log(0.1)), 0.0)
+    high = np.append(np.full(2 * n, math.log(10.0)), 3.0)  # the last column is 3u
+    table, redraw = np.empty((samples, 2 * n + 1)), np.ones(samples, dtype=bool)
+    for _ in range(100):
+        table[redraw] = rng.uniform(low, high, (np.count_nonzero(redraw), 2 * n + 1))
+        beta = np.exp(table[:, :n])
+        redraw = (np.diff(np.sort(beta, axis=-1), axis=-1) == 0).any(axis=-1)
+        if not redraw.any():
+            break
+    else:
+        raise ConvergenceError("could not draw a nondegenerate sample")
+    m, R = np.exp(table[:, n:-1]), np.array([0.5, 1.0, 2.0])[table[:, -1].astype(int)]
     if cls is EquilibriumClass.PARABOLIC_CYCLIC:
         lhs, rhs = parabolic_contradiction_sides(beta, m, R, k=0)
         k = np.zeros(samples, dtype=int)
@@ -732,7 +731,6 @@ def certify_nonexistence(
         lhs, rhs, k = hyperbolic_contradiction_sides(beta, m, R)
     out = [
         CertificateSample({"beta": b, "masses": mm, "R": r, "k": kk}, lo, hi)
-        for b, mm, r, kk, lo, hi in zip(beta.tolist(), m.tolist(), Rs, k.tolist(), lhs.tolist(), rhs.tolist())
+        for b, mm, r, kk, lo, hi in zip(beta.tolist(), m.tolist(), R.tolist(), k.tolist(), lhs.tolist(), rhs.tolist())
     ]
-    verdict = all(s.witnesses for s in out)
-    return NonexistenceCertificate(cls, n, seed, tuple(out), verdict)
+    return NonexistenceCertificate(cls, n, seed, tuple(out), all(s.witnesses for s in out))

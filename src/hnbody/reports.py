@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from itertools import repeat
 
 import numpy as np
 
@@ -44,6 +46,12 @@ def _json(obj, pad: str) -> str:
         items = [f"{inner}{_json_string(key)}: {_json(obj[key], inner)}" for key in sorted(obj)]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) == {float}:  # the long series: one finiteness pass, one format
+            if not all(map(math.isfinite, obj)):
+                raise DomainError("reports may not contain NaN or infinite values")
+            sep = ",\n" + inner
+            body = sep.join(["%.17g"] * len(obj)) % tuple(map(operator.add, obj, repeat(0.0)))  # -0.0 -> 0.0
+            return f"[\n{inner}{body}\n{pad}]"
         items = [inner + _json(item, inner) for item in obj]
         brackets = "[]"
     elif isinstance(obj, str):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hnbody
-from hnbody.cli import MAX_CERTIFY_WORK, MAX_COUNT, main
+from hnbody.cli import MAX_CERTIFY_WORK, MAX_COUNT, _build_parser, main
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -472,6 +472,31 @@ class TestVlasov:
         traj = integrate(SystemState(0.0, bodies, velocities, SIMULATE_DOC["masses"], 1.0), 1.0, tol=1e-10)
         assert traj.stats.steps >= 100
         assert calls == [traj.stats.steps]
+
+
+class TestParserCache:
+    def test_one_parser_gives_what_a_fresh_parser_gives(self, tmp_path, capsys):
+        # a usage error, then a valid certify and a valid flow, all through the one cached parser
+        certify = write_config(tmp_path, {"seed": 3, "certify": {"class": "hyperbolic-cyclic", "n": 3, "samples": 4}},
+                               "certify.json")
+        flow = write_config(tmp_path, {"flow": {"kind": "rotation", "sigma": 0, "points": [[0.0, 1.0]], "t_max": 0.5,
+                                                "num": 5}}, "flow.json")
+        calls = [["certify", "--config", certify, "--seed", "x"], ["certify", "--config", certify],
+                 ["flow", "--config", flow]]
+
+        def outcomes(fresh):
+            got = []
+            for argv in calls:
+                if fresh:
+                    _build_parser.cache_clear()
+                got.append((main([*argv, "--out", str(tmp_path / "out")]), capsys.readouterr().out))
+            return got
+
+        cached = outcomes(fresh=False)
+        assert _build_parser() is _build_parser()
+        assert [code for code, _ in cached] == [1, 0, 0]
+        assert json.loads(cached[0][1])["error"]["message"].startswith("--seed: ")
+        assert outcomes(fresh=True) == cached
 
 
 class TestDeterminism:

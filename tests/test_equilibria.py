@@ -38,7 +38,7 @@ from hnbody.equilibria import (
     theta_parametric,
     two_body_elliptic,
 )
-from hnbody.errors import ClassNotSolvableError, DomainError
+from hnbody.errors import ClassNotSolvableError, ConvergenceError, DomainError
 
 
 def state_of(positions, masses=None, R=1.0):
@@ -677,6 +677,54 @@ class TestCertificates:
         for params, got in cases:
             for value, exact in zip(got, exact_contradiction_sides(cls, params)):
                 assert abs(Fraction(value) - exact) <= Fraction(2e-15) * abs(exact)
+
+    @pytest.mark.parametrize("cls", list(CERTIFIABLE_CLASSES))
+    @pytest.mark.parametrize("seed", [0, 7, 2026])
+    def test_shorter_certificate_is_a_prefix(self, cls, seed):
+        short = certify_nonexistence(cls, 3, 50, seed=seed)
+        assert short.samples == certify_nonexistence(cls, 3, 200, seed=seed).samples[:50]
+
+    def test_draws_cover_their_ranges(self):
+        cert = certify_nonexistence(EquilibriumClass.HYPERBOLIC_CYCLIC, 3, 1000, seed=5)
+        values = np.array([s.params["beta"] + s.params["masses"] for s in cert.samples])
+        assert values.min() >= 0.1 and values.max() <= 10.0
+        assert {s.params["R"] for s in cert.samples} == {0.5, 1.0, 2.0}
+
+    @staticmethod
+    def _repeating_generator(monkeypatch, bad_rounds, rows=slice(None)):
+        """Replace default_rng by a generator whose first bad_rounds tables repeat a size in the given rows."""
+        real = np.random.default_rng
+        rounds = []
+
+        class Repeating:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def uniform(self, low, high, size):
+                table = self.rng.uniform(low, high, size)
+                rounds.append(size[0])
+                if len(rounds) <= bad_rounds:
+                    table[rows, 1] = table[rows, 0]
+                return table
+
+        monkeypatch.setattr(np.random, "default_rng", Repeating)
+        return rounds
+
+    def test_redraw_gives_up_after_100_rounds(self, monkeypatch):
+        rounds = self._repeating_generator(monkeypatch, bad_rounds=math.inf)
+        with pytest.raises(ConvergenceError, match="could not draw a nondegenerate sample"):
+            certify_nonexistence(EquilibriumClass.PARABOLIC_CYCLIC, 3, 20, seed=1)
+        assert rounds == [20] * 100
+
+    def test_redraw_replaces_only_the_repeating_rows(self, monkeypatch):
+        clean = certify_nonexistence(EquilibriumClass.HYPERBOLIC_CYCLIC, 3, 20, seed=1).samples
+        rounds = self._repeating_generator(monkeypatch, bad_rounds=1, rows=slice(None, None, 3))
+        cert = certify_nonexistence(EquilibriumClass.HYPERBOLIC_CYCLIC, 3, 20, seed=1)
+        assert rounds == [20, 7]
+        assert cert.verdict is True
+        assert all(len(set(s.params["beta"])) == 3 for s in cert.samples)
+        for i, (got, was) in enumerate(zip(cert.samples, clean)):
+            assert (got == was) == (i % 3 != 0)
 
     def test_deterministic_under_seed(self):
         a = certify_nonexistence(EquilibriumClass.PARABOLIC_CYCLIC, 2, 50, seed=3)

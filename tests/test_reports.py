@@ -105,6 +105,35 @@ def test_canonical_json_floats_are_fmt_float():
     assert canonical_json(numpy_leaves) == canonical_json(AWKWARD + [-3, 0.5])
 
 
+_RANDOM_BITS = np.random.default_rng(8).integers(0, 2 ** 64, 4000, dtype=np.uint64).view(np.float64)
+
+
+@pytest.mark.parametrize("values", [
+    [-0.0],
+    [-0.0, 0.0, -0.0],
+    [5e-324, -5e-324, 2.2250738585072014e-308],
+    [1.7976931348623157e308, -1.7976931348623157e308],
+    AWKWARD,
+    _RANDOM_BITS[np.isfinite(_RANDOM_BITS)].tolist(),
+    [1, 2.0, -0.0, 3, 5e-324],
+    [np.float64(-0.0), 1.5, np.float64(5e-324), 1.7976931348623157e308],
+])
+def test_canonical_json_float_lists_equal_the_per_item_path(values):
+    # lists of exact floats render in one pass; np.float64 leaves take the per-item path
+    per_item = [x if isinstance(x, (int, np.float64)) else np.float64(x) for x in values]
+    expected = "[\n" + ",\n".join("  " + (str(x) if isinstance(x, int) else fmt_float(x)) for x in values) + "\n]\n"
+    assert canonical_json(values) == canonical_json(per_item) == expected
+    nested = {"a": {"b": [values, tuple(values)]}}
+    assert canonical_json(nested) == canonical_json({"a": {"b": [per_item, tuple(per_item)]}})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_canonical_json_float_lists_reject_nonfinite_values(bad):
+    for tree in ([bad], [1.0, -0.0, bad], {"a": (2.5, bad, 3.0)}):
+        with pytest.raises(DomainError, match="NaN or infinite"):
+            canonical_json(tree)
+
+
 @pytest.mark.parametrize("tree", [
     float("nan"), float("inf"), -float("inf"), [1.0, np.float64("nan")], {"a": {"b": -np.inf}},
     {1: "a"}, {None: 1}, {"a": 1, 2: "b"}, {2: "b", "a": 1}, {("a",): 1},
