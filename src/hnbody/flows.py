@@ -62,9 +62,9 @@ def _require_admissible(field: KillingField, w0, t):
         )
 
 
-def _flow_map(field: KillingField, w, t):
+def _flow_map(field: KillingField, w, t, differential: bool = True):
     """Image u + iv of w = x + iy under the time-t flow map, and its partials
-    (du/dx, du/dy, dv/dx, dv/dy).
+    (du/dx, du/dy, dv/dx, dv/dy), or None for them if ``differential`` is false.
 
     normal: e^t w.  nilpotent: w + t.  rotation sigma=-1: the fractional
     linear rotation image.  These act by isometries, with conformal partials.
@@ -79,25 +79,33 @@ def _flow_map(field: KillingField, w, t):
     if field.isometric:
         if field.kind == NORMAL:
             e = np.exp(t)
-            image, d = e * w, e + 0j
+            image, d = e * w, e  # real: its imaginary part is zero
         elif field.kind == NILPOTENT:
             image, d = w + t, 1.0 + 0j
         else:
             A = exp_subgroup(field, t)
-            image, d = apply_mobius(A, w), mobius_derivative(A, w)
+            image = apply_mobius(A, w)
+            d = mobius_derivative(A, w) if differential else None
+        if not differential:
+            return image, None
         return image, (d.real, -d.imag, d.imag, d.real)
     _require_admissible(field, w, t)
     x, y = w.real, w.imag
     if field.sigma == 0:
         u = np.tan(t + np.arctan(x))
-        k = (1.0 + u * u) / (1.0 + x * x)
         image = u + 1j * (y * (1.0 + u * u) / (1.0 + x ** 2))
+        if not differential:
+            return image, None
+        k = (1.0 + u * u) / (1.0 + x * x)
         return image, (k, 0.0, 2.0 * y * (1.0 + u * u) * (u - x) / (1.0 + x * x) ** 2, k)
     p = np.tan(t + np.arctan(x + y))
     q = np.tan(t + np.arctan(x - y))
+    image = (p + q) / 2.0 + 1j * (p - q) / 2.0
+    if not differential:
+        return image, None
     P = (1.0 + p ** 2) / (1.0 + (x + y) ** 2)
     Q = (1.0 + q ** 2) / (1.0 + (x - y) ** 2)
-    return (p + q) / 2.0 + 1j * (p - q) / 2.0, ((P + Q) / 2.0, (P - Q) / 2.0, (P - Q) / 2.0, (P + Q) / 2.0)
+    return image, ((P + Q) / 2.0, (P - Q) / 2.0, (P - Q) / 2.0, (P + Q) / 2.0)
 
 
 def flow(field: KillingField, w0, t):
@@ -107,7 +115,7 @@ def flow(field: KillingField, w0, t):
     give a complex number.
     """
     w0 = require_upper(w0, "w0")
-    return _flow_map(field, w0, np.asarray(t, dtype=float)[()])[0]
+    return _flow_map(field, w0, np.asarray(t, dtype=float)[()], differential=False)[0]
 
 
 def flow_jacobian(field: KillingField, w, t: float):

@@ -1,9 +1,13 @@
 import json
+import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hnbody.dynamics import IntegratorStats, SystemState, Trajectory, conserved, integrate
+from hnbody.equilibria import EquilibriumClass, certify_nonexistence
 from hnbody.errors import DomainError
 from hnbody.reports import canonical_json, flow_csv, fmt_float, map_csv, trajectory_csv, trajectory_sidecar
 
@@ -142,3 +146,114 @@ def test_canonical_json_float_lists_reject_nonfinite_values(bad):
 def test_canonical_json_rejects_what_json_cannot_hold(tree):
     with pytest.raises(DomainError):
         canonical_json(tree)
+
+
+# ---------------------------------------------------------------------------
+# Lists of records: one template per list, the recursion for any other item
+# ---------------------------------------------------------------------------
+
+def _per_item(records, pad: str = "") -> str:
+    """A list of records indented by ``pad``, each item rendered alone, so through the recursion."""
+    items = [textwrap.indent(canonical_json(record)[:-1], pad + "  ") for record in records]
+    return "[\n" + ",\n".join(items) + f"\n{pad}]"
+
+
+def _with_samples_per_item(payload: dict) -> str:
+    """A certificate with its samples rendered item by item."""
+    return canonical_json({**payload, "samples": None}).replace(
+        '"samples": null', '"samples": ' + _per_item(payload["samples"], "  "))
+
+
+_KEY_PARTS = ["a", "b", "%", "%s", "%%", "%(a)s", '"', "\\", "\n", "\x00", "\x7f", "\u00e9", "\u2603", "\U0001f600", "\ud800"]
+_texts = st.lists(st.sampled_from(_KEY_PARTS), max_size=3).map("".join)
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(AWKWARD + [5e-324, -5e-324])
+_LEAVES = {
+    "float": _finite,
+    "int": st.integers(-(10 ** 30), 10 ** 30),
+    "bool": st.booleans(),
+    "none": st.none(),
+    "str": _texts,
+    "np.float64": _finite.map(np.float64),
+    "np.int64": st.integers(-(2 ** 63), 2 ** 63 - 1).map(np.int64),
+}
+_FLOAT_FREE = ["int", "bool", "none", "str"]
+
+
+def _shapes(kinds):
+    """Record shapes: dicts whose leaves are kinds of ``kinds`` or, with floats, ("floats", length) lists."""
+    leaf = st.sampled_from(kinds)
+    if "float" in kinds:
+        leaf = leaf | st.tuples(st.just("floats"), st.integers(0, 3))
+    return st.dictionaries(_texts, st.recursive(leaf, lambda inner: st.dictionaries(_texts, inner, max_size=3),
+                                                max_leaves=6), max_size=4)
+
+
+def _records_of(shape):
+    """Records of one shape; their keys come in either insertion order."""
+    if isinstance(shape, dict):
+        fixed = st.fixed_dictionaries({key: _records_of(value) for key, value in shape.items()})
+        return fixed | fixed.map(lambda record: dict(reversed(record.items())))
+    if isinstance(shape, tuple):
+        return st.lists(_finite, min_size=shape[1], max_size=shape[1])
+    return _LEAVES[shape]
+
+
+@st.composite
+def _record_lists(draw, kinds=tuple(_LEAVES)):
+    """Two or more records: most share the first one's shape, the others have shapes of their own."""
+    shapes = _shapes(list(kinds))
+    shape = draw(shapes)
+    return draw(st.lists(_records_of(shape) | shapes.flatmap(_records_of), min_size=2, max_size=6))
+
+
+@given(_record_lists())
+def test_record_lists_equal_the_per_item_recursion(records):
+    assert canonical_json(records) == _per_item(records) + "\n"
+    assert canonical_json({"%": records}) == '{\n  "%": ' + _per_item(records, "  ") + "\n}\n"
+
+
+@given(_record_lists(_FLOAT_FREE))
+def test_float_free_record_lists_equal_the_stdlib(records):
+    assert canonical_json(records) == json.dumps(records, indent=2, sort_keys=True) + "\n"
+
+
+def _containers(node):
+    yield node
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            yield from _containers(child)
+
+
+@given(st.data())
+def test_a_bad_later_record_raises_what_it_raises_alone(data):
+    records = data.draw(_shapes(list(_LEAVES)).flatmap(lambda shape: st.lists(_records_of(shape), min_size=2, max_size=4)))
+    bad = records[data.draw(st.integers(1, len(records) - 1))]
+    target = data.draw(st.sampled_from(list(_containers(bad))))
+    value = data.draw(st.sampled_from([float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.bool_(True)]))
+    if isinstance(target, list):
+        target.insert(data.draw(st.integers(0, len(target))), value)
+    else:
+        key = data.draw(st.sampled_from(["", "new %", *target, 1, None, ("a",)]))
+        target[key] = value
+    with pytest.raises(DomainError) as alone:
+        canonical_json(bad)
+    with pytest.raises(DomainError) as in_list:
+        canonical_json(records)
+    assert str(in_list.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("cls", [EquilibriumClass.PARABOLIC_CYCLIC, EquilibriumClass.HYPERBOLIC_CYCLIC])
+def test_certificates_equal_the_per_sample_recursion(cls, n):
+    payload = certify_nonexistence(cls, n, 1000, seed=2026).to_dict()
+    assert canonical_json(payload) == _with_samples_per_item(payload)
+
+
+@pytest.mark.parametrize("odd", [(0, 1), (1, 0), (3, 5)])
+def test_a_hand_built_certificate_renders_its_odd_samples_as_before(odd):
+    payload = certify_nonexistence(EquilibriumClass.HYPERBOLIC_CYCLIC, 3, 8, seed=2026).to_dict()
+    refuted, extended = odd
+    payload["samples"][refuted]["witnesses"] = False
+    payload["samples"][extended]["note"] = "100% of %s"
+    assert canonical_json(payload) == _with_samples_per_item(payload)
+    assert '"witnesses": false' in canonical_json(payload)
