@@ -576,6 +576,9 @@ def integrate(
             raise StepSizeError(f"non-finite error estimate at t = {t}")
         if err <= 1.0:
             t += h
+            # the position bound of SystemState, on each accepted node
+            if not math.isfinite(_divisor_bound(float(size_y5[:n].max()))):
+                raise StepSizeError(f"positions too large at t = {t}: {_DIVISOR_OVERFLOWS}")
             y, size_y = y5, size_y5
             # FSAL: the last stage is rhs(y5), which also guarded y5 against
             # the theta floor and gave its min theta; copy out of the stage buffer
@@ -598,13 +601,8 @@ def integrate(
             rejected += 1
             h *= max(0.2, 0.9 * err ** -0.2)
 
-    times, ys = np.array(times), np.array(ys)
-    # the position bound of SystemState over the accepted nodes, checked once
-    past = ~np.isfinite(_divisor_bound(np.abs(ys[:, :n]).max(axis=1)))
-    if past.any():
-        raise StepSizeError(f"positions too large at t = {times[past.argmax()]}: {_DIVISOR_OVERFLOWS}")
     traj = Trajectory(
-        times, ys, np.array(fs), masses, R,
+        np.array(times), np.array(ys), np.array(fs), masses, R,
         IntegratorStats(steps, rejected, float(min_theta), rhs_calls, stage_failures),
     )
     if verdict is not None:

@@ -96,18 +96,19 @@ def mobius_ansatz_defect(
 # ---------------------------------------------------------------------------
 
 def _interaction(w: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Interaction sums S_k = -4 (A - 2i y B) of the positions w, from the _pair_sums.
+    """Interaction sums S_k = -4 (A - 2i y B) of the positions w, shape (..., n), from the _pair_sums.
 
     Raises DomainError when a pair touches the singular set: when the kernel's
     divisor theta sqrt(theta) is 0, as theta is 0 or theta^{3/2} underflows.
+    The message names the pair of the first such row.
     """
-    tables = _pair_tables(w[:, None], w[None, :])
+    tables = _pair_tables(w[..., :, None], w[..., None, :])
     th = tables.theta
-    th += _inf_diag(w.size)
+    th += _inf_diag(w.shape[-1])
     divisor = th * np.sqrt(th)
     if not divisor.all():
-        k, j = np.argwhere(divisor == 0)[0]
-        raise DomainError(f"pair ({k}, {j}) touches the singular set (theta = {th[k, j]:.3g})")
+        hit = tuple(np.argwhere(divisor == 0)[0])
+        raise DomainError(f"pair ({hit[-2]}, {hit[-1]}) touches the singular set (theta = {th[hit]:.3g})")
     A, B = _pair_sums(w.imag, masses, tables)
     return -4.0 * (A - 2j * w.imag * B)
 
@@ -398,16 +399,6 @@ class SolveReport:
     residual_norm: float
 
 
-def _residual_for(cls: EquilibriumClass, masses, R):
-    def fn(positions: np.ndarray) -> np.ndarray:
-        state = SystemState(0.0, positions, np.zeros_like(positions), masses, R)
-        lhs, rhs = condition_sides(cls, state)
-        r = lhs - rhs
-        return np.concatenate([r.real, r.imag])
-
-    return fn
-
-
 def _pack(cls_positions, symmetry: str):
     w = np.asarray(cls_positions, dtype=complex)
     if symmetry == "axis":
@@ -420,30 +411,36 @@ def _pack(cls_positions, symmetry: str):
 
 
 def _unpack(x: np.ndarray, n: int, symmetry: str) -> np.ndarray:
+    """Positions of shape (..., n) from unknowns of shape (..., p)."""
     # ordinates live on a log scale; clip so wild trial steps cannot underflow
     if symmetry == "axis":
         return 1j * np.exp(np.clip(x, -30.0, 30.0))
     if symmetry == "mirror":
-        w0 = x[0] + 1j * math.exp(min(max(x[1], -30.0), 30.0))
-        return np.array([w0, -np.conjugate(w0)])
-    xs = x.reshape(n, 2)
-    return xs[:, 0] + 1j * np.exp(np.clip(xs[:, 1], -30.0, 30.0))
+        w0 = x[..., 0] + 1j * np.exp(np.clip(x[..., 1], -30.0, 30.0))
+        return np.stack([w0, -np.conjugate(w0)], axis=-1)
+    xs = x.reshape(*x.shape[:-1], n, 2)
+    return xs[..., 0] + 1j * np.exp(np.clip(xs[..., 1], -30.0, 30.0))
+
+
+def _jacobian(fun, x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of fun at x from one call on the rows x + h_i e_i, then x - h_i e_i.
+
+    It is C-contiguous: on a transpose, J.T @ J takes another BLAS path with other last digits.
+    """
+    h = _FD_STEP * np.maximum(1.0, np.abs(x))
+    F = fun(np.concatenate([x + np.diag(h), x - np.diag(h)]))
+    return np.ascontiguousarray(((F[: x.size] - F[x.size :]) / (2.0 * h)[:, None]).T)
 
 
 def _levenberg_marquardt(fun, x0, opts: FindOptions):
+    """Minimise |fun(x)|; fun maps unknowns of shape (..., p) to residuals of shape (..., m)."""
     x = np.asarray(x0, dtype=float).copy()
     r = fun(x)
     lam = _LM_LAMBDA0
     for it in range(opts.max_iter):
         if float(np.max(np.abs(r))) < opts.tol:
             return x, SolveReport(it, float(np.max(np.abs(r))))
-        J = np.empty((r.size, x.size))
-        for i in range(x.size):
-            h = _FD_STEP * max(1.0, abs(x[i]))
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            J[:, i] = (fun(xp) - fun(xm)) / (2.0 * h)
+        J = _jacobian(fun, x)
         JtJ = J.T @ J
         g = J.T @ r
         scale = np.diag(np.maximum(np.diag(JtJ), 1e-30))
@@ -511,11 +508,13 @@ def find_equilibrium_detailed(
     if masses.size != positions.size:
         raise DomainError("masses must match the ansatz size")
 
-    residual = _residual_for(cls, masses, R)
     n = positions.size
 
     def fun(x):
-        return residual(_unpack(x, n, opts.symmetry))
+        w = _unpack(x, n, opts.symmetry)
+        lhs, rhs = condition_sides(cls, SystemState(np.zeros(w.shape[:-1]), w, np.zeros_like(w), masses, R))
+        r = lhs - rhs
+        return np.concatenate([r.real, r.imag], axis=-1)
 
     x, report = _levenberg_marquardt(fun, _pack(positions, opts.symmetry), opts)
     w = _unpack(x, n, opts.symmetry)
@@ -584,11 +583,13 @@ def two_body_elliptic(m1: float, m2: float, alpha: float, R: float = 1.0) -> flo
         hi *= 4.0
         if hi > 1e9:
             raise ConvergenceError("no sign change found for the companion circle")
-    # scipy.optimize takes most of a second to import, and no CLI command
-    # reaches this function, so it is loaded here on first use
-    from scipy.optimize import brentq
-
-    beta = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    # bisection until the midpoint is one of the ends: about 55 calls of g
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if g(mid) * glo > 0:
+            lo = mid
+        else:
+            hi = mid
+    beta = lo
     if elliptic_pair_rate(m1, m2, alpha, beta, R) <= 0:
         raise ConvergenceError("companion root has a nonphysical drift rate")
     return float(beta)

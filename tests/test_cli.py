@@ -799,8 +799,8 @@ def test_certify_work_above_the_bound_is_a_validation_error(tmp_path, capsys, n,
 
 
 # Each CLI call runs in a fresh process, so the package import is paid on every
-# call; scipy.optimize alone takes most of a second to import and only
-# two_body_elliptic, which no command reaches, uses it.
+# call.  The package runs on numpy alone: no command, and not two_body_elliptic
+# either, loads scipy, whose optimize module takes most of a second to import.
 COLD_START_PROBE = """
 import json, os, sys
 import hnbody.cli
@@ -812,10 +812,11 @@ for name, argv in (("simulate", ["simulate"]), ("flow", ["flow"]), ("certify", [
     with open(path, "w") as fh:
         json.dump(configs[name], fh)
     codes.append(hnbody.cli.main([*argv, "--config", path, "--out", os.path.join(out, name)]))
-print()
-print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 from hnbody.equilibria import two_body_elliptic
-print(two_body_elliptic(1.0, 2.0, 2.0).hex())
+beta = two_body_elliptic(1.0, 2.0, 2.0).hex()
+print()
+print(json.dumps({"codes": codes, "beta": beta,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
@@ -832,7 +833,6 @@ def test_cli_commands_run_without_loading_scipy(tmp_path):
         capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    *_, record, beta = proc.stdout.splitlines()
-    assert json.loads(record) == {"codes": [0, 0, 0, 0], "scipy": []}
-    # brentq is loaded on the first call and returns the same bits as a top-level import did
-    assert beta == "0x1.84eff8c6d1555p+0"
+    record = proc.stdout.splitlines()[-1]
+    # the bisection gives the bits that scipy's brentq gave on this bracket
+    assert json.loads(record) == {"codes": [0, 0, 0, 0], "beta": "0x1.84eff8c6d1555p+0", "scipy": []}

@@ -415,6 +415,20 @@ class TestIntegrate:
         assert info.value.time == traj.times[-1]
         assert info.value.theta == min_pair_theta(traj.ys[-1][:2]) == traj.stats.min_theta
 
+    def test_position_bound_stops_the_run_at_the_first_node_past_it(self, monkeypatch):
+        # the bodies pass |w| of about 8e50 at t = 0.328 after 216 accepted steps; a
+        # check after the loop kept stepping, with a silently zero force, to t_end
+        # (1,009 accepted steps and 6,259 kernel calls)
+        import hnbody.dynamics as dynamics
+
+        calls = []
+        accel = dynamics._accel
+        monkeypatch.setattr(dynamics, "_accel", lambda *args, **kwargs: calls.append(1) or accel(*args, **kwargs))
+        s = two_body([4e50j, 1e50 + 6e50j], (4e50j, 6e50j))
+        with pytest.raises(StepSizeError, match=r"^positions too large at t = 0\.32844293929898793: "):
+            integrate(s, 2.0, tol=1e-8)
+        assert len(calls) <= 1 + 6 * 220
+
     def test_monotone_times_and_stats(self):
         s = two_body([1j, 2j], (0.6 + 0j, -0.6 + 0j))
         traj = integrate(s, 1.0, tol=1e-9)

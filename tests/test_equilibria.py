@@ -11,9 +11,13 @@ from hnbody.clifford import (
     ROTATION_HYPERBOLIC,
     ROTATION_PARABOLIC,
 )
+from hnbody import equilibria
 from hnbody.dynamics import SystemState, theta
 from hnbody.equilibria import (
     _CONDITION_LHS,
+    _FD_STEP,
+    _interaction,
+    _jacobian,
     CERTIFIABLE_CLASSES,
     CLASS_DRIFT,
     CyclicParams,
@@ -238,6 +242,18 @@ class TestConditionSides:
         w = [1e-120 + 1j, 1j]
         with pytest.raises(DomainError, match=r"^pair \(0, 1\) touches the singular set \(theta = 1.6e-239\)$"):
             condition_sides(EquilibriumClass.ELLIPTIC_CYCLIC, state_of(w))
+
+    def test_stacked_interaction_matches_its_rows(self):
+        rng = np.random.default_rng(45)
+        w = rng.normal(size=(5, 4)) + 1j * rng.uniform(0.3, 3.0, (5, 4))
+        m = rng.uniform(0.5, 2.0, 4)
+        assert np.array_equal(_interaction(w, m), np.stack([_interaction(row, m) for row in w]))
+
+    def test_stacked_interaction_names_the_pair_of_the_first_singular_row(self):
+        # rows 0 and 2 are regular; in row 1, bodies 1 and 2 coincide
+        w = np.array([[1j, 2j, 3j], [1j, 0.5 + 2j, 0.5 + 2j], [1j, 2j, 0.5j]])
+        with pytest.raises(DomainError, match=r"^pair \(1, 2\) touches the singular set \(theta = 0\)$"):
+            _interaction(w, np.ones(3))
 
 class TestRelabelingInvariance:
     """Permuting the bodies permutes every residual evaluator's output."""
@@ -552,6 +568,78 @@ class TestFindEquilibrium:
     def test_nonexistent_classes_rejected(self, cls):
         with pytest.raises(ClassNotSolvableError):
             find_equilibrium(cls, [1.0, 1.0], 1.0, np.array([1j, 2j]))
+
+
+class _Captured(Exception):
+    pass
+
+
+def solver_inputs(monkeypatch, cls, masses, ansatz, symmetry):
+    """The residual function and start point that find_equilibrium_detailed hands to the solver."""
+
+    def solver(fun, x0, opts):
+        raise _Captured(fun, x0)
+
+    monkeypatch.setattr(equilibria, "_levenberg_marquardt", solver)
+    with pytest.raises(_Captured) as info:
+        find_equilibrium_detailed(cls, masses, 1.0, ansatz, FindOptions(symmetry=symmetry))
+    return info.value.args
+
+
+def loop_jacobian(fun, x):
+    """Central differences one column at a time, two residual calls per unknown."""
+    r = fun(x)
+    J = np.empty((r.size, x.size))
+    for i in range(x.size):
+        h = _FD_STEP * max(1.0, abs(x[i]))
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        J[:, i] = (fun(xp) - fun(xm)) / (2.0 * h)
+    return J
+
+
+class TestJacobian:
+    @pytest.mark.parametrize(
+        "cls, symmetry, ansatz",
+        [
+            ("elliptic-cyclic", "axis", (2j, 0.5j)),
+            ("elliptic-cyclic", "axis", (3j, 1.5j, 0.5j)),
+            ("elliptic-cyclic", "axis", (4j, 2j, 1j, 0.5j)),
+            ("elliptic-cyclic", "none", (0.05 + 1.9j, -0.03 + 0.52j)),
+            ("elliptic-cyclic", "none", (0.01 + 3j, -0.02 + 1.5j, 0.03 + 0.5j)),
+            ("elliptic-cyclic", "none", (0.1 + 4j, -0.2 + 2j, 0.3 + 1j, 0.1 + 0.5j)),
+            ("hyperbolic-normal", "none", (0.9 + 1j, -0.8 + 1.1j)),
+            ("hyperbolic-normal", "mirror", (0.9 + 1j, -0.9 + 1j)),
+            ("elliptic-cyclic", "mirror", (0.2 + 1.5j, -0.2 + 1.5j)),
+        ],
+    )
+    def test_stacked_call_equals_the_column_loop_bit_for_bit(self, monkeypatch, cls, symmetry, ansatz):
+        rng = np.random.default_rng(len(ansatz))
+        masses = rng.uniform(0.5, 2.0, len(ansatz))
+        fun, x0 = solver_inputs(monkeypatch, cls, masses, np.array(ansatz), symmetry)
+        for x in (x0, x0 + rng.normal(0.0, 0.05, x0.size)):
+            J = _jacobian(fun, x)
+            assert J.flags.c_contiguous
+            assert np.array_equal(J, loop_jacobian(fun, x))
+
+    def test_one_residual_call_per_iteration_builds_its_jacobian(self, monkeypatch):
+        shapes = []
+        solve = equilibria._levenberg_marquardt
+
+        def counting(fun, x0, opts):
+            return solve(lambda x: shapes.append(np.shape(x)) or fun(x), x0, opts)
+
+        monkeypatch.setattr(equilibria, "_levenberg_marquardt", counting)
+        _, report = find_equilibrium_detailed(
+            "elliptic-cyclic", [1.0, 2.0, 1.5], 1.0, np.array([3j, 1.5j, 0.5j]), FindOptions(symmetry="axis")
+        )
+        assert report.iterations > 0
+        assert shapes.count((6, 3)) == report.iterations
+        # the residual at the start, then per iteration one stacked call and its trial steps
+        assert shapes[0] == (3,) and shapes[-1] == (3,)
+        assert all(a == (3,) or b == (3,) for a, b in zip(shapes, shapes[1:]))
+        assert set(shapes) == {(3,), (6, 3)}
 
 
 class TestTwoBodyElliptic:
