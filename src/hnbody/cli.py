@@ -472,16 +472,20 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON configuration")
         p.add_argument("--out", default=".", help="output directory for reports")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--samples", type=int, default=None, help="override the sample count")
+        return p
+
+    def with_class(p):
         p.add_argument(
             "--class", dest="cls", default=None, help="override the solution class"
         )
+        return p
 
     common(sub.add_parser("simulate", help="integrate a system and export the trajectory"))
     eq = sub.add_parser("equilibria", help="solve or check a solution-class condition system")
     eq.add_argument("mode", choices=["find", "check"])
-    common(eq)
-    common(sub.add_parser("certify", help="sample a non-existence sign certificate"))
+    with_class(common(eq))
+    cert = with_class(common(sub.add_parser("certify", help="sample a non-existence sign certificate")))
+    cert.add_argument("--samples", type=int, default=None, help="override certify.samples")
     common(sub.add_parser("flow", help="sample a subgroup flow"))
     common(sub.add_parser("invariance", help="verify subgroup invariance of a trajectory"))
     common(sub.add_parser("map", help="round-trip the half-plane/disk identification"))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -53,11 +53,10 @@ def _json(obj, pad: str) -> str:
             sep = ",\n" + inner
             body = sep.join(["%.17g"] * len(obj)) % tuple(map(operator.add, obj, repeat(0.0)))  # -0.0 -> 0.0
             return f"[\n{inner}{body}\n{pad}]"
-        records = _RecordTemplate.of(obj[0], inner) if len(obj) > 1 and type(obj[0]) is dict else None
-        if records is None:
-            items = [inner + _json(item, inner) for item in obj]
-        else:
-            items = records.render(obj, inner)
+        records = _records(obj, inner) if len(obj) > 1 and type(obj[0]) is dict else None
+        if records is not None:  # one template fits every item
+            return f"[\n{records}\n{pad}]"
+        items = [inner + _json(item, inner) for item in obj]
         brackets = "[]"
     elif isinstance(obj, str):
         return _json_string(obj)
@@ -70,132 +69,80 @@ def _json(obj, pad: str) -> str:
     return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}" if items else brackets
 
 
-# The leaf types a record template holds a slot for, and the slot of each.  bool and None
-# leaves are rendered into their literal and strings into their escaped text first.
-_SLOTS = {float: "%.17g", int: "%d", bool: "%s", type(None): "%s", str: "%s"}
-_SEQUENCES = (list, tuple)
+# The exact leaf types a record template holds a slot for.
+_SLOTS = {float: "%.17g", int: "%d", bool: "%s"}
 
 
-def _tuple_getter(indices):
-    """A callable that picks ``indices`` from a sequence and always returns a tuple."""
-    if len(indices) == 1:
-        return lambda values, i=indices[0]: (values[i],)
-    return operator.itemgetter(*indices) if indices else lambda values: ()
+def _records(records, pad: str):
+    """The items of a list of records, each indented by ``pad``, in one %-format call, or None.
 
-
-class _RecordTemplate:
-    """One %-format template for the items of a list of records that share a shape.
-
-    The template is the text of the first item, indented by ``pad``, with one
-    slot per leaf.  The plan walks an item flat: each step takes a container
-    from a value list, checks its exact type and its keys or length, and
-    appends its children (a dict's in sorted key order); the leaves are then
-    picked from that list in the template's slot order.
+    The template is the text of the first record with one slot per float, int
+    or bool leaf.  A flat plan walks each record: every dict or list is taken
+    from a value list, its exact type and key set or length checked, and its
+    children (a dict's in sorted key order) appended; the leaves are then
+    picked in the template's slot order.  None unless every record fits, with
+    exact leaf types and finite floats; the caller then renders the list item
+    by item, which gives the same bytes or raises the first error.
     """
+    steps, leaves = [], []  # (value index, sorted keys, key set or None for a list); (value index, type)
+    count = 1  # values the steps yield, starting with the record itself
 
-    def __init__(self):
-        self.steps = []  # (value index, frozenset of keys or None for a sequence, sorted keys or length)
-        self.leaves = []  # (value index, exact type), in slot order
-        self.count = 1  # values the steps yield, starting with the item itself
-
-    @classmethod
-    def of(cls, first, pad: str):
-        """The template of ``first``, or None if it holds a leaf with no slot or a non-str key."""
-        self = cls()
-        text = self._text(first, 0, pad)
-        if text is None:
-            return None
-        self.fmt = pad + text
-        regs, types = zip(*self.leaves) if self.leaves else ((), ())
-        self.types = types
-        self.pick = _tuple_getter(regs)
-        self.floats = [i for i, t in enumerate(types) if t is float]
-        self.pick_floats = _tuple_getter(self.floats)
-        self.strings = [(i, _json_string if t is str else _LITERALS)
-                        for i, t in enumerate(types) if _SLOTS[t] == "%s"]
-        return self
-
-    def _text(self, node, reg: int, pad: str):
+    def text(node, reg: int, pad: str):
+        nonlocal count
         kind = type(node)
         if kind in _SLOTS:
-            self.leaves.append((reg, kind))
+            leaves.append((reg, kind))
             return _SLOTS[kind]
         inner = pad + "  "
-        if kind is dict:
-            if not all(type(key) is str for key in node):
-                return None
+        if kind is dict and all(type(key) is str for key in node):
             keys = sorted(node)
-            self.steps.append((reg, frozenset(keys), keys))
+            steps.append((reg, keys, frozenset(keys)))
             heads = [f"{inner}{_json_string(key).replace('%', '%%')}: " for key in keys]
             children, brackets = [node[key] for key in keys], "{}"
-        elif kind in _SEQUENCES:
-            self.steps.append((reg, None, len(node)))
+        elif kind is list:
+            steps.append((reg, len(node), None))
             heads, children, brackets = [inner] * len(node), node, "[]"
         else:
             return None
-        first, self.count = self.count, self.count + len(children)
-        parts = []
-        for i, (head, child) in enumerate(zip(heads, children)):
-            text = self._text(child, first + i, inner)
-            if text is None:
-                return None
-            parts.append(head + text)
-        return f"{brackets[0]}\n" + ",\n".join(parts) + f"\n{pad}{brackets[1]}" if parts else brackets
+        first, count = count, count + len(children)
+        texts = [text(child, first + i, inner) for i, child in enumerate(children)]
+        if None in texts:
+            return None
+        parts = map(operator.add, heads, texts)
+        return f"{brackets[0]}\n" + ",\n".join(parts) + f"\n{pad}{brackets[1]}" if texts else brackets
 
-    def render(self, items, pad: str) -> list:
-        """Texts of ``items``, the same bytes as ``pad + _json(item, pad)`` each.
-
-        Each run of items that fit the template is one %-format call, whose
-        text holds the whole run (fewer and larger strings take less peak
-        memory than one per item); any other item takes the recursion, which
-        renders it or raises as before.
-        """
-        texts, run, count = [], [], 0
-        for item in items:
-            slots = self._slots(item)
-            if slots is None:
-                if count:
-                    texts.append(self._format(run, count))
-                    run, count = [], 0
-                texts.append(pad + _json(item, pad))
-            else:
-                run += slots
-                count += 1
-        if count:
-            texts.append(self._format(run, count))
-        return texts
-
-    def _format(self, slots: list, count: int) -> str:
-        return ",\n".join([self.fmt] * count) % tuple(slots)
-
-    def _slots(self, item):
-        """The slot values of ``item``, or None if it has another shape, leaf type or a non-finite float."""
-        values = [item]
-        for reg, keys, order in self.steps:
+    template = text(records[0], 0, pad)
+    if template is None:
+        return None
+    regs = [reg for reg, _ in leaves]
+    slots = []
+    for record in records:
+        values = [record]
+        for reg, order, keys in steps:
             node = values[reg]
             if keys is None:
-                if type(node) not in _SEQUENCES or len(node) != order:
+                if type(node) is not list or len(node) != order:
                     return None
                 values += node
             else:
                 if type(node) is not dict or node.keys() != keys:
                     return None
                 values += map(node.__getitem__, order)
-        leaves = self.pick(values)
-        if tuple(map(type, leaves)) != self.types:
-            return None
-        floats = self.pick_floats(leaves)
-        if not all(map(math.isfinite, floats)):
-            return None
-        zero = 0.0 in floats  # true for -0.0 as well
-        if self.strings or zero:
-            leaves = list(leaves)
-            for i, string in self.strings:
-                leaves[i] = string(leaves[i])
-            if zero:
-                for i in self.floats:
-                    leaves[i] += 0.0  # -0.0 + 0.0 == +0.0
-        return leaves
+        slots += map(values.__getitem__, regs)
+    kinds = [kind for _, kind in leaves]
+    if list(map(type, slots)) != kinds * len(records):
+        return None
+    floats = list(compress(slots, [kind is float for kind in kinds] * len(records)))
+    if not all(map(math.isfinite, floats)):
+        return None
+    zero = 0.0 in floats  # true for -0.0 as well; otherwise the records' own floats are formatted
+    width = len(kinds)
+    for i, kind in enumerate(kinds):  # one column of slots per leaf
+        if kind is bool:
+            slots[i::width] = map(_LITERALS, slots[i::width])
+        elif kind is float and zero:
+            slots[i::width] = map(operator.add, slots[i::width], repeat(0.0))  # -0.0 + 0.0 == +0.0
+    return ",\n".join([pad + template] * len(records)) % tuple(slots)
 
 
 def write_text(path, text: str):

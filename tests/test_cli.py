@@ -430,6 +430,16 @@ class TestMap:
         assert rep["count"] == 64
         assert rep["max_roundtrip_error"] < 1e-12
 
+    @pytest.mark.parametrize(("command", "flag"), [("map", "--samples"), ("map", "--class"), ("flow", "--samples")])
+    def test_flags_of_other_commands_are_usage_errors(self, tmp_path, capsys, command, flag):
+        # --samples belongs to certify and --class to certify and equilibria; elsewhere argparse refuses them
+        cfg = write_config(tmp_path, {"R": 1, "map": {}})  # argparse refuses the flag before the config is read
+        code, out = run(tmp_path, command, "--config", cfg, flag, "5")
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "code": "validation", "message": f"hnbody: unrecognized arguments: {flag} 5"}
+        assert not out.exists()
+
 
 class TestVlasov:
     def test_two_body_residual(self, tmp_path):

@@ -139,6 +139,18 @@ class TestFlowOde:
         # linear flow: only rounding in the difference quotient remains
         assert flow_derivative_check(NILPOTENT_N, 0.5 + 1.5j, -2.0) < 1e-10
 
+    @pytest.mark.parametrize("field", ALL_FIELDS)
+    def test_derivative_check_is_the_central_difference_against_the_field(self, field):
+        # the one oracle: the centered d/dt of the flow against killing_velocity at the flowed point
+        h = 1e-6
+        points = np.array([0.2 + 0.5j, -0.3 + 1.2j, 0.05 + 0.3j, -0.15 + 0.65j])
+        for t in (-0.25, 0.0, 0.3, 0.55):
+            fd = (flow(field, points, t + h) - flow(field, points, t - h)) / (2.0 * h)
+            vel = killing_velocity(field, flow(field, points, t))
+            plain = np.abs(fd - vel) / np.maximum(1.0, np.abs(vel))
+            assert np.array_equal(flow_derivative_check(field, points, t), plain)
+            assert flow_derivative_check(field, complex(points[1]), t) == plain[1]
+
 
 class TestPoles:
     def test_parabolic_interval(self):

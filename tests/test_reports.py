@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hnbody.dynamics import IntegratorStats, SystemState, Trajectory, conserved, integrate
 from hnbody.equilibria import EquilibriumClass, certify_nonexistence
 from hnbody.errors import DomainError
+from hnbody import reports
 from hnbody.reports import canonical_json, flow_csv, fmt_float, map_csv, trajectory_csv, trajectory_sidecar
 
 # values whose rendering is easy to get wrong: signed zero, subnormals, extremes
@@ -247,6 +248,17 @@ def test_a_bad_later_record_raises_what_it_raises_alone(data):
 def test_certificates_equal_the_per_sample_recursion(cls, n):
     payload = certify_nonexistence(cls, n, 1000, seed=2026).to_dict()
     assert canonical_json(payload) == _with_samples_per_item(payload)
+
+
+@pytest.mark.parametrize("cls", [EquilibriumClass.PARABOLIC_CYCLIC, EquilibriumClass.HYPERBOLIC_CYCLIC])
+def test_certificates_take_the_template(monkeypatch, cls):
+    # 7 calls of _json in all; the recursion renders the same bytes in 9 calls per sample
+    payload = certify_nonexistence(cls, 3, 1000, seed=2026).to_dict()
+    expected = _with_samples_per_item(payload)
+    calls, render = [], reports._json
+    monkeypatch.setattr(reports, "_json", lambda obj, pad: calls.append(obj) or render(obj, pad))
+    assert canonical_json(payload) == expected
+    assert len(calls) < 50
 
 
 @pytest.mark.parametrize("odd", [(0, 1), (1, 0), (3, 5)])
