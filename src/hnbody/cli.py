@@ -110,9 +110,11 @@ def _integer(value, path: str, minimum=None) -> int:
 # from --samples), map.samples, invariance.num_points and vlasov.num_points (at least
 # this many evaluation points, the steps split evenly); above it is a validation error.
 MAX_COUNT = 100_000
-# The bound on certify.n * certify.samples: the heights, masses and sides of every
-# sample are held at once, so this caps each array at 8 MB.
-MAX_CERTIFY_WORK = 1_000_000
+# The bound on n times certify.samples, invariance.num_points or vlasov.num_points:
+# each holds its arrays over every body and sample or point at once.  It caps each
+# array of a certificate at 8 MB; vlasov_weak_residual holds about 270 bytes per
+# body and point (35 MB for 1,001 points at n = 128), so about 270 MB at the bound.
+MAX_WORK = 1_000_000
 
 
 def _count(value, path: str, minimum: int) -> int:
@@ -120,6 +122,14 @@ def _count(value, path: str, minimum: int) -> int:
     if value > MAX_COUNT:
         raise ValidationError(path, f"must be <= {MAX_COUNT}")
     return value
+
+
+def _work(count: int, path: str, n: int) -> int:
+    """``count`` of the field ``path`` if n * count is within MAX_WORK."""
+    if n * count > MAX_WORK:
+        name = path.rpartition(".")[2]
+        raise ValidationError(path, f"must be <= {MAX_WORK // n} at n = {n} (n * {name} <= {MAX_WORK})")
+    return count
 
 
 def _reals(doc: dict, path: str, key: str, positive=False) -> list[float]:
@@ -213,10 +223,16 @@ def _seed(doc: dict, args) -> int:
     return 0
 
 
-def _emit(args, name: str, text: str) -> str:
+def _emit(args, name: str, text) -> str:
+    """Write ``text``, a str or the pieces of one (a CSV report's blocks), written one at a time."""
+    path = os.path.join(args.out, name)
     try:
         os.makedirs(args.out, exist_ok=True)
-        reports.write_text(os.path.join(args.out, name), text)
+        if isinstance(text, str):
+            reports.write_text(path, text)
+        else:
+            for i, piece in enumerate(text):
+                reports.write_text(path, piece, append=i > 0)
     except OSError as exc:
         raise ValidationError("--out", f"cannot write {name}: {exc}") from None
     return name
@@ -322,11 +338,7 @@ def cmd_certify(args, doc: dict) -> list[str]:
     samples = args.samples if args.samples is not None else section.get("samples")
     if samples is None:
         raise ValidationError("certify.samples", "missing required field")
-    samples = _count(samples, "certify.samples", 1)
-    if n * samples > MAX_CERTIFY_WORK:
-        raise ValidationError(
-            "certify.samples", f"must be <= {MAX_CERTIFY_WORK // n} at n = {n} (n * samples <= {MAX_CERTIFY_WORK})"
-        )
+    samples = _work(_count(samples, "certify.samples", 1), "certify.samples", n)
     cert = certify_nonexistence(cls, n, samples, seed=_seed(doc, args))
     payload = cert.to_dict()
     if cls is EquilibriumClass.PARABOLIC_CYCLIC:
@@ -381,7 +393,7 @@ def cmd_invariance(args, doc: dict) -> list[str]:
     kind, sigma = _kind_sigma(section, "invariance.", _FIELD_KINDS + ("loxodromic",))
     num_points = section.get("num_points")
     if num_points is not None:
-        num_points = _count(num_points, "invariance.num_points", 7)
+        num_points = _work(_count(num_points, "invariance.num_points", 7), "invariance.num_points", state.n)
     traj = integrate(state, **opts)
     with np.errstate(all="ignore"):  # an overflow or underflow of the transport ends in a group_time error
         try:
@@ -432,6 +444,7 @@ def cmd_vlasov(args, doc: dict) -> list[str]:
     section = _section(doc, "vlasov", {"num_points"}) if "vlasov" in doc else {}
     num_points = _count(section.get("num_points", VLASOV_NUM_POINTS), "vlasov.num_points", 21)
     state = _system_state(doc)
+    num_points = _work(num_points, "vlasov.num_points", state.n)
     traj = integrate(state, **_integrator(doc))
     # the evaluation points are built once per trajectory and shared by the tests
     per_test = {

@@ -483,11 +483,12 @@ def integrate(
     Gustafsson's predictive proposal h max(0.2, 0.9 (h / h_acc)
     (err_acc / err^2)^1/5) from the previous accepted step (Hairer & Wanner,
     Solving ODEs II, IV.8); a rejection shrinks the step by
-    max(0.2, 0.9 err^-1/5), a failed stage by 0.25.  Halts with a
-    singularity error if any pair drops below the theta floor, and with a
-    step-size error on underflow, on a non-finite initial derivative, step
-    size or error estimate, or on an accepted state past the position bound
-    of SystemState.
+    max(0.2, 0.9 err^-1/5), a failed stage by 0.25.  A step that would pass
+    t_end, or end less than 1e-14 max(1, |t_end|) short of it, ends on
+    t_end.  Halts with a singularity error if any pair drops below the theta
+    floor, and with a step-size error on underflow, on a non-finite initial
+    derivative, step size or error estimate, or on an accepted state past
+    the position bound of SystemState.
     """
     if state.positions.ndim != 1:
         raise DomainError("integration starts from one state, not a series")
@@ -536,8 +537,9 @@ def integrate(
     last_singularity = verdict = None
     k = np.empty((7, 2 * n), dtype=complex)
     size_y = np.abs(y)
+    end_gap = 1e-14 * max(1.0, abs(t1))  # a step leaving less than this before t_end ends on t_end
     while t < t1:
-        h = min(h, t1 - t, hmax)
+        h = min(h, hmax)
         if h < 1e-14 * max(1.0, abs(t)):
             if last_singularity is not None or theta_y < 1e8 * theta_floor(y[:n]):
                 verdict = last_singularity or SingularityError(
@@ -547,6 +549,9 @@ def integrate(
                 )
                 break
             raise StepSizeError(f"step size underflow at t = {t}")
+        last = t1 - t - h < end_gap
+        if last:
+            h = t1 - t
         k[0] = f
         failed = False
         for i in range(1, 7):
@@ -575,7 +580,7 @@ def integrate(
         if not math.isfinite(err):
             raise StepSizeError(f"non-finite error estimate at t = {t}")
         if err <= 1.0:
-            t += h
+            t = t1 if last else t + h
             # the position bound of SystemState, on each accepted node
             if not math.isfinite(_divisor_bound(float(size_y5[:n].max()))):
                 raise StepSizeError(f"positions too large at t = {t}: {_DIVISOR_OVERFLOWS}")

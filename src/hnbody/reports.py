@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections.abc import Iterator
 from itertools import compress, repeat
 
 import numpy as np
@@ -145,8 +146,8 @@ def _records(records, pad: str):
     return ",\n".join([pad + template] * len(records)) % tuple(slots)
 
 
-def write_text(path, text: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def write_text(path, text: str, append: bool = False):
+    with open(path, "a" if append else "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
@@ -154,32 +155,50 @@ def write_text(path, text: str):
 # Trajectory export
 # ---------------------------------------------------------------------------
 
-_CSV_BLOCK = 2048  # rows turned into Python floats at a time, to bound the memory they take
+_CSV_BLOCK = 2048  # rows rendered at a time, so the text and floats held at once stay small
 
 
-def _csv(header: str, fmt: str, data: np.ndarray) -> str:
-    """CSV text: ``header``, then ``data`` of shape (fields, rows) with one
-    %-format per row, each line ending in a newline.
+def _csv(header: str, fmt: str, arrays, blocks) -> Iterator[str]:
+    """CSV text in pieces: ``header`` with its newline, then one string per
+    array of ``blocks``, each (rows, fields) and rendered with one %-format
+    call, every row ending in a newline.
 
     Floats come out as fmt_float renders them: 17 significant digits and
-    -0.0 written as 0.  ``data`` is normalised in place.
+    -0.0 written as 0.  Every value of ``arrays`` is checked for finiteness
+    here, at the call; ``blocks``, which must hold only those values, is
+    iterated as the pieces are.
     """
-    if not np.all(np.isfinite(data)):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise DomainError("reports may not contain NaN or infinite values")
-    data += 0.0  # -0.0 + 0.0 == +0.0; every other value is unchanged
-    rows = [fmt % row for a in range(0, data.shape[1], _CSV_BLOCK)
-            for row in zip(*data[:, a:a + _CSV_BLOCK].tolist())]
-    return "\n".join([header, *rows, ""])
+    return _csv_pieces(header, fmt, blocks)
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    """CSV body with header t,k,re,im,vre,vim, one row per node and body."""
+def _csv_pieces(header: str, fmt: str, blocks) -> Iterator[str]:
+    yield header + "\n"
+    rows, template = 0, ""
+    for block in blocks:
+        if len(block) != rows:
+            rows = len(block)
+            template = "\n".join([fmt] * rows) + "\n"
+        yield template % tuple((block + 0.0).ravel().tolist())  # -0.0 + 0.0 == +0.0
+
+
+def trajectory_csv(traj: Trajectory) -> Iterator[str]:
+    """CSV pieces with header t,k,re,im,vre,vim, one row per node and body;
+    a block holds the rows of as many whole nodes as fit in _CSV_BLOCK rows
+    (at least one node)."""
     n = traj.n
-    w, v = traj.ys[:, :n], traj.ys[:, n:]
-    data = np.empty((6,) + w.shape)
-    data[0], data[1] = traj.times[:, None], np.arange(n)
-    data[2], data[3], data[4], data[5] = w.real, w.imag, v.real, v.imag
-    return _csv("t,k,re,im,vre,vim", "%.17g,%d,%.17g,%.17g,%.17g,%.17g", data.reshape(6, -1))
+    step = max(1, _CSV_BLOCK // n)
+    k = np.arange(n)
+
+    def blocks():
+        for a in range(0, len(traj.times), step):
+            ys = traj.ys[a:a + step]
+            w, v = ys[:, :n], ys[:, n:]
+            columns = np.broadcast_arrays(traj.times[a:a + step, None], k, w.real, w.imag, v.real, v.imag)
+            yield np.stack(columns, axis=-1).reshape(-1, 6)
+
+    return _csv("t,k,re,im,vre,vim", "%.17g,%d,%.17g,%.17g,%.17g,%.17g", (traj.times, traj.ys), blocks())
 
 
 def trajectory_sidecar(traj: Trajectory) -> dict:
@@ -203,13 +222,18 @@ def trajectory_sidecar(traj: Trajectory) -> dict:
     }
 
 
-def flow_csv(rows) -> str:
-    """CSV body with header t,s,k,re,im for flow samples."""
-    data = np.array(rows, dtype=float).reshape(-1, 5).T
-    return _csv("t,s,k,re,im", "%.17g,%.17g,%d,%.17g,%.17g", data)
+def _row_blocks(data: np.ndarray):
+    return (data[a:a + _CSV_BLOCK] for a in range(0, len(data), _CSV_BLOCK))
 
 
-def map_csv(rows) -> str:
-    """CSV body with header re,im,disk_re,disk_im,back_re,back_im for disk round trips."""
-    data = np.array(rows, dtype=float).reshape(-1, 6).T
-    return _csv("re,im,disk_re,disk_im,back_re,back_im", "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g", data)
+def flow_csv(rows) -> Iterator[str]:
+    """CSV pieces with header t,s,k,re,im for flow samples."""
+    data = np.array(rows, dtype=float).reshape(-1, 5)
+    return _csv("t,s,k,re,im", "%.17g,%.17g,%d,%.17g,%.17g", (data,), _row_blocks(data))
+
+
+def map_csv(rows) -> Iterator[str]:
+    """CSV pieces with header re,im,disk_re,disk_im,back_re,back_im for disk round trips."""
+    data = np.array(rows, dtype=float).reshape(-1, 6)
+    return _csv("re,im,disk_re,disk_im,back_re,back_im", "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g", (data,),
+                _row_blocks(data))

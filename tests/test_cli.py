@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hnbody
-from hnbody.cli import MAX_CERTIFY_WORK, MAX_COUNT, _build_parser, main
+from hnbody.cli import MAX_COUNT, MAX_WORK, _build_parser, main
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -61,6 +61,15 @@ class TestSimulate:
         for row in rows:
             _, _, re, im, _, _ = row.split(",")
             assert abs(math.hypot(float(re), float(im)) - 1.0) < 1e-8
+
+    def test_max_steps_that_sum_short_of_t_end_end_on_it(self, tmp_path, capsys):
+        # ten steps of 0.1 sum to 1 - 1.1e-16: the last one is stretched onto t_end
+        doc = {"R": 1, "masses": [1], "bodies": [[0, 1, 0.001, 0]],
+               "integrator": {"t_end": 1, "tol": 1e-10, "max_step": 0.1}}
+        code, out = run(tmp_path, "simulate", "--config", write_config(tmp_path, doc))
+        assert code == 0, capsys.readouterr().out
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert len(rows) == 12 and rows[-1].startswith("1,0,")
 
     def test_invalid_body_exits_one(self, tmp_path, capsys):
         doc = dict(SIMULATE_DOC, bodies=[[0.0, -1.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
@@ -790,7 +799,7 @@ def test_counts_above_the_cap_are_validation_errors(tmp_path, capsys, field, cou
     assert not out.exists()
 
 
-# certify.n * certify.samples above MAX_CERTIFY_WORK with both counts within MAX_COUNT,
+# certify.n * certify.samples above MAX_WORK with both counts within MAX_COUNT,
 # samples from the config or from --samples
 @pytest.mark.parametrize(("n", "samples", "flag"), [(11, MAX_COUNT, False), (MAX_COUNT, 11, False), (1000, 1001, True)])
 def test_certify_work_above_the_bound_is_a_validation_error(tmp_path, capsys, n, samples, flag):
@@ -802,8 +811,26 @@ def test_certify_work_above_the_bound_is_a_validation_error(tmp_path, capsys, n,
     assert captured.err == ""
     assert json.loads(captured.out)["error"] == {
         "code": "validation",
-        "message": f"certify.samples: must be <= {MAX_CERTIFY_WORK // n} at n = {n} "
-                   f"(n * samples <= {MAX_CERTIFY_WORK})",
+        "message": f"certify.samples: must be <= {MAX_WORK // n} at n = {n} "
+                   f"(n * samples <= {MAX_WORK})",
+    }
+    assert not out.exists()
+
+
+# n * invariance.num_points or n * vlasov.num_points above MAX_WORK, refused before any integration
+@pytest.mark.parametrize("field", ["invariance.num_points", "vlasov.num_points"])
+def test_check_grids_above_the_work_bound_are_validation_errors(tmp_path, capsys, field):
+    command, make_doc = COUNT_FIELDS[field]
+    n = 128
+    bodies = [[0.1 * k, 1.0 + 0.01 * k, 0.0, 0.0] for k in range(n)]
+    doc = {**make_doc(MAX_WORK // n + 1), "masses": [1.0] * n, "bodies": bodies}
+    code, out = run(tmp_path, command, "--config", write_config(tmp_path, doc))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert json.loads(captured.out)["error"] == {
+        "code": "validation",
+        "message": f"{field}: must be <= 7812 at n = 128 (n * num_points <= 1000000)",
     }
     assert not out.exists()
 

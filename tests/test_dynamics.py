@@ -436,6 +436,15 @@ class TestIntegrate:
         assert traj.stats.steps == len(traj.times) - 1
         assert traj.stats.min_theta > 0
 
+    @pytest.mark.parametrize(("t_end", "steps"), [(1.0, 10), (10.0, 100)])
+    def test_max_steps_that_sum_short_of_t_end_end_on_it(self, t_end, steps):
+        # the sums of max_step fall short of t_end by 1.1e-16 and 2e-14; the
+        # remainder used to be taken as the next step and refused as an underflow
+        traj = integrate(SystemState(0.0, [1j], [1e-3], [1.0], 1.0), t_end, tol=1e-10, max_step=0.1)
+        assert traj.stats.steps == steps
+        assert traj.times[-1] == t_end
+        assert np.all(np.diff(traj.times) > 0)
+
     def test_invalid_inputs(self):
         s = two_body([1j, 2j])
         with pytest.raises(DomainError):

@@ -1,5 +1,8 @@
+import argparse
 import json
+import math
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 from hnbody.dynamics import IntegratorStats, SystemState, Trajectory, conserved, integrate
 from hnbody.equilibria import EquilibriumClass, certify_nonexistence
 from hnbody.errors import DomainError
-from hnbody import reports
+from hnbody import cli, reports
 from hnbody.reports import canonical_json, flow_csv, fmt_float, map_csv, trajectory_csv, trajectory_sidecar
 
 # values whose rendering is easy to get wrong: signed zero, subnormals, extremes
@@ -33,13 +36,13 @@ def _awkward_trajectory(n=3, nodes=5, bad=None):
     ys = rng.choice(values, (nodes, 2 * n)) + 1j * rng.choice(values, (nodes, 2 * n))
     if bad is not None:
         ys[2, 1] = complex(0.5, bad)
-    times = np.array([-0.0, 5e-324, 0.1, 1.0, 1e300])[:nodes]
+    times = np.resize([-0.0, 5e-324, 0.1, 1.0, 1e300], nodes)
     return Trajectory(times, ys, np.zeros_like(ys), np.ones(n), 1.0, IntegratorStats(nodes - 1, 0, 1.0, 1 + 6 * (nodes - 1), 0))
 
 
 def test_trajectory_csv_matches_fmt_float():
     traj = _awkward_trajectory()
-    text = trajectory_csv(traj)
+    text = "".join(trajectory_csv(traj))
     assert text == _reference_trajectory_csv(traj)
     assert "-0," not in text and ",-0\n" not in text
 
@@ -50,14 +53,14 @@ def test_flow_csv_matches_fmt_float():
     expected = ["t,s,k,re,im"] + [
         ",".join([fmt_float(t), fmt_float(s), str(k), fmt_float(re), fmt_float(im)]) for t, s, k, re, im in rows
     ]
-    assert flow_csv(rows) == "\n".join(expected) + "\n"
-    assert flow_csv(np.array(rows)) == flow_csv(rows)
+    assert "".join(flow_csv(rows)) == "\n".join(expected) + "\n"
+    assert "".join(flow_csv(np.array(rows))) == "".join(flow_csv(rows))
 
 
 def test_map_csv_matches_fmt_float():
     rows = [tuple(row) for row in np.random.default_rng(9).choice(AWKWARD, (40, 6))]
     expected = ["re,im,disk_re,disk_im,back_re,back_im"] + [",".join(fmt_float(x) for x in row) for row in rows]
-    assert map_csv(rows) == "\n".join(expected) + "\n"
+    assert "".join(map_csv(rows)) == "\n".join(expected) + "\n"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -68,6 +71,96 @@ def test_csv_rejects_nonfinite_values(bad):
         flow_csv([(0.0, 0.0, 0, 1.0, bad)])
     with pytest.raises(DomainError):
         map_csv([(0.0, 1.0, 0.0, 0.0, 0.0, bad)])
+
+
+def _reference_rows(header: str, rows, k: int | None = None) -> str:
+    """CSV text of ``rows`` one value at a time, column ``k`` written as an int."""
+    lines = [header] + [",".join(str(int(x)) if i == k else fmt_float(x) for i, x in enumerate(row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+# n = 3: a block holds the 2046 rows of 682 nodes
+@pytest.mark.parametrize("nodes", [681, 682, 683, 1365])
+def test_trajectory_csv_blocks_join_to_the_per_row_text(nodes):
+    traj = _awkward_trajectory(nodes=nodes)
+    pieces = list(trajectory_csv(traj))
+    assert "".join(pieces) == _reference_trajectory_csv(traj)
+    assert len(pieces) == 1 + -(-nodes // 682)
+    assert all(piece.count("\n") <= reports._CSV_BLOCK for piece in pieces)
+
+
+@pytest.mark.parametrize("count", [2047, 2048, 2049])
+def test_flow_and_map_csv_blocks_join_to_the_per_row_text(count):
+    rng = np.random.default_rng(count)
+    flow_rows = [(t, s, k, re, im) for k, (t, s, re, im) in enumerate(rng.choice(AWKWARD, (count, 4)))]
+    map_rows = rng.choice(AWKWARD, (count, 6))
+    pieces = list(flow_csv(flow_rows))
+    assert "".join(pieces) == _reference_rows("t,s,k,re,im", flow_rows, k=2)
+    assert len(pieces) == 1 + -(-count // reports._CSV_BLOCK)
+    assert "".join(map_csv(map_rows)) == _reference_rows("re,im,disk_re,disk_im,back_re,back_im", map_rows)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_csv_rejects_a_nonfinite_value_in_the_last_block_at_the_call(bad):
+    traj = _awkward_trajectory(nodes=1365)
+    traj.ys[-1, 4] = complex(bad, 0.5)
+    with pytest.raises(DomainError):
+        trajectory_csv(traj)
+    traj = _awkward_trajectory(nodes=1365)
+    traj.times[-1] = bad
+    with pytest.raises(DomainError):
+        trajectory_csv(traj)
+    rows = np.ones((2049, 5))
+    rows[-1, 4] = bad
+    with pytest.raises(DomainError):
+        flow_csv(rows)
+    with pytest.raises(DomainError):
+        map_csv(np.hstack([rows, rows[:, :1]]))
+
+
+def test_simulate_writes_no_trajectory_csv_with_a_nonfinite_last_node(tmp_path, monkeypatch, capsys):
+    # two nodes a block: the bad node is in the last of several blocks
+    integrate = cli.integrate
+
+    def bad_last_time(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        traj.times[-1] = math.nan
+        return traj
+
+    monkeypatch.setattr(cli, "integrate", bad_last_time)
+    monkeypatch.setattr(reports, "_CSV_BLOCK", 4)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"R": 1.0, "masses": [1.0, 1.0], "bodies": [[0.0, 1.0, 0.6, 0.0], [0.0, 2.0, -0.6, 0.0]],
+                                  "integrator": {"tol": 1e-8, "t_end": 1.0}}))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == "reports may not contain NaN or infinite values"
+    assert not (out / "trajectory.csv").exists()
+
+
+def _emit_peak(tmp_path, nodes: int, n: int = 8) -> int:
+    """tracemalloc's peak in bytes while cli._emit writes the trajectory.csv of nodes x n rows."""
+    rng = np.random.default_rng(nodes)
+    ys = rng.uniform(0.5, 2.0, (nodes, 2 * n)) + 1j * rng.uniform(0.5, 2.0, (nodes, 2 * n))
+    traj = Trajectory(np.linspace(0.0, 1.0, nodes), ys, np.zeros_like(ys), np.ones(n), 1.0,
+                      IntegratorStats(nodes - 1, 0, 1.0, 1 + 6 * (nodes - 1), 0))
+    args = argparse.Namespace(out=str(tmp_path))
+    tracemalloc.start()
+    try:
+        cli._emit(args, "trajectory.csv", trajectory_csv(traj))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "trajectory.csv").read_text().count("\n") == 1 + nodes * n
+    return peak
+
+
+def test_writing_a_trajectory_csv_holds_one_block_not_the_file(tmp_path):
+    # the 40,000-row file is about 4 MB; rendering it whole peaked at about three times that
+    small = _emit_peak(tmp_path, 2500)
+    large = _emit_peak(tmp_path, 5000)
+    assert large < 1.5e6
+    assert abs(large - small) < 0.2e6
 
 
 def test_sidecar_series_equal_conserved_at_every_node():
