@@ -256,7 +256,12 @@ def _state_dict(state: SystemState) -> dict:
 def cmd_simulate(args, doc: dict) -> list[str]:
     state = _system_state(doc)
     traj = integrate(state, **_integrator(doc))
-    sidecar = reports.trajectory_sidecar(traj)
+    with np.errstate(all="ignore"):  # an overflow ends in the error below, before any file is written
+        sidecar = reports.trajectory_sidecar(traj)
+    quantities = [series for key, series in sidecar["conserved"].items() if key != "t"]
+    if not (math.isfinite(sidecar["energy_drift"]) and np.all(np.isfinite(quantities))):
+        path = "R" if state.R >= state.masses.max() else "masses"
+        raise ValidationError(path, "the conserved quantities overflow the floating-point range")
     return [
         _emit(args, "trajectory.csv", reports.trajectory_csv(traj)),
         _emit(args, "trajectory.json", reports.canonical_json(sidecar)),
@@ -358,12 +363,16 @@ def cmd_flow(args, doc: dict) -> list[str]:
     if not t_max > t_min:
         raise ValidationError("flow.t_max", "must exceed t_min")
     num = _count(section.get("num", 33), "flow.num", 2)
+    overflows = "the flow overflows the floating-point range"
     with np.errstate(all="ignore"):  # an overflow ends in the error below
         ts = np.linspace(t_min, t_max, num)
         try:
             rows = flow_samples(field, points, ts)
-        except DomainError as exc:  # a rotation kind with |t| >= pi/2 at an end of the grid
-            raise ValidationError("flow.t_max" if abs(t_min) < math.pi / 2 else "flow.t_min", str(exc)) from None
+        except DomainError as exc:
+            if field.kind == "rotation":  # |t| >= pi/2 at an end of the grid
+                raise ValidationError("flow.t_max" if abs(t_min) < math.pi / 2 else "flow.t_min", str(exc)) from None
+            # the normal kind's group element e^{+-t/2} leaves the floating-point range at the larger |t|
+            raise ValidationError("flow.t_min" if abs(t_min) > abs(t_max) else "flow.t_max", overflows) from None
         except PoleError as exc:  # a point's flow meets a pole inside [t_min, t_max]
             path = "flow.t_min" if exc.pole_time < 0 else "flow.t_max"
             raise PoleError(f"{path}: {exc}", exc.pole_time, exc.interval) from None
@@ -372,7 +381,7 @@ def cmd_flow(args, doc: dict) -> list[str]:
             for t in (t_min + 0.25 * (t_max - t_min), t_min + 0.75 * (t_max - t_min))
         ]
     if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(checks))):
-        raise ValidationError("flow.t_max", "the flow overflows the floating-point range")
+        raise ValidationError("flow.t_max", overflows)
     payload = {
         "kind": field.describe(),
         "num_points": len(points),

@@ -275,8 +275,14 @@ def exp_subgroup(field: KillingField, t) -> MobiusElement:
 
     normal -> diag(e^{t/2}, e^{-t/2}); nilpotent -> unit upper shear by t;
     rotation -> the rotation block [[cos t, sin t], [-sin t, cos t]].  An
-    array of parameters gives one element per entry.
+    array of parameters gives one element per entry.  The parabolic and
+    hyperbolic rotation flavours are no Mobius subgroup and raise DomainError;
+    flows.flow moves points along them.
     """
+    if not field.isometric:
+        raise DomainError(
+            f"{field.describe()} is not generated by a Mobius subgroup; flows.flow moves points along it"
+        )
     t = np.asarray(t, dtype=float)[()]
     one, zero = np.ones_like(t)[()], np.zeros_like(t)[()]
     if field.kind == NORMAL:

@@ -1,9 +1,12 @@
 """Closed-form flows of the five Killing fields and the invariance verifier.
 
-The normal, nilpotent and elliptic-rotation flows act by isometries of the
-half-plane; the parabolic and hyperbolic rotation flavours have explicit
-closed forms through the change of variable s = tan t, with poles where a
-characteristic tangent blows up.  ``verify_invariance`` implements the
+The normal, nilpotent and elliptic-rotation flows act by the isometries
+exp_subgroup(field, t) of the half-plane; the parabolic and hyperbolic
+rotation flavours have explicit closed forms through the change of variable
+s = tan t, with poles where a characteristic tangent blows up.  One chain
+rule, ``_push``, moves positions, velocities and accelerations through every
+flow map and every MobiusElement; ``transport``, ``flow_jacobian`` and
+``verify_invariance`` read it.  ``verify_invariance`` implements the
 relative-equilibrium definition operationally: transport an integrated
 trajectory by a subgroup element and measure, at the accepted nodes, how
 badly the transported curve violates the motion equations.
@@ -27,7 +30,7 @@ from .clifford import (
 )
 from .dynamics import SystemState, Trajectory, _step_points, eom_rhs
 from .errors import DomainError, PoleError
-from .geometry import apply_mobius, as_points, mobius_derivative, require_upper
+from .geometry import apply_mobius, as_points, require_upper
 
 _POLE_MARGIN = 1e-8
 
@@ -62,50 +65,62 @@ def _require_admissible(field: KillingField, w0, t):
         )
 
 
-def _flow_map(field: KillingField, w, t, differential: bool = True):
-    """Image u + iv of w = x + iy under the time-t flow map, and its partials
-    (du/dx, du/dy, dv/dx, dv/dy), or None for them if ``differential`` is false.
+def _image(field: KillingField, w, t):
+    """Image u + iv of w = x + iy under the time-t flow map.
 
-    normal: e^t w.  nilpotent: w + t.  rotation sigma=-1: the fractional
-    linear rotation image.  These act by isometries, with conformal partials.
-    sigma=0: u = tan(t + atan x) and v = y (1 + u^2)/(1 + x^2); with
-    k = (1 + u^2)/(1 + x^2): du/dx = dv/dy = k, du/dy = 0 and
-    dv/dx = 2y (1 + u^2)(u - x)/(1 + x^2)^2.  sigma=+1: u + v and u - v are
-    the tan-shifts p and q of x + y and x - y; with P = (1 + p^2)/(1 + (x+y)^2)
-    and Q = (1 + q^2)/(1 + (x-y)^2): du/dx = dv/dy = (P + Q)/2 and
-    du/dy = dv/dx = (P - Q)/2.  These two raise PoleError, before any
-    tan-shift, when a t leaves the admissible interval of its point.
+    The normal, nilpotent and elliptic-rotation flows act by the isometry
+    exp_subgroup(field, t).  sigma=0: u = tan(t + atan x) and
+    v = y (1 + u^2)/(1 + x^2).  sigma=+1: u + v and u - v are the tan-shifts
+    of x + y and x - y.  These two raise PoleError, before any tan-shift,
+    when a t leaves the admissible interval of its point.
     """
     if field.isometric:
-        if field.kind == NORMAL:
-            e = np.exp(t)
-            image, d = e * w, e  # real: its imaginary part is zero
-        elif field.kind == NILPOTENT:
-            image, d = w + t, 1.0 + 0j
-        else:
-            A = exp_subgroup(field, t)
-            image = apply_mobius(A, w)
-            d = mobius_derivative(A, w) if differential else None
-        if not differential:
-            return image, None
-        return image, (d.real, -d.imag, d.imag, d.real)
+        return apply_mobius(exp_subgroup(field, t), w)
     _require_admissible(field, w, t)
     x, y = w.real, w.imag
     if field.sigma == 0:
         u = np.tan(t + np.arctan(x))
-        image = u + 1j * (y * (1.0 + u * u) / (1.0 + x ** 2))
-        if not differential:
-            return image, None
-        k = (1.0 + u * u) / (1.0 + x * x)
-        return image, (k, 0.0, 2.0 * y * (1.0 + u * u) * (u - x) / (1.0 + x * x) ** 2, k)
+        return u + 1j * (y * (1.0 + u * u) / (1.0 + x ** 2))
     p = np.tan(t + np.arctan(x + y))
     q = np.tan(t + np.arctan(x - y))
-    image = (p + q) / 2.0 + 1j * (p - q) / 2.0
-    if not differential:
-        return image, None
-    P = (1.0 + p ** 2) / (1.0 + (x + y) ** 2)
-    Q = (1.0 + q ** 2) / (1.0 + (x - y) ** 2)
-    return image, ((P + Q) / 2.0, (P - Q) / 2.0, (P - Q) / 2.0, (P + Q) / 2.0)
+    return (p + q) / 2.0 + 1j * (p - q) / 2.0
+
+
+def _tan_shift_partials(phi, s):
+    """phi', phi'' and phi''' of the tan-shift phi(s) = tan(t + atan s), from phi."""
+    ds = 1.0 + s * s
+    d1 = (1.0 + phi * phi) / ds
+    d2 = 2.0 * d1 * (phi - s) / ds
+    return d1, d2, 2.0 * (d2 * (phi - 2.0 * s) + d1 * (d1 - 1.0)) / ds
+
+
+def _push(spec, w, t, v, a):
+    """Images of a position w, velocity v and acceleration a under a
+    MobiusElement, or under the time-t flow map of a KillingField.
+
+    An isometry g = (aw + b)/(den = cw + d) has g' = den^-2 and
+    g'' = -2c den^-3.  The sigma = 0 and +1 flows move velocities by their
+    Jacobian J and accelerations by J a + H[v, v], H the second partials of
+    the tan-shift phi: u = phi(x) and v = y phi'(x) for sigma = 0, and
+    u +- v = phi(x +- y) for +1.
+    """
+    if isinstance(spec, MobiusElement) or spec.isometric:
+        g = spec if isinstance(spec, MobiusElement) else exp_subgroup(spec, t)
+        den = g.c * w + g.d
+        return apply_mobius(g, w), v / (den * den), (a - 2.0 * g.c * v * v / den) / (den * den)
+    wt = _image(spec, w, t)
+    if spec.sigma == 0:
+        y, vx, vy, ax, ay = w.imag, v.real, v.imag, a.real, a.imag
+        d1, d2, d3 = _tan_shift_partials(wt.real, w.real)
+        at = d1 * ax + d2 * vx * vx + 1j * (y * (d2 * ax + d3 * vx * vx) + d1 * ay + 2.0 * d2 * vx * vy)
+        return wt, d1 * vx + 1j * (y * d2 * vx + d1 * vy), at
+    pushed = []
+    for s in (1.0, -1.0):  # the characteristic coordinates x + y and x - y
+        d1, d2, _ = _tan_shift_partials(wt.real + s * wt.imag, w.real + s * w.imag)
+        vs = v.real + s * v.imag
+        pushed.append((d1 * vs, d1 * (a.real + s * a.imag) + d2 * vs * vs))
+    (vp, ap), (vq, aq) = pushed
+    return wt, (vp + vq) / 2.0 + 1j * (vp - vq) / 2.0, (ap + aq) / 2.0 + 1j * (ap - aq) / 2.0
 
 
 def flow(field: KillingField, w0, t):
@@ -115,25 +130,24 @@ def flow(field: KillingField, w0, t):
     give a complex number.
     """
     w0 = require_upper(w0, "w0")
-    return _flow_map(field, w0, np.asarray(t, dtype=float)[()], differential=False)[0]
+    return _image(field, w0, np.asarray(t, dtype=float)[()])
 
 
 def flow_jacobian(field: KillingField, w, t: float):
-    """Real 2x2 Jacobian of the time-t flow map at w, in closed form.
+    """Real 2x2 Jacobian of the time-t flow map at w: its columns are the
+    pushes of the unit vectors 1 and i.
 
     An array of points gives shape w.shape + (2, 2).
     """
     w = require_upper(w)
-    _, ux, uy, vx, vy = np.broadcast_arrays(w, *_flow_map(field, w, t)[1])
-    return np.stack([np.stack([ux, uy], axis=-1), np.stack([vx, vy], axis=-1)], axis=-2)
+    _, columns, _ = _push(field, np.asarray(w)[..., None], t, np.array([1.0, 1j]), 0.0)
+    return np.stack([columns.real, columns.imag], axis=-2)
 
 
 def transport(field: KillingField, w, v, t: float):
     """Push positions and velocities through the time-t flow map."""
     w = require_upper(w)
-    v = as_points(v)
-    image, (ux, uy, vx, vy) = _flow_map(field, w, t)
-    return image, (ux * v.real + uy * v.imag) + 1j * (vx * v.real + vy * v.imag)
+    return _push(field, w, t, as_points(v), 0.0)[:2]
 
 
 def flow_derivative_check(field: KillingField, w0, t: float, h: float = 1e-6):
@@ -166,14 +180,6 @@ class ResidualReport:
         return asdict(self)
 
 
-def _tan_shift_partials(phi, s):
-    """phi', phi'' and phi''' of the tan-shift phi(s) = tan(t + atan s), from phi."""
-    ds = 1.0 + s * s
-    d1 = (1.0 + phi * phi) / ds
-    d2 = 2.0 * d1 * (phi - s) / ds
-    return d1, d2, 2.0 * (d2 * (phi - 2.0 * s) + d1 * (d1 - 1.0)) / ds
-
-
 def verify_invariance(
     traj: Trajectory,
     transport_spec,
@@ -182,14 +188,13 @@ def verify_invariance(
 ) -> ResidualReport:
     """Transport a trajectory by a subgroup element and test it as a solution.
 
-    Positions move through the flow, velocities through its differential, and
-    the accelerations stored at the accepted nodes by the chain rule: through
-    g' = den^-2 and g'' = -2c den^-3 for an isometry g = (aw + b)/(den = cw + d),
-    through J A + H[V, V] for the sigma = 0 and +1 rotations, H the second
-    partials of the tan-shift phi (u = phi(x), v = y phi'(x) for sigma = 0,
-    u +- v = phi(x +- y) for +1).  The report carries the largest defect against
-    the motion equations at the transported nodes, or at the points of
-    _step_points if num_points asks for more, and the number of points checked.
+    The positions, velocities and the accelerations stored at the accepted
+    nodes move together through one _push: by the chain rule of the isometry
+    for a MobiusElement or an isometric field, and by J a + H[v, v] of the
+    tan-shift for the sigma = 0 and +1 rotations.  The report carries the
+    largest defect against the motion equations at the transported nodes, or
+    at the points of _step_points if num_points asks for more, and the number
+    of points checked.
     """
     spec = transport_spec
     if not isinstance(spec, (KillingField, MobiusElement)):
@@ -197,20 +202,7 @@ def verify_invariance(
     if not traj.t1 - traj.t0 > 0:
         raise DomainError("trajectory must span a positive time interval")
     ts, W, V, A = _step_points(traj, num_points)
-    if isinstance(spec, MobiusElement) or spec.isometric:
-        g = spec if isinstance(spec, MobiusElement) else exp_subgroup(spec, group_time)
-        den = g.c * W + g.d
-        Wt, Vt, At = apply_mobius(g, W), V / (den * den), (A - 2.0 * g.c * V * V / den) / (den * den)
-    else:
-        Wt, (Vt, At) = transport(spec, W, np.stack([V, A]), group_time)
-        x, y, a, b = W.real, W.imag, V.real, V.imag
-        if spec.sigma == 0:
-            _, d2, d3 = _tan_shift_partials(Wt.real, x)
-            At += d2 * a * a + 1j * (y * d3 * a * a + 2.0 * d2 * a * b)
-        else:
-            hp = _tan_shift_partials(Wt.real + Wt.imag, x + y)[1] * (a + b) ** 2
-            hm = _tan_shift_partials(Wt.real - Wt.imag, x - y)[1] * (a - b) ** 2
-            At += (hp + hm) / 2.0 + 1j * (hp - hm) / 2.0
+    Wt, Vt, At = _push(spec, W, group_time, V, A)
     per_body = np.abs(At - eom_rhs(SystemState(ts, Wt, Vt, traj.masses, traj.R))).max(axis=0)
     return ResidualReport(
         transport=spec.describe() if isinstance(spec, KillingField) else "mobius-element",

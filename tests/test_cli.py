@@ -694,6 +694,26 @@ def test_non_finite_derivative_exits_three(tmp_path):
     assert err["message"] == "non-finite derivative at t = 0.0"
 
 
+def test_overflowing_conserved_quantities_write_no_file(tmp_path):
+    # mu = (R / Im w)^2 overflows in the conserved series; the run must end in
+    # one error object before trajectory.csv is written, with no numpy warnings
+    doc = {**SIMULATE_DOC, "R": 1e300, "masses": [1e300, 1e300]}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    out.mkdir()
+    src = os.path.dirname(os.path.dirname(hnbody.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hnbody", "simulate", "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    err = json.loads(proc.stdout)["error"]  # one JSON object and nothing else
+    assert err["code"] == "validation"
+    assert err["message"] == "R: the conserved quantities overflow the floating-point range"
+    assert list(out.iterdir()) == []
+
+
 def test_bodies_drifting_past_the_position_bound_exit_three(tmp_path):
     # both bodies start inside |w| < 8e50 and separate past it near t = 0.33,
     # where the pair kernel divisor would overflow and hide the force
@@ -723,6 +743,13 @@ def _transport(**section):
 RANGE_FAULTS = {
     "flow-overflow": ("flow", {"flow": {"kind": "normal", "sigma": -1, "points": [[0.0, 1.0]], "t_max": 800}},
                       "flow.t_max"),
+    # e^{t/2} itself overflows at t_max, so the group element is not unimodular
+    "flow-element-overflow": (
+        "flow", {"flow": {"kind": "normal", "points": [[0.0, 1.0]], "t_min": -3.0, "t_max": 2000}}, "flow.t_max"
+    ),
+    "flow-element-underflow": (
+        "flow", {"flow": {"kind": "normal", "points": [[0.0, 1.0]], "t_min": -2000, "t_max": 1.0}}, "flow.t_min"
+    ),
     "transport-overflow": ("invariance", _transport(kind="normal", group_time=1e308), "invariance.group_time"),
     "loxodromic-overflow": ("invariance", _transport(kind="loxodromic", group_time=800), "invariance.group_time"),
     "transport-underflow": ("invariance", _transport(kind="normal", group_time=-800), "invariance.group_time"),

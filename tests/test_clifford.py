@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,13 @@ class TestSubgroups:
         assert A.b == pytest.approx(1.0)
         assert A.c == pytest.approx(-1.0)
         assert A.d == pytest.approx(0.0, abs=1e-16)
+
+    @pytest.mark.parametrize("field", [ROTATION_PARABOLIC, ROTATION_HYPERBOLIC], ids=["sigma0", "sigma1"])
+    def test_non_isometric_flavours_have_no_subgroup(self, field):
+        # the elliptic rotation block used to stand in for them, though its
+        # action's t-derivative 1 + w^2 misses the flavour term of their fields
+        with pytest.raises(DomainError, match=re.escape(field.describe())):
+            exp_subgroup(field, 0.3)
 
     @pytest.mark.parametrize("field", [NORMAL_A, NILPOTENT_N, ROTATION_ELLIPTIC])
     def test_group_law(self, field):

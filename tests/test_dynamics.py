@@ -429,6 +429,25 @@ class TestIntegrate:
             integrate(s, 2.0, tol=1e-8)
         assert len(calls) <= 1 + 6 * 220
 
+    def test_stage_below_the_real_axis_is_a_stage_failure(self, monkeypatch):
+        # a light body dives at the axis: stages of the larger trial steps land
+        # below it, and each such attempt is rejected as a stage failure
+        import hnbody.dynamics as dynamics
+
+        raised = []
+
+        class Counted(DomainError):
+            def __init__(self, *args):
+                raised.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(dynamics, "DomainError", Counted)
+        s = SystemState(0.0, [0.001j, 5.0 + 1j], [-0.005j, 0j], [1.0, 1.0], 1.0)
+        traj = integrate(s, 2.0, tol=1e-8)
+        assert raised and all(args == ("body left the upper half-plane",) for args in raised)
+        assert traj.stats.stage_failures == len(raised)
+        assert np.all(traj.ys[:, :2].imag > 0)
+
     def test_monotone_times_and_stats(self):
         s = two_body([1j, 2j], (0.6 + 0j, -0.6 + 0j))
         traj = integrate(s, 1.0, tol=1e-9)

@@ -454,6 +454,33 @@ class TestOneFlowMap:
         scale = np.abs(J).max(axis=(-2, -1)) * np.abs(ARRAY_VELOCITIES)
         assert np.all(np.abs(v - ref) <= 4 * np.finfo(float).eps * scale)
 
+    def test_normal_flow_is_the_subgroup_action_bit_for_bit(self):
+        image = apply_mobius(exp_subgroup(NORMAL_A, 0.3), ARRAY_POINTS)
+        assert flow(NORMAL_A, ARRAY_POINTS, 0.3).tobytes() == image.tobytes()
+
+    @pytest.mark.parametrize("field", [NORMAL_A, NILPOTENT_N, ROTATION_ELLIPTIC])
+    def test_isometric_transport_velocity_is_v_over_den_squared(self, field):
+        g = exp_subgroup(field, 0.3)
+        den = g.c * ARRAY_POINTS + g.d
+        _, v = transport(field, ARRAY_POINTS, ARRAY_VELOCITIES, 0.3)
+        assert v.tobytes() == (ARRAY_VELOCITIES / den ** 2).tobytes()
+
+    @pytest.mark.parametrize("field", ALL_FIELDS)
+    def test_jacobian_columns_are_the_transported_unit_vectors(self, field):
+        J = flow_jacobian(field, ARRAY_POINTS, 0.3)
+        for col, e in enumerate((1.0, 1j)):
+            _, v = transport(field, ARRAY_POINTS, np.full(ARRAY_POINTS.shape, e, dtype=complex), 0.3)
+            assert J[..., 0, col].tobytes() == v.real.tobytes()
+            assert J[..., 1, col].tobytes() == v.imag.tobytes()
+
+    @pytest.mark.parametrize("spec", TRANSPORTS)
+    def test_verify_invariance_makes_one_push(self, elliptic_traj, spec, monkeypatch):
+        calls = []
+        push = hnbody.flows._push
+        monkeypatch.setattr(hnbody.flows, "_push", lambda *args: calls.append(args) or push(*args))
+        verify_invariance(elliptic_traj, spec, 0.2)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("field", ALL_FIELDS)
     def test_transport_runs_at_most_one_pole_test(self, field, monkeypatch):
         calls = _counting_pole_tests(monkeypatch)
