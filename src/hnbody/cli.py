@@ -239,13 +239,11 @@ def _emit(args, name: str, text) -> str:
 
 
 def _state_dict(state: SystemState) -> dict:
-    return {
+    w, v = state.positions, state.velocities
+    return {  # Python floats, so the body rows share one report template
         "R": state.R,
-        "masses": [float(m) for m in state.masses],
-        "bodies": [
-            [w.real, w.imag, v.real, v.imag]
-            for w, v in zip(state.positions, state.velocities)
-        ],
+        "masses": state.masses.tolist(),
+        "bodies": np.column_stack([w.real, w.imag, v.real, v.imag]).tolist(),
     }
 
 
@@ -382,6 +380,10 @@ def cmd_flow(args, doc: dict) -> list[str]:
         ]
     if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(checks))):
         raise ValidationError("flow.t_max", overflows)
+    off = rows[rows[:, 4] <= 0]  # a flowed point that underflowed onto the boundary
+    if len(off):
+        raise ValidationError("flow.t_min" if off[0, 0] < 0 else "flow.t_max",
+                              "the flow underflows the floating-point range")
     payload = {
         "kind": field.describe(),
         "num_points": len(points),

@@ -2,7 +2,11 @@
 
 All floating-point values are rendered with 17 significant digits (enough
 to round-trip IEEE doubles) and object keys are emitted sorted, so a fixed
-configuration and seed always produce byte-identical output.
+configuration and seed always produce byte-identical output.  A JSON list
+whose items share one shape (see ``_shape``) is rendered from one template
+in one %-format call; any other list item by item, which is the reference
+for those bytes and raises the first error.  CSV reports are rendered one
+block of rows at a time.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import json
 import math
 import operator
 from collections.abc import Iterator
-from itertools import compress, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -48,15 +52,12 @@ def _json(obj, pad: str) -> str:
         items = [f"{inner}{_json_string(key)}: {_json(obj[key], inner)}" for key in sorted(obj)]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) == {float}:  # the long series: one finiteness pass, one format
-            if not all(map(math.isfinite, obj)):
-                raise DomainError("reports may not contain NaN or infinite values")
-            sep = ",\n" + inner
-            body = sep.join(["%.17g"] * len(obj)) % tuple(map(operator.add, obj, repeat(0.0)))  # -0.0 -> 0.0
+        shape = _shape(obj, inner)
+        if shape is not None:  # one template fits every item
+            template, columns = shape
+            values = columns[0] if len(columns) == 1 else chain.from_iterable(zip(*columns))
+            body = (",\n" + inner).join([template] * len(obj)) % tuple(values)
             return f"[\n{inner}{body}\n{pad}]"
-        records = _records(obj, inner) if len(obj) > 1 and type(obj[0]) is dict else None
-        if records is not None:  # one template fits every item
-            return f"[\n{records}\n{pad}]"
         items = [inner + _json(item, inner) for item in obj]
         brackets = "[]"
     elif isinstance(obj, str):
@@ -70,80 +71,58 @@ def _json(obj, pad: str) -> str:
     return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}" if items else brackets
 
 
-# The exact leaf types a record template holds a slot for.
-_SLOTS = {float: "%.17g", int: "%d", bool: "%s"}
+def _shape(nodes, pad: str):
+    """(template, columns) when ``nodes`` share one shape, else None.
 
-
-def _records(records, pad: str):
-    """The items of a list of records, each indented by ``pad``, in one %-format call, or None.
-
-    The template is the text of the first record with one slot per float, int
-    or bool leaf.  A flat plan walks each record: every dict or list is taken
-    from a value list, its exact type and key set or length checked, and its
-    children (a dict's in sorted key order) appended; the leaves are then
-    picked in the template's slot order.  None unless every record fits, with
-    exact leaf types and finite floats; the caller then renders the list item
-    by item, which gives the same bytes or raises the first error.
+    The template is the text of one node on a line indented by ``pad``, with a
+    %-slot for each float, int or bool leaf; ``columns`` holds, per slot, that
+    leaf's value in every node, ready for the slot.  Nodes share a shape when
+    they have one exact type: finite floats, ints or bools; dicts with one set
+    of str keys whose values, key by key, share a shape; or lists of one
+    length whose items, all lists' items together, share a shape.  On None the
+    caller renders item by item, which gives the same bytes or raises the
+    first error.
     """
-    steps, leaves = [], []  # (value index, sorted keys, key set or None for a list); (value index, type)
-    count = 1  # values the steps yield, starting with the record itself
-
-    def text(node, reg: int, pad: str):
-        nonlocal count
-        kind = type(node)
-        if kind in _SLOTS:
-            leaves.append((reg, kind))
-            return _SLOTS[kind]
-        inner = pad + "  "
-        if kind is dict and all(type(key) is str for key in node):
-            keys = sorted(node)
-            steps.append((reg, keys, frozenset(keys)))
-            heads = [f"{inner}{_json_string(key).replace('%', '%%')}: " for key in keys]
-            children, brackets = [node[key] for key in keys], "{}"
-        elif kind is list:
-            steps.append((reg, len(node), None))
-            heads, children, brackets = [inner] * len(node), node, "[]"
-        else:
+    if len(set(map(type, nodes))) != 1:
+        return None
+    kind = type(nodes[0])
+    if kind is float:
+        if not all(map(math.isfinite, nodes)):
             return None
-        first, count = count, count + len(children)
-        texts = [text(child, first + i, inner) for i, child in enumerate(children)]
-        if None in texts:
+        return "%.17g", [tuple(map(operator.add, nodes, repeat(0.0)))]  # -0.0 + 0.0 == +0.0
+    if kind is int:
+        return "%d", [nodes]
+    if kind is bool:
+        return "%s", [tuple(map(_LITERALS, nodes))]
+    inner = pad + "  "
+    if kind is dict:
+        keys = nodes[0].keys()
+        if not (all(type(key) is str for key in keys) and all(map(keys.__eq__, map(dict.keys, nodes)))):
             return None
-        parts = map(operator.add, heads, texts)
-        return f"{brackets[0]}\n" + ",\n".join(parts) + f"\n{pad}{brackets[1]}" if texts else brackets
-
-    template = text(records[0], 0, pad)
-    if template is None:
+        parts, columns = [], []
+        for key in sorted(keys):
+            shape = _shape(list(map(operator.itemgetter(key), nodes)), inner)
+            if shape is None:
+                return None
+            parts.append(f"{inner}{_json_string(key).replace('%', '%%')}: {shape[0]}")
+            columns += shape[1]
+        brackets = "{}"
+    elif kind is list:
+        size = len(nodes[0])
+        if not all(len(node) == size for node in nodes):
+            return None
+        parts, columns = [], []
+        if size:  # every list's items in one column, so item i's slots are every size-th value
+            shape = _shape(list(chain.from_iterable(nodes)), inner)
+            if shape is None:
+                return None
+            parts = [inner + shape[0]] * size
+            columns = [column[i::size] for i in range(size) for column in shape[1]]
+        brackets = "[]"
+    else:
         return None
-    regs = [reg for reg, _ in leaves]
-    slots = []
-    for record in records:
-        values = [record]
-        for reg, order, keys in steps:
-            node = values[reg]
-            if keys is None:
-                if type(node) is not list or len(node) != order:
-                    return None
-                values += node
-            else:
-                if type(node) is not dict or node.keys() != keys:
-                    return None
-                values += map(node.__getitem__, order)
-        slots += map(values.__getitem__, regs)
-    kinds = [kind for _, kind in leaves]
-    if list(map(type, slots)) != kinds * len(records):
-        return None
-    floats = list(compress(slots, [kind is float for kind in kinds] * len(records)))
-    if not all(map(math.isfinite, floats)):
-        return None
-    zero = 0.0 in floats  # true for -0.0 as well; otherwise the records' own floats are formatted
-    width = len(kinds)
-    for i, kind in enumerate(kinds):  # one column of slots per leaf
-        if kind is bool:
-            slots[i::width] = map(_LITERALS, slots[i::width])
-        elif kind is float and zero:
-            slots[i::width] = map(operator.add, slots[i::width], repeat(0.0))  # -0.0 + 0.0 == +0.0
-    return ",\n".join([pad + template] * len(records)) % tuple(slots)
+    template = f"{brackets[0]}\n" + ",\n".join(parts) + f"\n{pad}{brackets[1]}" if parts else brackets
+    return template, columns
 
 
 def write_text(path, text: str, append: bool = False):

@@ -750,6 +750,10 @@ RANGE_FAULTS = {
     "flow-element-underflow": (
         "flow", {"flow": {"kind": "normal", "points": [[0.0, 1.0]], "t_min": -2000, "t_max": 1.0}}, "flow.t_min"
     ),
+    # e^{-400} i underflows to 0 at t_min: the flowed point leaves the half-plane
+    "flow-underflow": (
+        "flow", {"flow": {"kind": "normal", "points": [[0.0, 1.0]], "t_min": -800, "t_max": 0, "num": 3}}, "flow.t_min"
+    ),
     "transport-overflow": ("invariance", _transport(kind="normal", group_time=1e308), "invariance.group_time"),
     "loxodromic-overflow": ("invariance", _transport(kind="loxodromic", group_time=800), "invariance.group_time"),
     "transport-underflow": ("invariance", _transport(kind="normal", group_time=-800), "invariance.group_time"),

@@ -3,6 +3,7 @@ import json
 import math
 import textwrap
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -334,6 +335,99 @@ def test_a_bad_later_record_raises_what_it_raises_alone(data):
     with pytest.raises(DomainError) as in_list:
         canonical_json(records)
     assert str(in_list.value) == str(alone.value)
+
+
+# ---------------------------------------------------------------------------
+# Lists whose items share a shape: one template, the recursion as the reference
+# ---------------------------------------------------------------------------
+
+def _recursion(tree) -> str:
+    """canonical_json with every list rendered item by item."""
+    with mock.patch.object(reports, "_shape", lambda nodes, pad: None):
+        return canonical_json(tree)
+
+
+def _assert_per_item(tree):
+    assert canonical_json(tree) == _per_item(tree) + "\n" == _recursion(tree)
+
+
+_rows = st.integers(0, 4).flatmap(lambda size: st.lists(st.lists(_finite, min_size=size, max_size=size),
+                                                        min_size=1, max_size=6))
+_ragged_rows = st.lists(st.lists(_finite, max_size=4), min_size=1, max_size=6)
+
+
+@given(_rows | _ragged_rows)
+def test_lists_of_float_lists_equal_the_per_item_recursion(rows):
+    _assert_per_item(rows)
+    _assert_per_item(tuple(rows))
+    _assert_per_item([rows, rows])
+    assert canonical_json({"%": rows}) == '{\n  "%": ' + _per_item(rows, "  ") + "\n}\n"
+
+
+@given(st.data())
+def test_lists_of_record_lists_equal_the_per_item_recursion(data):
+    shape = data.draw(_shapes(list(_LEAVES)))
+    size = data.draw(st.integers(0, 3))
+    rows = st.lists(_records_of(shape), min_size=size, max_size=size)
+    _assert_per_item(data.draw(st.lists(rows | _record_lists(), min_size=1, max_size=4)))
+
+
+@given(st.lists(_finite | st.integers(-3, 3), min_size=1, max_size=8))
+def test_a_top_level_tuple_equals_the_per_item_recursion(values):
+    # as invariance.json per_body is
+    _assert_per_item(tuple(values))
+    _assert_per_item(tuple(map(float, values)))
+
+
+@pytest.mark.parametrize("tree", [
+    [(1.0, 2.0), (3.0, -0.0)],
+    [[(1.0,)], [(2.0,)]],
+    [{"a": (1, 2)}, {"a": (3, 4)}],
+    [[1.0, (2.0,)], [3.0, (4.0,)]],
+])
+def test_nested_tuples_take_the_recursion(tree):
+    assert reports._shape(tree, "  ") is None
+    _assert_per_item(tree)
+
+
+@given(st.lists(st.integers(-(10 ** 30), 10 ** 30), min_size=1) | st.lists(st.booleans(), min_size=1)
+       | st.lists(st.lists(st.booleans(), min_size=2, max_size=2), min_size=1, max_size=5)
+       | st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=1, max_size=5))
+def test_lists_of_ints_and_bools_equal_the_per_item_recursion(values):
+    _assert_per_item(values)
+
+
+@pytest.mark.parametrize("tree", [
+    [[]], [[], []], [{}], [{}, {}], [[[]], [[]]], [[{}, {}], [{}, {}]],
+    [{"a": []}, {"a": []}], [{"a": {}, "%": [[]]}, {"%": [[]], "a": {}}],
+])
+def test_lists_of_empty_containers_equal_the_per_item_recursion(tree):
+    _assert_per_item(tree)
+    assert canonical_json(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+def test_a_nonfinite_value_in_the_last_inner_list_raises_what_it_raises_alone(bad):
+    rows = [[1.0, -0.0], [2.5, 3.0], [4.0, bad]]
+    with pytest.raises(DomainError) as alone:
+        canonical_json(rows[-1])
+    for tree in (rows, tuple(rows), [[{"x": row}] for row in rows], {"a": [rows]}):
+        with pytest.raises(DomainError) as in_list:
+            canonical_json(tree)
+        assert str(in_list.value) == str(alone.value)
+
+
+def test_equilibrium_bodies_take_the_template(monkeypatch):
+    # the body rows render in one call of _json, not one call per row
+    rng = np.random.default_rng(50)
+    positions = rng.normal(size=50) + 1j * rng.uniform(0.5, 2.0, 50)
+    state = SystemState(0.0, positions, rng.normal(size=50) + 1j * rng.normal(size=50), np.ones(50), 1.0)
+    payload = {"class": "hyperbolic-normal", "mode": "find", "state": cli._state_dict(state)}
+    expected = _recursion(payload)
+    calls, render = [], reports._json
+    monkeypatch.setattr(reports, "_json", lambda obj, pad: calls.append(obj) or render(obj, pad))
+    assert canonical_json(payload) == expected
+    assert len(calls) < 20
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
