@@ -303,27 +303,32 @@ def cmd_equilibria(args, doc: dict) -> list[str]:
             iterations=report.iterations,
             residual_inf_norm=report.residual_norm,
         )
-    elif cls in _CYCLIC_RESIDUALS:
-        # check mode on the reparametrized family at the configured data
-        R = _real(_require(doc, "", "R"), "R", positive=True)
-        masses = np.array(_reals(doc, "", "masses", positive=True))
-        params = CyclicParams(
-            _reals(section, "equilibria.", "alpha"),
-            _reals(section, "equilibria.", "beta"),
-            _real(section.get("s", 0.0), "equilibria.s"),
-        )
-        if params.n != masses.size:
-            raise ValidationError("equilibria.alpha", "length must match masses")
-        re_res, im_res = _CYCLIC_RESIDUALS[cls](params, masses, R)
-        payload.update(
-            real_parts=[float(x) for x in re_res],
-            imaginary_parts=[float(x) for x in im_res],
-            inf_norm=float(max(np.max(np.abs(re_res)), np.max(np.abs(im_res)))),
-        )
     else:
-        lhs, rhs = condition_sides(cls, _system_state(doc))
-        residual = lhs - rhs
-        payload.update(residual=_residual_dict(residual), inf_norm=float(np.max(np.abs(residual))))
+        with np.errstate(all="ignore"):  # a non-finite residual ends in the error below
+            if cls in _CYCLIC_RESIDUALS:
+                # check mode on the reparametrized family at the configured data
+                R = _real(_require(doc, "", "R"), "R", positive=True)
+                masses = np.array(_reals(doc, "", "masses", positive=True))
+                params = CyclicParams(
+                    _reals(section, "equilibria.", "alpha"),
+                    _reals(section, "equilibria.", "beta"),
+                    _real(section.get("s", 0.0), "equilibria.s"),
+                )
+                if params.n != masses.size:
+                    raise ValidationError("equilibria.alpha", "length must match masses")
+                re_res, im_res = _CYCLIC_RESIDUALS[cls](params, masses, R)
+                payload.update(
+                    real_parts=[float(x) for x in re_res],
+                    imaginary_parts=[float(x) for x in im_res],
+                    inf_norm=float(np.max(np.abs([re_res, im_res]))),
+                )
+            else:
+                lhs, rhs = condition_sides(cls, _system_state(doc))
+                residual = lhs - rhs
+                payload.update(residual=_residual_dict(residual), inf_norm=float(np.max(np.abs(residual))))
+        if not math.isfinite(payload["inf_norm"]):  # the norm is NaN or inf with any residual part
+            raise ValidationError("equilibria.alpha" if cls in _CYCLIC_RESIDUALS else "bodies",
+                                  "the residual leaves the floating-point range")
     return [_emit(args, "equilibrium.json", reports.canonical_json(payload))]
 
 
@@ -438,10 +443,13 @@ def cmd_map(args, doc: dict) -> list[str]:
             for _ in range(count)
         ]
     # one scalar map per point: the array maps round differently in the last bit
-    rows, worst = [], 0.0
+    rows, worst, path = [], 0.0, "map.points" if "points" in section else "R"
     for w in points:
         z = to_disk(w, R)
-        back = from_disk(z, R)
+        try:
+            back = from_disk(z, R)  # refuses a non-finite image, or one rounded onto the boundary
+        except DomainError as exc:
+            raise ValidationError(path, str(exc)) from None
         worst = max(worst, abs(back - w))
         rows.append((w.real, w.imag, z.real, z.imag, back.real, back.imag))
     payload = {"R": R, "count": len(points), "max_roundtrip_error": worst}

@@ -126,8 +126,9 @@ class MobiusElement:
         det = self.a * self.d - self.b * self.c
         squares = (self.a * self.a, self.b * self.b, self.c * self.c, self.d * self.d)
         scale = np.maximum(1.0, np.max(squares, axis=0))
-        if not np.all(abs(det - 1.0) <= _DET_TOL * scale):
-            raise DomainError(f"matrix must be unimodular, det = {det!r}")
+        ok = abs(det - 1.0) <= _DET_TOL * scale
+        if not np.all(ok):  # name the first failing determinant of an array element
+            raise DomainError(f"matrix must be unimodular, det = {float(np.extract(~ok, det)[0])!r}")
 
     @classmethod
     def identity(cls) -> "MobiusElement":

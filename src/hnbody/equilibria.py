@@ -539,60 +539,45 @@ def find_equilibrium(cls, masses, R, ansatz, opts: FindOptions | None = None) ->
 # Two-body elliptic pairing
 # ---------------------------------------------------------------------------
 
-def _elliptic_pair_sides(m1, m2, alpha, beta, R):
-    state = SystemState(
-        0.0,
-        np.array([1j * alpha, 1j / beta]),
-        np.zeros(2, dtype=complex),
-        np.array([m1, m2]),
-        R,
-    )
-    lhs, rhs = condition_sides(EquilibriumClass.ELLIPTIC_CYCLIC, state)
-    return lhs.real, rhs.real
-
-
 def elliptic_pair_rate(m1, m2, alpha, beta, R: float = 1.0) -> float:
     """Squared drift rate making the circle pair a relative equilibrium."""
-    lhs, rhs = _elliptic_pair_sides(m1, m2, alpha, beta, R)
-    return float(rhs[0] / lhs[0])
+    state = SystemState(0.0, np.array([1j * alpha, 1j / beta]), np.zeros(2, dtype=complex), np.array([m1, m2]), R)
+    lhs, rhs = condition_sides(EquilibriumClass.ELLIPTIC_CYCLIC, state)
+    return float(rhs[0].real / lhs[0].real)
 
 
 def two_body_elliptic(m1: float, m2: float, alpha: float, R: float = 1.0) -> float:
-    """Companion circle parameter of the two-body rotating solution.
+    """Companion circle parameter of the two-body rotating solution, in closed form.
 
     Body 1 rides the foliation circle through i*alpha and i/alpha, body 2
     the circle with parameter beta, the two bodies staying on one geodesic
     through i on opposite sides of it (positions i*alpha and i/beta on the
-    axis).  Both condition equations hold with a common positive drift
-    rate exactly for one beta > 1, which is returned.  Equal masses give
-    beta = alpha; the heavier companion rides the smaller circle.
+    axis).  Both condition equations hold with a common drift rate when
+    lhs_0 rhs_1 = lhs_1 rhs_0 (see condition_sides).  On the axis the kernel's
+    B sums vanish and theta = 4 (y_1^2 - y_2^2)^2, so with u = 1/beta this is
+
+      m2 alpha^2 (1 - u^4) + m1 u^2 (1 - alpha^4) = 0,
+
+    a quadratic in u^2 whose one positive root gives, without cancellation,
+
+      beta = sqrt((hypot(m1 q, c) + m1 q) / c),  q = (alpha-1)(alpha+1)(alpha^2+1),  c = 2 m2 alpha^2.
+
+    R scales both left sides alike, so beta does not depend on it.  In exact
+    arithmetic beta > 1, as hypot >= c and m1 q > 0 for alpha > 1; a
+    ConvergenceError reports rounding that lands beta on 1 (or overflow that
+    sends it to infinity).  Equal masses give beta = alpha; the heavier
+    companion rides the smaller circle.
     """
     if not (m1 > 0 and m2 > 0):
         raise DomainError("masses must be positive")
     if not alpha > 1:
         raise DomainError("alpha must exceed 1")
-
-    def g(beta: float) -> float:
-        lhs, rhs = _elliptic_pair_sides(m1, m2, alpha, beta, R)
-        return lhs[0] * rhs[1] - lhs[1] * rhs[0]
-
-    lo = 1.0 + 1e-9
-    hi = max(4.0 * alpha, 8.0)
-    glo = g(lo)
-    while g(hi) * glo > 0:
-        hi *= 4.0
-        if hi > 1e9:
-            raise ConvergenceError("no sign change found for the companion circle")
-    # bisection until the midpoint is one of the ends: about 55 calls of g
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if g(mid) * glo > 0:
-            lo = mid
-        else:
-            hi = mid
-    beta = lo
-    if elliptic_pair_rate(m1, m2, alpha, beta, R) <= 0:
-        raise ConvergenceError("companion root has a nonphysical drift rate")
-    return float(beta)
+    m1q = m1 * ((alpha - 1.0) * (alpha + 1.0) * (alpha * alpha + 1.0))
+    c = 2.0 * m2 * alpha * alpha
+    beta = math.sqrt((math.hypot(m1q, c) + m1q) / c)
+    if not 1.0 < beta < math.inf:
+        raise ConvergenceError(f"floating point puts the companion circle at beta = {beta!r}, outside (1, inf)")
+    return beta
 
 
 # ---------------------------------------------------------------------------

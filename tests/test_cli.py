@@ -591,6 +591,43 @@ BAD_INPUTS = {
         ["equilibria", "find"], _json_bytes({**FIND_DOC, "masses": [1.0]}), "masses", "length must match bodies"
     ),
     "newline-key": (["simulate"], _json_bytes({**SIMULATE_DOC, "bad\nkey": 1}), "bad\nkey", "unknown field"),
+    # residuals, disk images and group elements that leave the floating-point range
+    "check-underflowing-heights": (
+        ["equilibria", "check", "--class", "hyperbolic-normal"],
+        _json_bytes({**SIMULATE_DOC, "bodies": [[0, 1e-100, 0, 0], [1, 1e-100, 0, 0]], "equilibria": {}}),
+        "bodies", "the residual leaves the floating-point range",
+    ),
+    "check-overflowing-radius": (
+        ["equilibria", "check", "--class", "elliptic-cyclic"],
+        _json_bytes({**SIMULATE_DOC, "R": 1e300, "bodies": [[0, 1e-100, 0, 0], [1, 1, 0, 0]], "equilibria": {}}),
+        "bodies", "the residual leaves the floating-point range",
+    ),
+    "check-overflowing-cyclic-data": (
+        ["equilibria", "check", "--class", "parabolic-cyclic"],
+        _json_bytes({**SIMULATE_DOC, "equilibria": {"alpha": [1e300, 0], "beta": [1e300, 1]}}),
+        "equilibria.alpha", "the residual leaves the floating-point range",
+    ),
+    "check-underflowing-cyclic-beta": (
+        ["equilibria", "check", "--class", "parabolic-cyclic"],
+        _json_bytes({**SIMULATE_DOC, "equilibria": {"alpha": [0, 1], "beta": [1e-200, 1]}}),
+        "equilibria.alpha", "the residual leaves the floating-point range",
+    ),
+    "map-overflowing-points": (
+        ["map"], _json_bytes({"R": 1e300, "map": {"points": [[1e300, 1e300]]}}), "map.points",
+        "disk coordinate must satisfy |z| < R, got (nan+nanj)",
+    ),
+    "map-overflowing-radius": (
+        ["map"], _json_bytes({"R": 1e300, "map": {"samples": 3}}), "R",
+        "disk coordinate must satisfy |z| < R, got (inf+infj)",
+    ),
+    "map-point-rounded-onto-the-boundary": (
+        ["map"], _json_bytes({"R": 1, "map": {"points": [[0, 1e20]]}}), "map.points",
+        "disk coordinate must satisfy |z| < R, got (-1-0j)",
+    ),
+    "loxodromic-non-finite-element": (
+        ["invariance"], _json_bytes({**INVARIANCE_DOC, "invariance": {"kind": "loxodromic", "group_time": 1e300}}),
+        "invariance.group_time", "matrix must be unimodular, det = nan",
+    ),
 }
 
 
@@ -902,5 +939,5 @@ def test_cli_commands_run_without_loading_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     record = proc.stdout.splitlines()[-1]
-    # the bisection gives the bits that scipy's brentq gave on this bracket
+    # the companion circle of masses (1, 2) at alpha 2, to the last bit
     assert json.loads(record) == {"codes": [0, 0, 0, 0], "beta": "0x1.84eff8c6d1555p+0", "scipy": []}

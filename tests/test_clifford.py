@@ -81,6 +81,13 @@ class TestMobiusElement:
         with pytest.raises(DomainError):
             MobiusElement(2.0, 0.0, 0.0, 1.0)
 
+    def test_determinant_message_names_the_first_failing_float(self):
+        with pytest.raises(DomainError, match=r"det = nan$"):
+            MobiusElement(np.float64(math.nan), 0.0, 0.0, 1.0)
+        ones = np.ones(3)
+        with pytest.raises(DomainError, match=r"det = 2\.0$"):
+            MobiusElement(np.array([1.0, 2.0, 3.0]), 0.0 * ones, 0.0 * ones, ones)
+
     def test_inverse(self):
         rng = np.random.default_rng(11)
         A = random_unimodular(rng)

@@ -23,7 +23,8 @@ from hnbody.dynamics import (
 from hnbody.dynamics import _PAIR_CHUNK, _pair_tables, _pairs, _triu
 from hnbody.errors import DomainError, SingularityError, StepSizeError
 from hnbody.geometry import apply_mobius, geodesic_through
-from hnbody.equilibria import EquilibriumClass, FindOptions, find_equilibrium
+from hnbody.equilibria import CLASS_DRIFT, EquilibriumClass, FindOptions, find_equilibrium
+from hnbody.flows import flow
 
 
 def two_body(positions, velocities=(0j, 0j), masses=(1.0, 1.0), R=1.0, t=0.0):
@@ -355,7 +356,6 @@ class TestIntegrate:
 
     def test_equilibrium_orbit_follows_flow(self, elliptic_pair):
         from hnbody.clifford import ROTATION_ELLIPTIC
-        from hnbody.flows import flow
 
         traj = integrate(elliptic_pair, 2.0, tol=1e-12)
         for t in np.linspace(0.0, 2.0, 17):
@@ -367,7 +367,7 @@ class TestIntegrate:
         # pushing the initial data along the rotation flow yields another
         # solution that still rides the flow
         from hnbody.clifford import ROTATION_ELLIPTIC
-        from hnbody.flows import flow, transport
+        from hnbody.flows import transport
 
         tau = 0.55
         moved = [
@@ -470,6 +470,50 @@ class TestIntegrate:
             integrate(s, 1.0, tol=-1e-9)
         with pytest.raises(DomainError):
             integrate(s, -1.0)
+
+
+# Global error of integrate against the closed-form Mobius orbits w(t) = flow(field, w0, rate t),
+# (field, rate) = CLASS_DRIFT[class]: the largest |w - w(t)| over the accepted nodes and over the
+# step midpoints (cubic Hermite), as factors of tol.  Each is about 2.5 times the value measured.
+# The equilibria are found at tol 1e-13, so their own defect stays below the integrator's error.
+# (case, t_end) -> {tol: (node factor, midpoint factor)}
+EXACT_ORBIT_FACTORS = {
+    ("elliptic", 1.0): {1e-8: (6, 160), 1e-10: (5, 400), 1e-12: (5, 1000)},
+    # the node error accumulates to about 100 tol over ten time units
+    ("elliptic", 10.0): {1e-8: (250, 300), 1e-10: (300, 600), 1e-12: (300, 1100)},
+    # a short span: the positions grow as e^{t/2}, and by t = 10 the pair is off by 7e-7 at any tol
+    ("hyperbolic", 2.0): {1e-8: (3, 250), 1e-10: (3, 600), 1e-12: (4, 1500)},
+}
+EXACT_ORBIT_PAIRS = {  # case -> (class, ansatz, symmetry)
+    "elliptic": (EquilibriumClass.ELLIPTIC_CYCLIC, [2j, 0.5j], "axis"),
+    "hyperbolic": (EquilibriumClass.HYPERBOLIC_NORMAL, [0.9 + 1j, -0.9 + 1j], "mirror"),
+}
+
+
+class TestExactOrbits:
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        return {
+            case: find_equilibrium(cls, [1.0, 1.0], 1.0, np.array(ansatz), FindOptions(symmetry=symmetry, tol=1e-13))
+            for case, (cls, ansatz, symmetry) in EXACT_ORBIT_PAIRS.items()
+        }
+
+    @pytest.mark.parametrize(("case", "t_end", "tol"), [
+        (case, t_end, tol) for (case, t_end), factors in EXACT_ORBIT_FACTORS.items() for tol in factors
+    ])
+    def test_integrate_follows_the_closed_form_orbit(self, pairs, case, t_end, tol):
+        state = pairs[case]
+        field, rate = CLASS_DRIFT[EXACT_ORBIT_PAIRS[case][0]]
+
+        def orbit(ts):
+            return flow(field, state.positions, rate * ts[:, None])
+
+        traj = integrate(state, t_end, tol=tol)
+        node_factor, midpoint_factor = EXACT_ORBIT_FACTORS[case, t_end][tol]
+        assert np.max(np.abs(traj.ys[:, : traj.n] - orbit(traj.times))) < node_factor * tol
+        midpoints = 0.5 * (traj.times[:-1] + traj.times[1:])
+        positions, _ = traj.sample_many(midpoints)
+        assert np.max(np.abs(positions - orbit(midpoints))) < midpoint_factor * tol
 
 
 def _hermite_reference(traj, t):

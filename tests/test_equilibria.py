@@ -642,10 +642,67 @@ class TestJacobian:
         assert set(shapes) == {(3,), (6, 3)}
 
 
+def bisected_companion(m1, m2, alpha):
+    """The companion circle as the root of the kernel's pairing condition
+    lhs_0 rhs_1 - lhs_1 rhs_0, bisected until the midpoint is one of the ends."""
+
+    def g(beta):
+        lhs, rhs = condition_sides(EquilibriumClass.ELLIPTIC_CYCLIC, state_of([1j * alpha, 1j / beta], [m1, m2]))
+        return (lhs[0] * rhs[1] - lhs[1] * rhs[0]).real
+
+    lo, hi = 1.0 + 1e-9, max(4.0 * alpha, 8.0)
+    glo = g(lo)
+    while g(hi) * glo > 0:
+        hi *= 4.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if g(mid) * glo > 0 else (lo, mid)
+    return lo
+
+
 class TestTwoBodyElliptic:
-    @pytest.mark.parametrize("alpha", [1.2, 2.0, 5.0])
+    @pytest.mark.parametrize("alpha", [1.2, 2.0, 3.0, 5.0])
     def test_equal_masses_pair_to_the_same_circle(self, alpha):
-        assert two_body_elliptic(1.0, 1.0, alpha) == pytest.approx(alpha, abs=1e-8)
+        assert two_body_elliptic(1.0, 1.0, alpha) == alpha
+
+    def test_pinned_bits(self):
+        assert two_body_elliptic(1.0, 2.0, 2.0).hex() == "0x1.84eff8c6d1555p+0"
+
+    def test_closed_form_is_the_bisected_root(self):
+        # masses log-uniform on [e^-3, e^3], alpha = 1 + e^U with U uniform on [-6, 3]
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            m1, m2 = np.exp(rng.uniform(-3.0, 3.0, 2)).tolist()
+            alpha = 1.0 + math.exp(rng.uniform(-6.0, 3.0))
+            assert two_body_elliptic(m1, m2, alpha) == pytest.approx(bisected_companion(m1, m2, alpha), rel=4e-15)
+
+    def test_does_not_depend_on_R(self):
+        assert two_body_elliptic(1.0, 3.0, 1.7, R=0.25) == two_body_elliptic(1.0, 3.0, 1.7, R=8.0)
+
+    # (m1, m2, alpha) -> (beta, bound on the relative gap of the two bodies' rates) at
+    # mass ratios that put beta within 1e-9 of 1 or near 1e9
+    EXTREME_MASSES = {
+        (1e-9, 1.0, 2.0): (1.0000000009374999, 1e-6),
+        (1e-10, 1.0, 1.5): (1.0000000000451388, 1e-5),
+        (1.0, 1e-17, 2.0): (612372435.6957946, 1e-13),
+        (3e17, 1.0, 2.0): (1060660171.7798213, 1e-13),
+    }
+
+    @pytest.mark.parametrize("args", sorted(EXTREME_MASSES))
+    def test_extreme_mass_ratios_pair_with_a_common_rate(self, args):
+        # near beta = 1 the rates agree less closely: beta - 1 is about 1e-9 and the
+        # height 1/beta carries a rounding error of about 1e-16
+        expected, gap = self.EXTREME_MASSES[args]
+        beta = two_body_elliptic(*args)
+        assert beta == expected and beta > 1.0
+        lhs, rhs = condition_sides(EquilibriumClass.ELLIPTIC_CYCLIC, state_of([1j * args[2], 1j / beta], args[:2]))
+        rates = rhs.real / lhs.real
+        assert rates[0] == elliptic_pair_rate(*args[:3], beta) > 0
+        assert abs(rates[1] - rates[0]) < gap * rates[0]
+
+    @pytest.mark.parametrize(("args", "beta"), [((1e-20, 1.0, 2.0), "1.0"), ((1.0, 1.0, 1e100), "inf")])
+    def test_companion_rounded_to_the_unit_circle_or_overflowed_is_refused(self, args, beta):
+        with pytest.raises(ConvergenceError, match=f"beta = {beta}, outside"):
+            two_body_elliptic(*args)
 
     def test_heavier_companion_smaller_circle(self):
         beta = two_body_elliptic(1.0, 2.0, 2.0)

@@ -5,7 +5,9 @@ hyperbolic-cyclic axis identities through the pair kernel's tables.  Here
 ``dynamics._pair_tables`` itself runs on symbolic axis positions i h, each
 kernel-form term is shown equal to the paper's closed form, and its sign is
 shown for every pair of distinct positive heights: one height is written as
-the other plus a positive gap d, in both orders.
+the other plus a positive gap d, in both orders.  The same axis tables show
+that two_body_elliptic's closed form is a root of the two-body pairing
+condition of the elliptic-cyclic class.
 """
 
 import types
@@ -70,3 +72,33 @@ def test_hyperbolic_terms_are_the_closed_form_with_the_sign_of_the_height_gap(or
     dk, bk = 2 * vk, 1 + vk ** 2
     assert (dk * bk + 2 * bk * bk / dk).is_positive
     assert (2 * dk ** 3 / R).is_positive
+
+
+def test_companion_circle_closed_form_is_a_root_of_the_axis_pairing_condition():
+    # body 1 at i y1 above body 2 at i y2: the elliptic-cyclic sides lhs_k = R (1 + w^2)(1 + |w|^2) / (16 y^4)
+    # and rhs_k = -4 (A_k - 2i y_k B_k), with the kernel's sums over its axis tables
+    m1, m2, a = sp.symbols("m1 m2 a", positive=True)
+    y1, y2 = h + d, h
+
+    def rhs(yk, yj, mj):
+        tables = axis_tables(yk, yj)
+        th = kernel_theta(tables)
+        assert tables.dx == 0  # so B_k vanishes
+        return -4 * mj * yj ** 2 * (tables.dy * tables.sy - tables.dx2) / (th * sp.sqrt(th))
+
+    def lhs(y):
+        w = sp.I * y
+        return R * (1 + w ** 2) * (1 + w * sp.conjugate(w)) / (16 * y ** 4)
+
+    pairing = lhs(y1) * rhs(y2, y1, m1) - lhs(y2) * rhs(y1, y2, m2)
+    # the kernel's theta is 4 (y1^2 - y2^2)^2, and lhs_0 rhs_1 = lhs_1 rhs_0 is the quadratic in y2^2
+    assert sp.simplify(kernel_theta(axis_tables(y1, y2)) - 4 * (y1 ** 2 - y2 ** 2) ** 2) == 0
+    def quadratic(y1, y2):
+        return m2 * y1 ** 2 * (1 - y2 ** 4) + m1 * y2 ** 2 * (1 - y1 ** 4)
+
+    assert sp.simplify(pairing * 32 * (y1 ** 2 - y2 ** 2) ** 2 * y1 ** 2 * y2 ** 2 / R - quadratic(y1, y2)) == 0
+    # two_body_elliptic's root, for alpha = 1 + a > 1 at y1 = alpha and y2 = 1/beta
+    alpha = 1 + a
+    q, c = (alpha - 1) * (alpha + 1) * (alpha ** 2 + 1), 2 * m2 * alpha ** 2
+    beta = sp.sqrt((sp.sqrt((m1 * q) ** 2 + c ** 2) + m1 * q) / c)
+    assert sp.simplify(quadratic(alpha, 1 / beta)) == 0
