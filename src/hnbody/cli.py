@@ -280,55 +280,56 @@ def cmd_equilibria(args, doc: dict) -> list[str]:
     cls = _equilibrium_class(cls_name, "equilibria.class")
     payload = {"class": cls.value, "mode": args.mode}
 
-    if args.mode == "find":
-        if cls in NONEXISTENT_CLASSES:
-            raise ClassNotSolvableError(
-                f"nonexistent class: no {cls.value} solutions exist "
-                "(certified sign contradiction; see the certify command)"
+    if args.mode == "find" and cls in NONEXISTENT_CLASSES:
+        raise ClassNotSolvableError(
+            f"nonexistent class: no {cls.value} solutions exist "
+            "(certified sign contradiction; see the certify command)"
+        )
+    with np.errstate(all="ignore"):  # a non-finite residual ends in a validation error
+        if args.mode == "find":
+            ansatz = _system_state(doc)
+            symmetry = section.get("symmetry", "none")
+            if symmetry not in SYMMETRIES:
+                raise ValidationError("equilibria.symmetry", "must be none, axis or mirror")
+            opts = FindOptions(
+                symmetry=symmetry,
+                tol=_real(section.get("tol", FindOptions.tol), "equilibria.tol", positive=True),
+                max_iter=_integer(section.get("max_iter", FindOptions.max_iter), "equilibria.max_iter", minimum=1),
             )
-        ansatz = _system_state(doc)
-        symmetry = section.get("symmetry", "none")
-        if symmetry not in SYMMETRIES:
-            raise ValidationError("equilibria.symmetry", "must be none, axis or mirror")
-        opts = FindOptions(
-            symmetry=symmetry,
-            tol=_real(section.get("tol", FindOptions.tol), "equilibria.tol", positive=True),
-            max_iter=_integer(section.get("max_iter", FindOptions.max_iter), "equilibria.max_iter", minimum=1),
-        )
-        state, report = find_equilibrium_detailed(cls, ansatz.masses, ansatz.R, ansatz, opts)
-        lhs, rhs = condition_sides(cls, state)
-        payload.update(
-            state=_state_dict(state),
-            residual=_residual_dict(lhs - rhs),
-            iterations=report.iterations,
-            residual_inf_norm=report.residual_norm,
-        )
-    else:
-        with np.errstate(all="ignore"):  # a non-finite residual ends in the error below
-            if cls in _CYCLIC_RESIDUALS:
-                # check mode on the reparametrized family at the configured data
-                R = _real(_require(doc, "", "R"), "R", positive=True)
-                masses = np.array(_reals(doc, "", "masses", positive=True))
-                params = CyclicParams(
-                    _reals(section, "equilibria.", "alpha"),
-                    _reals(section, "equilibria.", "beta"),
-                    _real(section.get("s", 0.0), "equilibria.s"),
-                )
-                if params.n != masses.size:
-                    raise ValidationError("equilibria.alpha", "length must match masses")
-                re_res, im_res = _CYCLIC_RESIDUALS[cls](params, masses, R)
-                payload.update(
-                    real_parts=[float(x) for x in re_res],
-                    imaginary_parts=[float(x) for x in im_res],
-                    inf_norm=float(np.max(np.abs([re_res, im_res]))),
-                )
-            else:
-                lhs, rhs = condition_sides(cls, _system_state(doc))
-                residual = lhs - rhs
-                payload.update(residual=_residual_dict(residual), inf_norm=float(np.max(np.abs(residual))))
-        if not math.isfinite(payload["inf_norm"]):  # the norm is NaN or inf with any residual part
-            raise ValidationError("equilibria.alpha" if cls in _CYCLIC_RESIDUALS else "bodies",
-                                  "the residual leaves the floating-point range")
+            if not np.isfinite(np.subtract(*condition_sides(cls, ansatz))).all():
+                raise ValidationError("bodies", "the residual at the ansatz leaves the floating-point range")
+            state, report = find_equilibrium_detailed(cls, ansatz.masses, ansatz.R, ansatz, opts)
+            lhs, rhs = condition_sides(cls, state)
+            payload.update(
+                state=_state_dict(state),
+                residual=_residual_dict(lhs - rhs),
+                iterations=report.iterations,
+                residual_inf_norm=report.residual_norm,
+            )
+        elif cls in _CYCLIC_RESIDUALS:
+            # check mode on the reparametrized family at the configured data
+            R = _real(_require(doc, "", "R"), "R", positive=True)
+            masses = np.array(_reals(doc, "", "masses", positive=True))
+            params = CyclicParams(
+                _reals(section, "equilibria.", "alpha"),
+                _reals(section, "equilibria.", "beta"),
+                _real(section.get("s", 0.0), "equilibria.s"),
+            )
+            if params.n != masses.size:
+                raise ValidationError("equilibria.alpha", "length must match masses")
+            re_res, im_res = _CYCLIC_RESIDUALS[cls](params, masses, R)
+            payload.update(
+                real_parts=[float(x) for x in re_res],
+                imaginary_parts=[float(x) for x in im_res],
+                inf_norm=float(np.max(np.abs([re_res, im_res]))),
+            )
+        else:
+            lhs, rhs = condition_sides(cls, _system_state(doc))
+            residual = lhs - rhs
+            payload.update(residual=_residual_dict(residual), inf_norm=float(np.max(np.abs(residual))))
+    if args.mode == "check" and not math.isfinite(payload["inf_norm"]):  # NaN or inf with any residual part
+        raise ValidationError("equilibria.alpha" if cls in _CYCLIC_RESIDUALS else "bodies",
+                              "the residual leaves the floating-point range")
     return [_emit(args, "equilibrium.json", reports.canonical_json(payload))]
 
 

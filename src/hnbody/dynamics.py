@@ -29,7 +29,10 @@ from .errors import DomainError, SingularityError, StepSizeError
 GRADIENT_SIGN = -1.0
 ENERGY_COUPLING = 2.0
 
-THETA_FLOOR_SCALE = 1e-12  # singularity guard: theta_min = 1e-12 * scale^4
+# The singular set: pairs with near/far = tanh^2(d/2) below tanh^2(5e-7), closer than d = 1e-6 at R = 1
+# (Beardon, The Geometry of Discrete Groups, 7.2), and pairs whose kernel divisor theta^{3/2} underflows.
+_NEAR_FAR_MIN = math.tanh(5e-7) ** 2
+_THETA_MIN = 1e-200
 VLASOV_NUM_POINTS = 1001  # default of vlasov_weak_residual and of the CLI's vlasov.num_points
 _DIVISOR_OVERFLOWS = "the pair kernel divisor 512 max|w|^6 overflows"
 
@@ -99,13 +102,6 @@ def _inf_diag(n: int) -> np.ndarray:
     return table
 
 
-def theta_floor(positions: np.ndarray):
-    """Singularity guard theta_min = 1e-12 * max(1, max_k |w_k|)^4, per configuration of shape (..., n)."""
-    scale = np.abs(positions).max(axis=-1, initial=1.0)
-    scale2 = scale * scale
-    return THETA_FLOOR_SCALE * scale2 * scale2
-
-
 class _PairTables(NamedTuple):
     """Tables over body pairs (k, j) of positions wk = xk + i yk and wj = xj + i yj."""
 
@@ -141,47 +137,49 @@ def _pair_tables(wk, wj) -> _PairTables:
     return _PairTables(dx, dy, sy, dx2, near, far, th)
 
 
-def _guard(w: np.ndarray, th: np.ndarray, t=None):
-    """(min_theta, verdict) of positions w, shape (..., n), from their theta
-    table th of shape (..., n, n) with the +inf diagonal of _pairs.
+def _singular(tables: _PairTables, margin: float = 1.0) -> np.ndarray:
+    """Which pairs of the tables are in the singular set widened by ``margin``; +inf near and theta never are."""
+    return (tables.near < margin * _NEAR_FAR_MIN * tables.far) | (tables.theta < margin * _THETA_MIN)
+
+
+def _guard(tables: _PairTables, t=None):
+    """(min_theta, verdict) of the (..., n, n) tables of _pairs.
 
     min_theta is the smallest theta per configuration (inf for one body);
-    verdict is None or the SingularityError of the first configuration
-    below its theta floor, timed by ``t`` (a float, or an array over the
-    leading axes) if given.  It names the row-major argmin of the table,
-    which in the symmetric table is the first pair in _triu order with the
-    smallest theta.
+    verdict is None or the SingularityError of the first configuration with
+    a _singular pair, timed by ``t`` (a float, or an array over the leading
+    axes) if given.  It names the singular pair with the smallest near/far:
+    the row-major argmin of the table, which in the symmetric table is the
+    first such pair in _triu order.
     """
+    th = tables.theta
     min_theta = np.minimum.reduce(th, axis=(-2, -1), initial=math.inf)
-    below = min_theta < theta_floor(w)
-    if not np.count_nonzero(below):
+    singular = _singular(tables)
+    if not singular.any():
         return min_theta, None
-    row = np.unravel_index(np.argmax(below), below.shape)
-    worst = int(np.argmin(th[row]))
-    pair = divmod(worst, w.shape[-1])
+    row = np.unravel_index(np.argmax(singular), singular.shape)[:-2]
+    with np.errstate(all="ignore"):  # 0/0 or inf/0 where heights underflow; a NaN ratio comes first
+        worst = int(np.argmin(np.where(singular[row], tables.near[row] / tables.far[row], math.inf)))
+    pair = divmod(worst, th.shape[-1])
     value = float(th[row].flat[worst])
     time = None if t is None else float(np.asarray(t)[row])
     when = "" if time is None else f" at t = {time}"
-    verdict = SingularityError(
-        f"pair {pair} touched the singular set{when} (theta = {value:.3e})",
-        pair=pair,
-        time=time,
-        theta=value,
-    )
-    return min_theta, verdict
+    message = f"pair {pair} touched the singular set{when} (theta = {value:.3e})"
+    return min_theta, SingularityError(message, pair=pair, time=time, theta=value)
 
 
 def _pairs(w: np.ndarray, t=None):
     """The pair kernel over all pairs of positions w, shape (..., n), with the guard.
 
     Returns (tables, min_theta, verdict): the (..., n, n) _pair_tables,
-    entry [k, j] for the pair (k, j), and the _guard of w.  The +inf theta
-    diagonal keeps the pairs j = k out of the guard and _pair_sums.
+    entry [k, j] for the pair (k, j), and the _guard of the tables.  The
+    +inf diagonal of near and theta keeps the pairs j = k out of the guard
+    and _pair_sums.
     """
     tables = _pair_tables(w[..., :, None], w[..., None, :])
-    th = tables.theta
-    th += _inf_diag(w.shape[-1])
-    return (tables, *_guard(w, th, t))
+    for table in tables.near, tables.theta:
+        table += _inf_diag(w.shape[-1])
+    return (tables, *_guard(tables, t))
 
 
 def theta(wk: complex, wj: complex) -> float:
@@ -259,7 +257,7 @@ def cotangent_potential(state: SystemState):
     """Total potential (1/R) * sum_{k<j} m_k m_j * cross_{kj} / sqrt(theta_{kj}).
 
     Mobius invariant; a series gives one value per row.  The sum runs over the
-    k < j pairs only; below the theta floor, the verdict of _pairs on the same
+    k < j pairs only; with a _singular pair, the verdict of _pairs on the same
     rows is raised, with the pair, time and theta that eom_rhs would give.
     """
     iu = _triu(state.n)
@@ -267,7 +265,7 @@ def cotangent_potential(state: SystemState):
 
     def rows(t, w, v):
         tables = _pair_tables(w[..., iu[0]], w[..., iu[1]])
-        if np.any(np.minimum.reduce(tables.theta, axis=-1, initial=math.inf) < theta_floor(w)):
+        if _singular(tables).any():
             raise _pairs(w, t)[2]
         cross = -(tables.near + tables.far)
         return np.sum(mm * cross / np.sqrt(tables.theta), axis=-1) / state.R
@@ -485,8 +483,8 @@ def integrate(
     Solving ODEs II, IV.8); a rejection shrinks the step by
     max(0.2, 0.9 err^-1/5), a failed stage by 0.25.  A step that would pass
     t_end, or end less than 1e-14 max(1, |t_end|) short of it, ends on
-    t_end.  Halts with a singularity error if any pair drops below the theta
-    floor, and with a step-size error on underflow, on a non-finite initial
+    t_end.  Halts with a singularity error if any pair enters the _singular
+    set, and with a step-size error on underflow, on a non-finite initial
     derivative, step size or error estimate, or on an accepted state past
     the position bound of SystemState.
     """
@@ -515,8 +513,7 @@ def integrate(
 
     y = np.concatenate([state.positions, state.velocities])
     f = np.empty_like(y)
-    # the min theta of the current y, from the rhs call that gave its f
-    theta_y = min_theta = rhs(y, t0, f)
+    min_theta = rhs(y, t0, f)
     if not np.all(np.isfinite(f)):
         raise StepSizeError(f"non-finite derivative at t = {t0}")
     times, ys, fs = [t0], [y], [f]
@@ -541,7 +538,9 @@ def integrate(
     while t < t1:
         h = min(h, hmax)
         if h < 1e-14 * max(1.0, abs(t)):
-            if last_singularity is not None or theta_y < 1e8 * theta_floor(y[:n]):
+            # a verdict once a stage was singular or y has a pair in the singular set widened 1e8-fold
+            tables, theta_y, _ = _pairs(y[:n])
+            if last_singularity is not None or _singular(tables, 1e8).any():
                 verdict = last_singularity or SingularityError(
                     f"singularity verdict at t = {t} (theta = {theta_y:.3e})",
                     time=t,
@@ -586,14 +585,13 @@ def integrate(
                 raise StepSizeError(f"positions too large at t = {t}: {_DIVISOR_OVERFLOWS}")
             y, size_y = y5, size_y5
             # FSAL: the last stage is rhs(y5), which also guarded y5 against
-            # the theta floor and gave its min theta; copy out of the stage buffer
+            # the singular set and gave its min theta; copy out of the stage buffer
             f = k[6].copy()
             times.append(t)
             ys.append(y)
             fs.append(f)
             steps += 1
-            theta_y = stage_theta
-            min_theta = min(min_theta, theta_y)
+            min_theta = min(min_theta, stage_theta)
             if err > 1e-30:
                 factor = min(5.0, max(0.2, 0.9 * err ** -0.2))
                 if h_acc is not None:

@@ -452,7 +452,6 @@ def _levenberg_marquardt(fun, x0, opts: FindOptions):
                     "singular normal equations",
                     iterations=it,
                     residual_norm=float(np.max(np.abs(r))),
-                    condition=float(np.linalg.cond(JtJ)),
                 ) from None
             try:
                 r_trial = fun(x + step)
@@ -470,7 +469,6 @@ def _levenberg_marquardt(fun, x0, opts: FindOptions):
                     "damping exhausted without an acceptable step",
                     iterations=it,
                     residual_norm=float(np.max(np.abs(r))),
-                    condition=float(np.linalg.cond(JtJ)),
                 )
     norm = float(np.max(np.abs(r)))
     if norm < opts.tol:

@@ -27,11 +27,10 @@ class StepSizeError(HnbodyError):
 class ConvergenceError(HnbodyError):
     """An iterative solver failed to reach its tolerance."""
 
-    def __init__(self, message, iterations=None, residual_norm=None, condition=None):
+    def __init__(self, message, iterations=None, residual_norm=None):
         super().__init__(message)
         self.iterations = iterations
         self.residual_norm = residual_norm
-        self.condition = condition
 
 
 class ClassNotSolvableError(HnbodyError):

@@ -775,8 +775,9 @@ def _transport(**section):
     return {**INVARIANCE_DOC, "invariance": section}
 
 
-# id -> (command, config, field path): runs whose flow, transport, theta floor or pair
-# kernel leaves the floating-point range, or whose rotation samples pass s = tan t's pole
+# id -> (command, config, field path): runs whose flow, transport, position bound, pair
+# kernel or find residual leaves the floating-point range, or whose rotation samples
+# pass s = tan t's pole
 RANGE_FAULTS = {
     "flow-overflow": ("flow", {"flow": {"kind": "normal", "sigma": -1, "points": [[0.0, 1.0]], "t_max": 800}},
                       "flow.t_max"),
@@ -809,6 +810,13 @@ RANGE_FAULTS = {
         "flow", {"flow": {"kind": "rotation", "sigma": -1, "points": [[0.0, 1.0]], "t_min": -2.0, "t_max": 1.0}},
         "flow.t_min",
     ),
+    # the lhs divides by 16 y^4, which underflows to 0 at y = 1e-100: the residual at the ansatz is not finite
+    "find-residual-overflow": (
+        "equilibria find",
+        {"R": 1e300, "masses": [1.0, 1.0], "bodies": [[0, 1e-100, 0, 0], [1, 1, 0, 0]],
+         "equilibria": {"class": "elliptic-cyclic"}},
+        "bodies",
+    ),
 }
 
 
@@ -818,7 +826,7 @@ def test_range_faults_name_the_field_without_warnings(tmp_path, fault):
     cfg = write_config(tmp_path, doc)
     src = os.path.dirname(os.path.dirname(hnbody.__file__))
     proc = subprocess.run(
-        [sys.executable, "-m", "hnbody", command, "--config", cfg, "--out", str(tmp_path / "out")],
+        [sys.executable, "-m", "hnbody", *command.split(), "--config", cfg, "--out", str(tmp_path / "out")],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 1
@@ -826,6 +834,42 @@ def test_range_faults_name_the_field_without_warnings(tmp_path, fault):
     err = json.loads(proc.stdout)["error"]  # one JSON object and nothing else
     assert err["code"] == "validation"
     assert err["message"].startswith(f"{field}: ")
+
+
+def test_underflowing_kernel_divisor_is_a_verdict_without_warnings(tmp_path):
+    # the pair is at d = 0.96, but theta = 2e-239 and its theta^{3/2} underflows to 0
+    doc = {**SIMULATE_DOC, "bodies": [[0, 1e-60, 0, 0], [1e-60, 1e-60, 0, 0]]}
+    cfg = write_config(tmp_path, doc)
+    src = os.path.dirname(os.path.dirname(hnbody.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hnbody", "simulate", "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["error"] == {  # one JSON object and nothing else
+        "code": "singularity",
+        "message": "pair (0, 1) touched the singular set at t = 0.0 (theta = 2.000e-239)",
+    }
+
+
+# id -> (command, config): runs whose pairs stay far from the singular set in hyperbolic
+# distance, at a small scale, beside a far body or carried far by an isometry
+FAR_FROM_SINGULAR = {
+    "small-scale-pair": ("simulate", {**SIMULATE_DOC, "bodies": [[0, 1e-4, 0, 0], [1e-4, 1e-4, 0, 0]],
+                                      "integrator": {"tol": 1e-10, "t_end": 0.1}}),
+    "far-third-body": ("simulate", {**SIMULATE_DOC, "masses": [1.0, 1.0, 1.0],
+                                    "bodies": [[0, 0.07, 0, 0], [0.0008, 0.07, 0, 0], [30, 1, 0, 0]],
+                                    "integrator": {"tol": 1e-10, "t_end": 1e-4}}),
+    "nilpotent-transport": ("invariance", _transport(kind="nilpotent", group_time=1e40)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAR_FROM_SINGULAR))
+def test_pairs_far_from_the_singular_set_get_no_verdict(tmp_path, capsys, case):
+    command, doc = FAR_FROM_SINGULAR[case]
+    code, _ = run(tmp_path, command, "--config", write_config(tmp_path, doc))
+    assert code == 0, capsys.readouterr().out
 
 
 def test_find_refuses_an_end_point_where_both_sides_vanish(tmp_path, capsys):
