@@ -26,7 +26,8 @@ from .clifford import (
     ROTATION_ELLIPTIC,
     exp_subgroup,
 )
-from .dynamics import VLASOV_NUM_POINTS, SystemState, default_test_functions, integrate, vlasov_weak_residual
+from .dynamics import VLASOV_NUM_POINTS, SystemState, default_test_functions, integrate, step_floor
+from .dynamics import vlasov_weak_residual
 from .equilibria import (
     CyclicParams,
     EquilibriumClass,
@@ -159,14 +160,19 @@ def _points(raw, path: str, width: int) -> np.ndarray:
 
 
 def _integrator(doc: dict) -> dict:
-    """Keyword arguments of ``integrate`` from the ``integrator`` section."""
+    """Keyword arguments of ``integrate`` from the ``integrator`` section, checked against the step floor."""
     raw = _section(doc, "integrator", {"tol", "t_end", "max_step"})
-    return {
+    opts = {
         "tol": _real(_require(raw, "integrator.", "tol"), "integrator.tol", positive=True),
         "t_end": _real(_require(raw, "integrator.", "t_end"), "integrator.t_end", positive=True),
         "max_step": _real(raw["max_step"], "integrator.max_step", positive=True)
         if "max_step" in raw else None,
     }
+    floor = step_floor(opts["t_end"])  # the largest floor over [0, t_end]
+    for key in ("t_end", "max_step"):
+        if opts[key] is not None and opts[key] < floor:
+            raise ValidationError(f"integrator.{key}", f"must be >= {floor:g}, the integrator's step floor at t_end")
+    return opts
 
 
 def _system_state(doc: dict) -> SystemState:

@@ -37,6 +37,11 @@ VLASOV_NUM_POINTS = 1001  # default of vlasov_weak_residual and of the CLI's vla
 _DIVISOR_OVERFLOWS = "the pair kernel divisor 512 max|w|^6 overflows"
 
 
+def step_floor(t: float) -> float:
+    """1e-14 max(1, |t|), the smallest step integrate takes at time t: a smaller one is an underflow."""
+    return 1e-14 * max(1.0, abs(t))
+
+
 def _divisor_bound(scale):
     """512 scale^6, a bound on the pair kernel's divisor theta^{3/2} at positions
     with max|w| = scale (theta <= 64 max|w|^4).  It is finite for scale below
@@ -311,22 +316,15 @@ def gradient_consistency(state: SystemState, step: float | None = None) -> Gradi
         raise DomainError(f"finite-difference step underflow: {h!r}")
 
     force = eom_interaction(state)
-    if state.n < 2:
+    n, R = state.n, state.R
+    if n < 2:
         return GradientReport(GRADIENT_SIGN, 0.0, h)
-
-    def potential_at(k: int, dz: complex) -> float:
-        w = state.positions.copy()
-        w[k] += dz
-        shifted = SystemState(state.t, w, state.velocities, state.masses, state.R)
-        return cotangent_potential(shifted)
-
-    target = np.zeros(state.n, dtype=complex)
-    for k in range(state.n):
-        dvdx = (potential_at(k, h) - potential_at(k, -h)) / (2.0 * h)
-        dvdy = (potential_at(k, 1j * h) - potential_at(k, -1j * h)) / (2.0 * h)
-        dwbar = 0.5 * (dvdx + 1j * dvdy)
-        mu = (state.R / state.positions[k].imag) ** 2
-        target[k] = (2.0 / mu) * (2.0 * state.R ** 2 / state.masses[k]) * dwbar
+    # the potential with body k moved by h, -h, ih and -ih, rows 4k to 4k + 3 of one series
+    w = np.repeat(state.positions[None, :], 4 * n, axis=0)
+    w[np.arange(4 * n), np.arange(4 * n) // 4] += np.tile([h, -h, 1j * h, -1j * h], n)
+    V = cotangent_potential(SystemState(np.zeros(4 * n), w, np.zeros_like(w), state.masses, R)).reshape(n, 4)
+    dwbar = 0.5 * ((V[:, 0] - V[:, 1]) / (2.0 * h) + 1j * ((V[:, 2] - V[:, 3]) / (2.0 * h)))
+    target = (2.0 / (R / state.positions.imag) ** 2) * (2.0 * R ** 2 / state.masses) * dwbar
 
     denom = np.maximum(np.abs(force), 1e-300)
     best_sign, best_err = 1.0, math.inf
@@ -482,7 +480,7 @@ def integrate(
     (err_acc / err^2)^1/5) from the previous accepted step (Hairer & Wanner,
     Solving ODEs II, IV.8); a rejection shrinks the step by
     max(0.2, 0.9 err^-1/5), a failed stage by 0.25.  A step that would pass
-    t_end, or end less than 1e-14 max(1, |t_end|) short of it, ends on
+    t_end, or end less than step_floor(t_end) short of it, ends on
     t_end.  Halts with a singularity error if any pair enters the _singular
     set, and with a step-size error on underflow, on a non-finite initial
     derivative, step size or error estimate, or on an accepted state past
@@ -534,10 +532,10 @@ def integrate(
     last_singularity = verdict = None
     k = np.empty((7, 2 * n), dtype=complex)
     size_y = np.abs(y)
-    end_gap = 1e-14 * max(1.0, abs(t1))  # a step leaving less than this before t_end ends on t_end
+    end_gap = step_floor(t1)  # a step leaving less than this before t_end ends on t_end
     while t < t1:
         h = min(h, hmax)
-        if h < 1e-14 * max(1.0, abs(t)):
+        if h < step_floor(t):
             # a verdict once a stage was singular or y has a pair in the singular set widened 1e8-fold
             tables, theta_y, _ = _pairs(y[:n])
             if last_singularity is not None or _singular(tables, 1e8).any():

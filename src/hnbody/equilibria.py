@@ -36,7 +36,7 @@ from .clifford import (
     killing_velocity,
     killing_wirtinger,
 )
-from .dynamics import SystemState, _inf_diag, _pair_sums, _pair_tables, eom_interaction
+from .dynamics import SystemState, _pair_sums, _pair_tables, _pairs, eom_interaction
 from .errors import ClassNotSolvableError, ConvergenceError, DomainError, SingularityError
 
 
@@ -81,9 +81,7 @@ def mobius_ansatz_defect(
     and returns the per-body complex defect.
     """
     w = np.asarray(positions, dtype=complex)
-    m = np.asarray(masses, dtype=float)
-    s = SystemState(0.0, w, np.zeros_like(w), m, R)
-    force = eom_interaction(s)
+    force = eom_interaction(SystemState(0.0, w, np.zeros_like(w), masses, R))
     K = killing_velocity(field, w)
     dKw, dKwb = killing_wirtinger(field, w)
     wddot = rate * rate * (dKw * K + dKwb * np.conjugate(K))
@@ -98,17 +96,14 @@ def mobius_ansatz_defect(
 def _interaction(w: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """Interaction sums S_k = -4 (A - 2i y B) of the positions w, shape (..., n), from the _pair_sums.
 
-    Raises DomainError when a pair touches the singular set: when the kernel's
-    divisor theta sqrt(theta) is 0, as theta is 0 or theta^{3/2} underflows.
-    The message names the pair of the first such row.
+    Raises the SingularityError of _pairs when a pair is in the singular set;
+    it names the pair of the first such row.
     """
-    tables = _pair_tables(w[..., :, None], w[..., None, :])
-    th = tables.theta
-    th += _inf_diag(w.shape[-1])
-    divisor = th * np.sqrt(th)
-    if not divisor.all():
-        hit = tuple(np.argwhere(divisor == 0)[0])
-        raise DomainError(f"pair ({hit[-2]}, {hit[-1]}) touches the singular set (theta = {th[hit]:.3g})")
+    if np.size(masses) != w.shape[-1]:
+        raise DomainError("masses must match the number of bodies")
+    tables, _, verdict = _pairs(w)
+    if verdict is not None:
+        raise verdict
     A, B = _pair_sums(w.imag, masses, tables)
     return -4.0 * (A - 2j * w.imag * B)
 
@@ -150,7 +145,8 @@ def condition_sides(cls: EquilibriumClass, state: SystemState):
     lhs is the class-specific closed form; rhs is the interaction sum
     S_k = sum_{j != k} m_j (conj(wj)-wj)^2 (wk-wj)(conj(wj)-wk)/theta^{3/2}.
     The hyperbolic-cyclic class is available only through its
-    reparametrized family (residual_hyperbolic_cyclic).
+    reparametrized family (residual_hyperbolic_cyclic).  A pair in the
+    singular set raises the SingularityError of _pairs, as in eom_rhs.
     """
     if cls not in _CONDITION_LHS:
         raise DomainError(f"{cls.value} has no position-space condition system")
@@ -159,7 +155,7 @@ def condition_sides(cls: EquilibriumClass, state: SystemState):
 
 
 def residual_hyperbolic_normal(state: SystemState) -> np.ndarray:
-    """Per-body defect of R (w + conj w) w / [8 (w - conj w)^4] = S_k."""
+    """Per-body defect of R (w + conj w) w / [8 (w - conj w)^4] = S_k; SingularityError as condition_sides."""
     lhs, rhs = condition_sides(EquilibriumClass.HYPERBOLIC_NORMAL, state)
     return lhs - rhs
 
@@ -168,14 +164,14 @@ def residual_parabolic_nilpotent(state: SystemState) -> np.ndarray:
     """Per-body defect of -R / [4 (w - conj w)^4] = S_k.
 
     The left side is the strictly negative real -R/(64 Im(w)^4), which is
-    what rules the class out.
+    what rules the class out.  SingularityError as condition_sides.
     """
     lhs, rhs = condition_sides(EquilibriumClass.PARABOLIC_NILPOTENT, state)
     return lhs - rhs
 
 
 def residual_elliptic_cyclic(state: SystemState) -> np.ndarray:
-    """Per-body defect of R (1 + w^2)(1 + |w|^2) / (w - conj w)^4 = S_k."""
+    """Per-body defect of R (1 + w^2)(1 + |w|^2) / (w - conj w)^4 = S_k; SingularityError as condition_sides."""
     lhs, rhs = condition_sides(EquilibriumClass.ELLIPTIC_CYCLIC, state)
     return lhs - rhs
 
@@ -309,12 +305,10 @@ def residual_parabolic_cyclic(p: CyclicParams, masses, R: float):
     for beta of either sign.  These are the real and imaginary parts of the
     motion-equation defect of the flow ansatz, scaled by
     R/(128 v_k^4 (1+s^2)^2) and R/(64 v_k^3 (1+s^2)^2) respectively.
+    Bodies in the singular set raise SingularityError, as in condition_sides.
     """
-    m = np.asarray(masses, dtype=float)
-    if m.size != p.n:
-        raise DomainError("masses must match the number of bodies")
     w = positions_parabolic_cyclic(p)
-    S = _interaction(w, m)
+    S = _interaction(w, masses)
     fa = 1.0 - p.alpha * p.s
     s2 = 1.0 + p.s ** 2
     lhs_re = -R * (p.alpha + p.s) * (1.0 + p.alpha ** 2) * fa ** 5 / (64.0 * p.beta ** 4 * s2 ** 5)
@@ -345,16 +339,14 @@ def residual_hyperbolic_cyclic(p: CyclicParams, masses, R: float):
       imag:  (64 D_k^3 / R) sum_j m_j D_j^2 [(C_k-C_j)^2 - D_k^2 + D_j^2] / Theta^{3/2}.
 
     These are exactly the real and imaginary parts of the motion-equation
-    defect of the flow ansatz.
+    defect of the flow ansatz.  Bodies in the singular set raise
+    SingularityError, as in condition_sides.
     """
-    m = np.asarray(masses, dtype=float)
-    if m.size != p.n:
-        raise DomainError("masses must match the number of bodies")
     w = positions_hyperbolic_cyclic(p)
     if np.any(w.imag <= 0):
         raise DomainError("parametrized bodies must stay in the upper half-plane")
     C, D = w.real, w.imag
-    force = (16j * D ** 3 / R) * _interaction(w, m)
+    force = (16j * D ** 3 / R) * _interaction(w, masses)
 
     fa = 1.0 - p.alpha * p.s
     fb = 1.0 - p.beta * p.s
@@ -435,7 +427,10 @@ def _jacobian(fun, x: np.ndarray) -> np.ndarray:
 def _levenberg_marquardt(fun, x0, opts: FindOptions):
     """Minimise |fun(x)|; fun maps unknowns of shape (..., p) to residuals of shape (..., m)."""
     x = np.asarray(x0, dtype=float).copy()
-    r = fun(x)
+    with np.errstate(all="ignore"):  # a non-finite start is refused below, before any warning
+        r = fun(x)
+    if not np.isfinite(r).all():
+        raise DomainError("the residual at the ansatz leaves the floating-point range")
     lam = _LM_LAMBDA0
     for it in range(opts.max_iter):
         if float(np.max(np.abs(r))) < opts.tol:
@@ -621,7 +616,7 @@ def _axis_row(heights: np.ndarray, k: np.ndarray):
     """Pair tables of the axis body i h_k against every axis body i h_j, per sample of
     shape (..., n) and body k of shape (...), their divisors theta^{3/2} and h_k.
 
-    theta_kk is +inf, as in _inf_diag, so the terms j = k vanish.  On the axis
+    theta_kk is +inf, as in _pairs, so the terms j = k vanish.  On the axis
     theta = 4 (h_k - h_j)^2 (h_k + h_j)^2, so a zero divisor (DomainError)
     means a body j != k with h_j^2 = h_k^2.
     """

@@ -194,11 +194,11 @@ class TestEquilibria:
         cfg = write_config(tmp_path, doc)
         code, out = run(tmp_path, "equilibria", "check", "--config", cfg)
         captured = capsys.readouterr()
-        assert code == 1
+        assert code == 2
         assert captured.err == ""
         assert json.loads(captured.out)["error"] == {
-            "code": "validation",
-            "message": "pair (0, 1) touches the singular set (theta = 0)",
+            "code": "singularity",
+            "message": "pair (0, 1) touched the singular set (theta = 0.000e+00)",
         }
         assert not out.exists()
 
@@ -213,11 +213,11 @@ class TestEquilibria:
         cfg = write_config(tmp_path, doc)
         code, out = run(tmp_path, "equilibria", "check", "--config", cfg)
         captured = capsys.readouterr()
-        assert code == 1
+        assert code == 2
         assert captured.err == ""
         assert json.loads(captured.out)["error"] == {
-            "code": "validation",
-            "message": "pair (0, 1) touches the singular set (theta = 1.6e-239)",
+            "code": "singularity",
+            "message": "pair (0, 1) touched the singular set (theta = 1.600e-239)",
         }
         assert not out.exists()
 
@@ -776,8 +776,8 @@ def _transport(**section):
 
 
 # id -> (command, config, field path): runs whose flow, transport, position bound, pair
-# kernel or find residual leaves the floating-point range, or whose rotation samples
-# pass s = tan t's pole
+# kernel or find residual leaves the floating-point range, whose rotation samples
+# pass s = tan t's pole, or whose span or step bound is below the integrator's step floor
 RANGE_FAULTS = {
     "flow-overflow": ("flow", {"flow": {"kind": "normal", "sigma": -1, "points": [[0.0, 1.0]], "t_max": 800}},
                       "flow.t_max"),
@@ -817,6 +817,13 @@ RANGE_FAULTS = {
          "equilibria": {"class": "elliptic-cyclic"}},
         "bodies",
     ),
+    "t-end-below-step-floor": (
+        "simulate", {**SIMULATE_DOC, "integrator": {"tol": 1e-10, "t_end": 1e-15}}, "integrator.t_end"
+    ),
+    "max-step-below-step-floor": (
+        "simulate", {**SIMULATE_DOC, "integrator": {"tol": 1e-10, "t_end": 1.0, "max_step": 1e-15}},
+        "integrator.max_step",
+    ),
 }
 
 
@@ -851,6 +858,39 @@ def test_underflowing_kernel_divisor_is_a_verdict_without_warnings(tmp_path):
         "code": "singularity",
         "message": "pair (0, 1) touched the singular set at t = 0.0 (theta = 2.000e-239)",
     }
+
+
+# id -> (bodies, theta in the message) of a pair in the singular set: coincident, and
+# [i, i (1 + 5e-7)] at hyperbolic distance 5e-7
+SINGULAR_PAIRS = {
+    "coincident": ([[0.2, 1.0, 0.0, 0.0], [0.2, 1.0, 0.0, 0.0]], "0.000e+00"),
+    "distance-5e-7": ([[0.0, 1.0, 0.0, 0.0], [0.0, 1.0 + 5e-7, 0.0, 0.0]], "4.000e-12"),
+}
+# command -> the config section it reads besides the system
+SINGULAR_COMMANDS = {
+    "simulate": {},
+    "vlasov": {},
+    "invariance": {"invariance": INVARIANCE_DOC["invariance"]},
+    "equilibria check": {"equilibria": {"class": "elliptic-cyclic"}},
+    "equilibria find": {"equilibria": FIND_DOC["equilibria"]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SINGULAR_COMMANDS))
+@pytest.mark.parametrize("case", sorted(SINGULAR_PAIRS))
+def test_every_command_refuses_a_pair_in_the_singular_set(tmp_path, capsys, case, command):
+    bodies, theta = SINGULAR_PAIRS[case]
+    doc = {**SIMULATE_DOC, "bodies": bodies, **SINGULAR_COMMANDS[command]}
+    code, out = run(tmp_path, *command.split(), "--config", write_config(tmp_path, doc))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    err = json.loads(captured.out)["error"]
+    assert err["code"] == "singularity"
+    # the integrating commands time the verdict; the condition systems have no time
+    pattern = rf"pair \(0, 1\) touched the singular set( at t = 0\.0)? \(theta = {re.escape(theta)}\)"
+    assert re.fullmatch(pattern, err["message"])
+    assert not out.exists()
 
 
 # id -> (command, config): runs whose pairs stay far from the singular set in hyperbolic

@@ -42,7 +42,8 @@ from hnbody.equilibria import (
     theta_parametric,
     two_body_elliptic,
 )
-from hnbody.errors import ClassNotSolvableError, ConvergenceError, DomainError
+from hnbody.dynamics import eom_rhs
+from hnbody.errors import ClassNotSolvableError, ConvergenceError, DomainError, SingularityError
 
 
 def state_of(positions, masses=None, R=1.0):
@@ -240,8 +241,46 @@ class TestConditionSides:
     def test_underflowing_divisor_names_the_pair(self):
         # theta = 1.6e-239 > 0, but the kernel's divisor theta^{3/2} underflows to 0
         w = [1e-120 + 1j, 1j]
-        with pytest.raises(DomainError, match=r"^pair \(0, 1\) touches the singular set \(theta = 1.6e-239\)$"):
+        message = r"^pair \(0, 1\) touched the singular set \(theta = 1.600e-239\)$"
+        with pytest.raises(SingularityError, match=message) as exc:
             condition_sides(EquilibriumClass.ELLIPTIC_CYCLIC, state_of(w))
+        assert exc.value.pair == (0, 1)
+
+    @pytest.mark.parametrize("eps", [5e-7, 2e-6])
+    def test_every_evaluator_gives_the_verdict_of_eom_rhs(self, eps):
+        # [i, i (1 + eps)] is at distance log1p(eps): inside the singular set (d < 1e-6) at 5e-7 only
+        s = state_of([1j, 1j * (1.0 + eps)])
+        evaluators = [lambda cls=cls: condition_sides(cls, s) for cls in _CONDITION_LHS]
+        evaluators += [lambda: mobius_ansatz_defect(ROTATION_ELLIPTIC, s.positions, s.masses, 1.0), lambda: eom_rhs(s)]
+        for evaluate in evaluators:
+            if eps < 1e-6:
+                with pytest.raises(SingularityError, match=r"^pair \(0, 1\) touched the singular set") as exc:
+                    evaluate()
+                assert exc.value.pair == (0, 1)
+            else:
+                assert np.isfinite(evaluate()).all()
+
+    @pytest.mark.parametrize("eps", [2.5e-7, 2e-6])
+    def test_cyclic_residuals_give_the_verdict_of_eom_rhs(self, eps):
+        # at s = 0 both families put the bodies eps apart at height 0.5 or 0.55:
+        # inside the singular set (d < 1e-6) at 2.5e-7 only
+        families = (
+            (CyclicParams([0.2, 0.2 + eps], [0.5, 0.5]), positions_parabolic_cyclic, residual_parabolic_cyclic),
+            (CyclicParams([0.9, 0.9 + eps], [-0.2, -0.2 + eps]), positions_hyperbolic_cyclic,
+             residual_hyperbolic_cyclic),
+        )
+        for p, positions, residual in families:
+            s = state_of(positions(p))
+            if eps < 1e-6:
+                with pytest.raises(SingularityError) as verdict:
+                    eom_rhs(s)
+                with pytest.raises(SingularityError) as exc:
+                    residual(p, [1.0, 1.0], 1.0)
+                assert exc.value.pair == verdict.value.pair == (0, 1)
+                assert exc.value.theta == verdict.value.theta
+            else:
+                assert np.isfinite(eom_rhs(s)).all()
+                assert np.isfinite(residual(p, [1.0, 1.0], 1.0)).all()
 
     def test_stacked_interaction_matches_its_rows(self):
         rng = np.random.default_rng(45)
@@ -252,8 +291,10 @@ class TestConditionSides:
     def test_stacked_interaction_names_the_pair_of_the_first_singular_row(self):
         # rows 0 and 2 are regular; in row 1, bodies 1 and 2 coincide
         w = np.array([[1j, 2j, 3j], [1j, 0.5 + 2j, 0.5 + 2j], [1j, 2j, 0.5j]])
-        with pytest.raises(DomainError, match=r"^pair \(1, 2\) touches the singular set \(theta = 0\)$"):
+        message = r"^pair \(1, 2\) touched the singular set \(theta = 0.000e\+00\)$"
+        with pytest.raises(SingularityError, match=message) as exc:
             _interaction(w, np.ones(3))
+        assert exc.value.pair == (1, 2)
 
 class TestRelabelingInvariance:
     """Permuting the bodies permutes every residual evaluator's output."""
@@ -446,12 +487,20 @@ class TestParabolicCyclicFamily:
             residual_parabolic_cyclic(CyclicParams([0.0], [0.0], 0.0), [1.0], 1.0)
 
     def test_near_collision_matches_exact(self):
-        # bodies 1e-7 apart: the expanded theta lost 3 digits here
-        p = CyclicParams([0.2, 0.2 + 1e-7], [0.5, 0.5 + 1e-7], 0.3)
+        # bodies at d = 6.6e-6, just outside the singular set: the expanded
+        # theta cross^2 - 16 v_k^2 v_j^2 is off by 1.4e-6 relative here
+        p = CyclicParams([0.2, 0.2 + 2e-6], [0.5, 0.5 + 2e-6], 0.3)
         re, im = residual_parabolic_cyclic(p, [1.0, 1.3], 1.0)
         re_ref, im_ref = exact_parabolic_residual(p, [1.0, 1.3], 1.0)
         assert re == pytest.approx(re_ref, rel=1e-14, abs=0)
         assert im == pytest.approx(im_ref, rel=1e-14, abs=0)
+
+    def test_near_collision_inside_the_singular_set_is_a_verdict(self):
+        # offsets of 1e-7 put the bodies at d = 3.3e-7
+        p = CyclicParams([0.2, 0.2 + 1e-7], [0.5, 0.5 + 1e-7], 0.3)
+        with pytest.raises(SingularityError, match=r"^pair \(0, 1\) touched the singular set") as exc:
+            residual_parabolic_cyclic(p, [1.0, 1.3], 1.0)
+        assert exc.value.pair == (0, 1)
 
     def test_either_sign_of_beta_matches_exact(self):
         rng = np.random.default_rng(39)
@@ -468,8 +517,10 @@ class TestParabolicCyclicFamily:
 
     def test_coincident_bodies_name_the_pair(self):
         p = CyclicParams([0.1, 0.4, 0.1], [0.5, 1.0, 0.5], 0.2)
-        with pytest.raises(DomainError, match=r"pair \(0, 2\) touches the singular set"):
+        message = r"^pair \(0, 2\) touched the singular set \(theta = 0.000e\+00\)$"
+        with pytest.raises(SingularityError, match=message) as exc:
             residual_parabolic_cyclic(p, [1.0, 1.0, 1.0], 1.0)
+        assert exc.value.pair == (0, 2)
 
 
 class TestHyperbolicCyclicFamily:
@@ -513,6 +564,11 @@ class TestHyperbolicCyclicFamily:
 
 
 class TestFindEquilibrium:
+    def test_non_finite_residual_at_the_ansatz_is_refused(self):
+        # the unknowns clip the height 1e-100 to e^-30, where R = 1e300 over 16 y^4 overflows
+        with pytest.raises(DomainError, match="^the residual at the ansatz leaves the floating-point range$"):
+            find_equilibrium(EquilibriumClass.ELLIPTIC_CYCLIC, [1.0, 1.0], 1e300, [1e-100j, 1 + 1j])
+
     def test_elliptic_axis_matches_scalar_oracle(self):
         state, report = find_equilibrium_detailed(
             EquilibriumClass.ELLIPTIC_CYCLIC,

@@ -57,6 +57,17 @@ class TestDistance:
         assert vertical_length(1.0, 2.0, 2.0) == pytest.approx(expected, abs=1e-12)
         assert hyperbolic_distance(1j, 2j, 2.0) == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2])
+    def test_close_axis_pairs_match_log1p(self, eps):
+        # i and i y are R log(y) apart; y - 1 is exact for y = 1 + eps in floats
+        y = 1.0 + eps
+        assert hyperbolic_distance(1j, 1j * y, 1.5) == pytest.approx(1.5 * math.log1p(y - 1.0), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("height", [1e-200, 1e200])
+    def test_far_from_unit_heights(self, height):
+        # i h and 2i h are log 2 apart at every height h, though h^2 leaves the double range
+        assert hyperbolic_distance(1j * height, 2j * height, 1.0) == pytest.approx(math.log(2.0), rel=1e-15, abs=0)
+
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
