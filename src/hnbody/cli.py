@@ -159,8 +159,10 @@ def _points(raw, path: str, width: int) -> np.ndarray:
     return np.ascontiguousarray(np.array(rows).view(complex).T)
 
 
-def _integrator(doc: dict) -> dict:
-    """Keyword arguments of ``integrate`` from the ``integrator`` section, checked against the step floor."""
+def _integrator(doc: dict, n: int) -> dict:
+    """Keyword arguments of ``integrate`` from the ``integrator`` section, checked against
+    the step floor, and max_step against the t_end / max_step steps it asks for at n bodies:
+    at most MAX_COUNT, and n times it at most MAX_WORK."""
     raw = _section(doc, "integrator", {"tol", "t_end", "max_step"})
     opts = {
         "tol": _real(_require(raw, "integrator.", "tol"), "integrator.tol", positive=True),
@@ -172,6 +174,10 @@ def _integrator(doc: dict) -> dict:
     for key in ("t_end", "max_step"):
         if opts[key] is not None and opts[key] < floor:
             raise ValidationError(f"integrator.{key}", f"must be >= {floor:g}, the integrator's step floor at t_end")
+    steps = min(MAX_COUNT, MAX_WORK // n)
+    if opts["max_step"] is not None and opts["t_end"] / opts["max_step"] > steps:
+        raise ValidationError("integrator.max_step",
+                              f"must be >= {opts['t_end'] / steps:g} at n = {n} (t_end / max_step <= {steps})")
     return opts
 
 
@@ -259,7 +265,7 @@ def _state_dict(state: SystemState) -> dict:
 
 def cmd_simulate(args, doc: dict) -> list[str]:
     state = _system_state(doc)
-    traj = integrate(state, **_integrator(doc))
+    traj = integrate(state, **_integrator(doc, state.n))
     with np.errstate(all="ignore"):  # an overflow ends in the error below, before any file is written
         sidecar = reports.trajectory_sidecar(traj)
     quantities = [series for key, series in sidecar["conserved"].items() if key != "t"]
@@ -411,7 +417,7 @@ def cmd_flow(args, doc: dict) -> list[str]:
 def cmd_invariance(args, doc: dict) -> list[str]:
     section = _section(doc, "invariance", {"kind", "sigma", "group_time", "num_points"})
     state = _system_state(doc)
-    opts = _integrator(doc)
+    opts = _integrator(doc, state.n)
     group_time = _real(_require(section, "invariance.", "group_time"), "invariance.group_time")
     kind, sigma = _kind_sigma(section, "invariance.", _FIELD_KINDS + ("loxodromic",))
     num_points = section.get("num_points")
@@ -471,7 +477,7 @@ def cmd_vlasov(args, doc: dict) -> list[str]:
     num_points = _count(section.get("num_points", VLASOV_NUM_POINTS), "vlasov.num_points", 21)
     state = _system_state(doc)
     num_points = _work(num_points, "vlasov.num_points", state.n)
-    traj = integrate(state, **_integrator(doc))
+    traj = integrate(state, **_integrator(doc, state.n))
     # the evaluation points are built once per trajectory and shared by the tests
     per_test = {
         tf.name: float(vlasov_weak_residual(traj, tests=(tf,), num_points=num_points))

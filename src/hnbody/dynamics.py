@@ -147,44 +147,32 @@ def _singular(tables: _PairTables, margin: float = 1.0) -> np.ndarray:
     return (tables.near < margin * _NEAR_FAR_MIN * tables.far) | (tables.theta < margin * _THETA_MIN)
 
 
-def _guard(tables: _PairTables, t=None):
-    """(min_theta, verdict) of the (..., n, n) tables of _pairs.
+def _pairs(w: np.ndarray, t=None, margin: float = 1.0) -> _PairTables:
+    """The (..., n, n) _pair_tables of positions w, shape (..., n); entry [k, j] is the pair (k, j).
 
-    min_theta is the smallest theta per configuration (inf for one body);
-    verdict is None or the SingularityError of the first configuration with
-    a _singular pair, timed by ``t`` (a float, or an array over the leading
-    axes) if given.  It names the singular pair with the smallest near/far:
-    the row-major argmin of the table, which in the symmetric table is the
-    first such pair in _triu order.
-    """
-    th = tables.theta
-    min_theta = np.minimum.reduce(th, axis=(-2, -1), initial=math.inf)
-    singular = _singular(tables)
-    if not singular.any():
-        return min_theta, None
-    row = np.unravel_index(np.argmax(singular), singular.shape)[:-2]
-    with np.errstate(all="ignore"):  # 0/0 or inf/0 where heights underflow; a NaN ratio comes first
-        worst = int(np.argmin(np.where(singular[row], tables.near[row] / tables.far[row], math.inf)))
-    pair = divmod(worst, th.shape[-1])
-    value = float(th[row].flat[worst])
-    time = None if t is None else float(np.asarray(t)[row])
-    when = "" if time is None else f" at t = {time}"
-    message = f"pair {pair} touched the singular set{when} (theta = {value:.3e})"
-    return min_theta, SingularityError(message, pair=pair, time=time, theta=value)
-
-
-def _pairs(w: np.ndarray, t=None):
-    """The pair kernel over all pairs of positions w, shape (..., n), with the guard.
-
-    Returns (tables, min_theta, verdict): the (..., n, n) _pair_tables,
-    entry [k, j] for the pair (k, j), and the _guard of the tables.  The
-    +inf diagonal of near and theta keeps the pairs j = k out of the guard
-    and _pair_sums.
+    The +inf diagonal of near and theta keeps the pairs j = k out of the
+    verdict and _pair_sums.  When a pair is in the _singular set widened by
+    ``margin``, raises the SingularityError of the first such configuration,
+    timed by ``t`` (a float, or an array over the leading axes) if given.  It
+    names the singular pair with the smallest near/far: the row-major argmin
+    of the table, which in the symmetric table is the first such pair in
+    _triu order.
     """
     tables = _pair_tables(w[..., :, None], w[..., None, :])
     for table in tables.near, tables.theta:
         table += _inf_diag(w.shape[-1])
-    return (tables, *_guard(tables, t))
+    singular = _singular(tables, margin)
+    if not singular.any():
+        return tables
+    row = np.unravel_index(np.argmax(singular), singular.shape)[:-2]
+    with np.errstate(all="ignore"):  # 0/0 or inf/0 where heights underflow; a NaN ratio comes first
+        worst = int(np.argmin(np.where(singular[row], tables.near[row] / tables.far[row], math.inf)))
+    pair = divmod(worst, w.shape[-1])
+    value = float(tables.theta[row].flat[worst])
+    time = None if t is None else float(np.asarray(t)[row])
+    when = "" if time is None else f" at t = {time}"
+    message = f"pair {pair} touched the singular set{when} (theta = {value:.3e})"
+    raise SingularityError(message, pair=pair, time=time, theta=value)
 
 
 def theta(wk: complex, wj: complex) -> float:
@@ -200,8 +188,10 @@ def theta(wk: complex, wj: complex) -> float:
 
 
 def min_pair_theta(positions: np.ndarray):
-    """Smallest theta over distinct pairs per configuration of shape (..., n): the min_theta of _pairs."""
-    return _pairs(np.asarray(positions, dtype=complex))[1]
+    """Smallest theta over distinct pairs per configuration of shape (..., n), inf for one body."""
+    w = np.asarray(positions, dtype=complex)
+    iu = _triu(w.shape[-1])
+    return np.minimum.reduce(_pair_tables(w[..., iu[0]], w[..., iu[1]]).theta, axis=-1, initial=math.inf)
 
 
 def _pair_sums(y: np.ndarray, masses: np.ndarray, tables: _PairTables):
@@ -220,15 +210,13 @@ def _pair_sums(y: np.ndarray, masses: np.ndarray, tables: _PairTables):
 
 def _accel(w: np.ndarray, v: np.ndarray, masses: np.ndarray, R: float, t=None, out=None):
     """Accelerations 2 wdot^2/(w - conj w) - (2 (w - conj w)^3 / R) S_k behind the
-    theta guard, written into ``out`` if given, and the min theta.
+    verdict of _pairs, written into ``out`` if given, and the theta table.
 
     With w - conj w = 2iy, the geodesic term is -i wdot^2 / y = q - i p for
     wdot^2 / y = p + i q, and the force (16i y^3 / R) S_k = c (y B + i A / 2)
     for c = -128 y^3 / R and the _pair_sums (A, B).
     """
-    tables, min_theta, verdict = _pairs(w, t)
-    if verdict is not None:
-        raise verdict
+    tables = _pairs(w, t)
     y = w.imag
     A, B = _pair_sums(y, masses, tables)
     c = y ** 3
@@ -242,7 +230,7 @@ def _accel(w: np.ndarray, v: np.ndarray, masses: np.ndarray, R: float, t=None, o
     out = np.empty_like(geodesic) if out is None else out
     np.add(geodesic.imag, B, out=out.real)
     np.subtract(A, geodesic.real, out=out.imag)
-    return out, min_theta
+    return out, tables.theta
 
 
 _PAIR_CHUNK = 1 << 14  # pair-table entries per kernel call over a series
@@ -271,7 +259,7 @@ def cotangent_potential(state: SystemState):
     def rows(t, w, v):
         tables = _pair_tables(w[..., iu[0]], w[..., iu[1]])
         if _singular(tables).any():
-            raise _pairs(w, t)[2]
+            _pairs(w, t)  # raises the verdict of eom_rhs
         cross = -(tables.near + tables.far)
         return np.sum(mm * cross / np.sqrt(tables.theta), axis=-1) / state.R
 
@@ -482,9 +470,13 @@ def integrate(
     max(0.2, 0.9 err^-1/5), a failed stage by 0.25.  A step that would pass
     t_end, or end less than step_floor(t_end) short of it, ends on
     t_end.  Halts with a singularity error if any pair enters the _singular
-    set, and with a step-size error on underflow, on a non-finite initial
-    derivative, step size or error estimate, or on an accepted state past
-    the position bound of SystemState.
+    set.  At a step below step_floor(t) the verdict is that of a stage
+    singular since the start, else of a pair of the state in the singular set
+    widened 1e8-fold (d below about 1e-2 at R = 1), named with its own theta;
+    otherwise the underflow is a step-size error, as are a non-finite initial
+    derivative, step size or error estimate and an accepted state past the
+    position bound of SystemState.  The CLI bounds the (t_end - state.t) /
+    max_step steps that max_step asks for (hnbody.cli.MAX_COUNT, MAX_WORK).
     """
     if state.positions.ndim != 1:
         raise DomainError("integration starts from one state, not a series")
@@ -502,7 +494,7 @@ def integrate(
 
     def rhs(y: np.ndarray, t: float, out: np.ndarray):
         """Write the derivative of the stacked state into out and return the
-        min theta of its positions; a singularity verdict carries the time t."""
+        theta table of its positions; a singularity verdict carries the time t."""
         w, v = y[:n], y[n:]
         if w.imag.min() <= 0:
             raise DomainError("body left the upper half-plane")
@@ -511,7 +503,7 @@ def integrate(
 
     y = np.concatenate([state.positions, state.velocities])
     f = np.empty_like(y)
-    min_theta = rhs(y, t0, f)
+    min_theta = rhs(y, t0, f).min()
     if not np.all(np.isfinite(f)):
         raise StepSizeError(f"non-finite derivative at t = {t0}")
     times, ys, fs = [t0], [y], [f]
@@ -536,16 +528,16 @@ def integrate(
     while t < t1:
         h = min(h, hmax)
         if h < step_floor(t):
-            # a verdict once a stage was singular or y has a pair in the singular set widened 1e8-fold
-            tables, theta_y, _ = _pairs(y[:n])
-            if last_singularity is not None or _singular(tables, 1e8).any():
-                verdict = last_singularity or SingularityError(
-                    f"singularity verdict at t = {t} (theta = {theta_y:.3e})",
-                    time=t,
-                    theta=float(theta_y),
-                )
-                break
-            raise StepSizeError(f"step size underflow at t = {t}")
+            # a verdict once a stage was singular, else for a pair of y in the singular set widened 1e8-fold
+            if last_singularity is None:
+                try:
+                    _pairs(y[:n], t, margin=1e8)
+                except SingularityError as exc:
+                    last_singularity = exc
+                else:
+                    raise StepSizeError(f"step size underflow at t = {t}")
+            verdict = last_singularity
+            break
         last = t1 - t - h < end_gap
         if last:
             h = t1 - t
@@ -583,13 +575,13 @@ def integrate(
                 raise StepSizeError(f"positions too large at t = {t}: {_DIVISOR_OVERFLOWS}")
             y, size_y = y5, size_y5
             # FSAL: the last stage is rhs(y5), which also guarded y5 against
-            # the singular set and gave its min theta; copy out of the stage buffer
+            # the singular set and gave its theta table; copy out of the stage buffer
             f = k[6].copy()
             times.append(t)
             ys.append(y)
             fs.append(f)
             steps += 1
-            min_theta = min(min_theta, stage_theta)
+            min_theta = min(min_theta, stage_theta.min())
             if err > 1e-30:
                 factor = min(5.0, max(0.2, 0.9 * err ** -0.2))
                 if h_acc is not None:

@@ -101,10 +101,7 @@ def _interaction(w: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """
     if np.size(masses) != w.shape[-1]:
         raise DomainError("masses must match the number of bodies")
-    tables, _, verdict = _pairs(w)
-    if verdict is not None:
-        raise verdict
-    A, B = _pair_sums(w.imag, masses, tables)
+    A, B = _pair_sums(w.imag, masses, _pairs(w))
     return -4.0 * (A - 2j * w.imag * B)
 
 

@@ -112,6 +112,18 @@ class TestSimulate:
         assert err["code"] == "singularity"
         assert err["message"].startswith("pair (0, 1) touched the singular set at t = 0.34")
 
+    def test_step_underflow_far_from_the_singular_set_exits_three(self, tmp_path, capsys):
+        # a speed of 1e16 gives a first step below the step floor with the pair at d ~ 3.3
+        doc = {**SIMULATE_DOC, "bodies": [[0, 1, 0, -1e16], [5, 1, 0, 0]]}
+        code, out = run(tmp_path, "simulate", "--config", write_config(tmp_path, doc))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ""
+        assert json.loads(captured.out)["error"] == {
+            "code": "integrator-failure", "message": "step size underflow at t = 0.0"
+        }
+        assert not out.exists()
+
 
 class TestEquilibria:
     def test_find_elliptic(self, tmp_path):
@@ -822,6 +834,11 @@ RANGE_FAULTS = {
     ),
     "max-step-below-step-floor": (
         "simulate", {**SIMULATE_DOC, "integrator": {"tol": 1e-10, "t_end": 1.0, "max_step": 1e-15}},
+        "integrator.max_step",
+    ),
+    # 1e9 steps, each node kept in memory: a run with no bound on its work
+    "max-step-above-the-step-count-bound": (
+        "simulate", {**SIMULATE_DOC, "integrator": {"tol": 1e-10, "t_end": 1.0, "max_step": 1e-9}},
         "integrator.max_step",
     ),
 }

@@ -228,10 +228,14 @@ class TestEomRhs:
         iu = _triu(shape[-1])
         gathered = _pair_tables(w[..., :, None], w[..., None, :]).theta[..., iu[0], iu[1]]
         expect = gathered.min(axis=-1, initial=math.inf)
-        assert np.array_equal(_pairs(w)[1], expect)
+        table = _pairs(w).theta
+        assert np.array_equal(table[..., iu[0], iu[1]], gathered)
+        assert np.array_equal(table[..., iu[1], iu[0]], gathered)
+        assert np.all(np.diagonal(table, axis1=-2, axis2=-1) == math.inf)
+        assert np.array_equal(table.min(axis=(-2, -1)), expect)
         assert np.array_equal(min_pair_theta(w), expect)
         if shape[-1] == 1:
-            assert np.all(_pairs(w)[1] == math.inf)
+            assert np.all(min_pair_theta(w) == math.inf)
 
     @pytest.mark.parametrize("w, pair", [
         ([-1e-8 + 1j, 1j, 1e-8 + 1j], (0, 1)),  # (0, 1) ties (1, 2)
@@ -260,11 +264,13 @@ class TestEomRhs:
         images += [pair, 1e-6 * pair, 1e6 * pair, pair + 1e40]
         for w in images:
             s = two_body(w)
-            assert (_pairs(w)[2] is not None) == (d < 1e-6), w
             if d < 1e-6:
+                with pytest.raises(SingularityError):
+                    _pairs(w)
                 with pytest.raises(SingularityError):
                     cotangent_potential(s)
             else:
+                _pairs(w)
                 cotangent_potential(s)
 
     def test_far_body_leaves_the_pair_verdict_alone(self):
@@ -272,7 +278,7 @@ class TestEomRhs:
         pair = [0.07j, 0.0008 + 0.07j]
         for w in (pair, pair + [30 + 1j]):
             s = SystemState(0.0, w, np.zeros(len(w), complex), np.ones(len(w)), 1.0)
-            assert _pairs(s.positions)[2] is None
+            _pairs(s.positions)  # no verdict
             eom_rhs(s)
             cotangent_potential(s)
 
@@ -436,12 +442,20 @@ class TestIntegrate:
         # at R = 1e-8 the approach takes t ~ 3.4e-5, where h falls below the
         # absolute 1e-14 while the pair is still at d ~ 4.3e-6, outside the
         # singular set but within its 1e8 margin (at R = 1e-6 a stage enters it first)
-        with pytest.raises(SingularityError, match=r"^singularity verdict at t = 3\.4008737868722533e-05 ") as info:
+        with pytest.raises(SingularityError) as info:
             integrate(two_body([1j, 2j], R=1e-8), 1.0, tol=1e-10)
+        assert str(info.value) == "pair (0, 1) touched the singular set at t = 3.4008737868722533e-05 (theta = 1.183e-09)"
         traj = info.value.trajectory
-        assert info.value.pair is None
+        assert info.value.pair == (0, 1)
         assert info.value.time == traj.times[-1]
         assert info.value.theta == min_pair_theta(traj.ys[-1][:2]) == traj.stats.min_theta
+
+    def test_step_underflow_outside_the_widened_singular_set_is_a_step_size_error(self):
+        # the pair is at d ~ 3.3, far outside the singular set widened 1e8-fold, but
+        # a speed of 1e16 makes the first step fall below the step floor at once
+        s = SystemState(0.0, [1j, 5 + 1j], [-1e16j, 0j], [1.0, 1.0], 1.0)
+        with pytest.raises(StepSizeError, match=r"^step size underflow at t = 0\.0$"):
+            integrate(s, 1.0, tol=1e-10)
 
     def test_position_bound_stops_the_run_at_the_first_node_past_it(self, monkeypatch):
         # the bodies pass |w| of about 8e50 at t = 0.328 after 216 accepted steps; a
