@@ -160,9 +160,9 @@ def _points(raw, path: str, width: int) -> np.ndarray:
 
 
 def _integrator(doc: dict, n: int) -> dict:
-    """Keyword arguments of ``integrate`` from the ``integrator`` section, checked against
-    the step floor, and max_step against the t_end / max_step steps it asks for at n bodies:
-    at most MAX_COUNT, and n times it at most MAX_WORK."""
+    """Keyword arguments of ``integrate`` from the ``integrator`` section: tol at least the double-precision
+    epsilon, t_end and max_step at least the step floor, and max_step against the t_end / max_step steps
+    it asks for at n bodies: at most MAX_COUNT, and n times it at most MAX_WORK."""
     raw = _section(doc, "integrator", {"tol", "t_end", "max_step"})
     opts = {
         "tol": _real(_require(raw, "integrator.", "tol"), "integrator.tol", positive=True),
@@ -170,6 +170,8 @@ def _integrator(doc: dict, n: int) -> dict:
         "max_step": _real(raw["max_step"], "integrator.max_step", positive=True)
         if "max_step" in raw else None,
     }
+    if opts["tol"] < np.finfo(float).eps:
+        raise ValidationError("integrator.tol", f"must be >= {np.finfo(float).eps:g}, the double-precision epsilon")
     floor = step_floor(opts["t_end"])  # the largest floor over [0, t_end]
     for key in ("t_end", "max_step"):
         if opts[key] is not None and opts[key] < floor:

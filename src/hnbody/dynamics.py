@@ -99,12 +99,11 @@ def _triu(n: int):
     return np.triu_indices(n, k=1)
 
 
-@functools.cache
-def _inf_diag(n: int) -> np.ndarray:
-    """The (n, n) table with +inf on the diagonal and zeros elsewhere."""
-    table = np.diag(np.full(n, math.inf))
-    table.flags.writeable = False
-    return table
+@functools.lru_cache(maxsize=64)
+def _diagonal(shape: tuple) -> np.ndarray:
+    """Flat indices of the diagonals of near and theta in a (7, ..., n, n) block of _pair_tables."""
+    rows, n = math.prod(shape[1:-2]), shape[-1]
+    return (np.arange(4 * rows, 7 * rows).reshape(3, rows, 1)[::2] * (n * n) + np.arange(n) * (n + 1)).ravel()
 
 
 class _PairTables(NamedTuple):
@@ -119,8 +118,8 @@ class _PairTables(NamedTuple):
     theta: np.ndarray  # 4 near far
 
 
-def _pair_tables(wk, wj) -> _PairTables:
-    """Pair tables of the positions wk and wj, broadcast against each other.
+def _pair_tables(xk, yk, xj, yj, out=(None,) * 7) -> _PairTables:
+    """Pair tables of xk + i yk against xj + i yj, broadcast: new arrays, or the seven of ``out``.
 
     theta = cross^2 - (conj(wk)-wk)^2 (conj(wj)-wj)^2 with
     cross = (conj(wk)+wk)(conj(wj)+wj) - 2(|wk|^2+|wj|^2) factors exactly
@@ -129,17 +128,29 @@ def _pair_tables(wk, wj) -> _PairTables:
     theta keeps its relative accuracy down to coincidence: it is >= 0,
     exactly 0 for coincident bodies, and symmetric in k, j bit for bit.
     """
-    dx = wk.real - wj.real
-    dy = wk.imag - wj.imag
-    sy = wk.imag + wj.imag
-    dx2 = dx * dx
-    near = dy * dy
+    dx = np.subtract(xk, xj, out[0])
+    dy = np.subtract(yk, yj, out[1])
+    sy = np.add(yk, yj, out[2])
+    dx2 = np.multiply(dx, dx, out[3])
+    near = np.multiply(dy, dy, out[4])
     near += dx2
-    far = sy * sy
+    far = np.multiply(sy, sy, out[5])
     far += dx2
-    th = near * far
+    th = np.multiply(near, far, out[6])
     th *= 4.0
     return _PairTables(dx, dy, sy, dx2, near, far, th)
+
+
+def _square_tables(w: np.ndarray):
+    """Im w, and the _pair_tables of positions w, shape (..., n), from contiguous Re w and Im w, in one
+    (7, ..., n, n) block: seven tables freed apart let malloc hand their pages back after every call.
+    Near and theta get a +inf diagonal (the pairs j = k are never _singular and add nothing); theta must
+    not take near's, as far_kk = 4 y_k^2 underflows to 0 below y ~ 1e-162 and inf * 0 is nan."""
+    x, y = w.real.copy(), w.imag.copy()
+    block = np.empty((7,) + w.shape + w.shape[-1:])
+    tables = _pair_tables(x[..., None], y[..., None], x[..., None, :], y[..., None, :], block)
+    block.put(_diagonal(block.shape), math.inf)
+    return y, block, tables
 
 
 def _singular(tables: _PairTables, margin: float = 1.0) -> np.ndarray:
@@ -148,19 +159,13 @@ def _singular(tables: _PairTables, margin: float = 1.0) -> np.ndarray:
 
 
 def _pairs(w: np.ndarray, t=None, margin: float = 1.0) -> _PairTables:
-    """The (..., n, n) _pair_tables of positions w, shape (..., n); entry [k, j] is the pair (k, j).
+    """The _square_tables of positions w, shape (..., n); entry [k, j] is the pair (k, j).
 
-    The +inf diagonal of near and theta keeps the pairs j = k out of the
-    verdict and _pair_sums.  When a pair is in the _singular set widened by
-    ``margin``, raises the SingularityError of the first such configuration,
-    timed by ``t`` (a float, or an array over the leading axes) if given.  It
-    names the singular pair with the smallest near/far: the row-major argmin
-    of the table, which in the symmetric table is the first such pair in
-    _triu order.
-    """
-    tables = _pair_tables(w[..., :, None], w[..., None, :])
-    for table in tables.near, tables.theta:
-        table += _inf_diag(w.shape[-1])
+    When a pair is in the _singular set widened by ``margin``, raises the SingularityError of the
+    first such configuration, timed by ``t`` (a float, or an array over the leading axes) if given.
+    It names the singular pair with the smallest near/far: the row-major argmin of the table, which
+    in the symmetric table is the first such pair in _triu order."""
+    tables = _square_tables(w)[2]
     singular = _singular(tables, margin)
     if not singular.any():
         return tables
@@ -175,6 +180,27 @@ def _pairs(w: np.ndarray, t=None, margin: float = 1.0) -> _PairTables:
     raise SingularityError(message, pair=pair, time=time, theta=value)
 
 
+def _kernel(w: np.ndarray, masses: np.ndarray, t=None):
+    """Im w, the sums (A_k, B_k) = sum_j g_kj (dy sy - dx^2, dx), g_kj = m_j yj^2 / theta^{3/2}, and the
+    smallest theta of all rows (+inf for one body): the one pair kernel of positions w, shape (..., n).
+
+    One body guards and sums the _square_tables.  The guard, one boolean table and one NaN-ignoring
+    minimum of theta, makes the decision of _singular; only when it trips does _pairs(w, t) run."""
+    y, block, (dx, dy, sy, dx2, near, far, th) = _square_tables(w)
+    low = np.fmin.reduce(th, None, initial=math.inf)
+    if np.logical_or.reduce(np.less(near, np.multiply(far, _NEAR_FAR_MIN, far)), None) or low < _THETA_MIN:
+        _pairs(w, t)
+    g = np.sqrt(th, near)  # near and far are spent: block[4:6] takes g and re, summed in one reduction
+    g *= th
+    np.divide((masses * y * y)[..., None, :], g, g)
+    re = np.multiply(dy, sy, far)
+    re -= dx2
+    re *= g
+    g *= dx
+    sums = np.add.reduce(block[4:6], -1)
+    return y, sums[1], sums[0], low
+
+
 def theta(wk: complex, wj: complex) -> float:
     """Pairwise singular-set function.
 
@@ -184,41 +210,25 @@ def theta(wk: complex, wj: complex) -> float:
     collision/antipodal configurations, accurate to rounding near them,
     and theta(wk, wj) == theta(wj, wk) bit for bit.
     """
-    return float(_pair_tables(complex(wk), complex(wj)).theta)
+    return float(_pair_tables(np.real(wk), np.imag(wk), np.real(wj), np.imag(wj)).theta)
 
 
 def min_pair_theta(positions: np.ndarray):
     """Smallest theta over distinct pairs per configuration of shape (..., n), inf for one body."""
     w = np.asarray(positions, dtype=complex)
-    iu = _triu(w.shape[-1])
-    return np.minimum.reduce(_pair_tables(w[..., iu[0]], w[..., iu[1]]).theta, axis=-1, initial=math.inf)
-
-
-def _pair_sums(y: np.ndarray, masses: np.ndarray, tables: _PairTables):
-    """(A_k, B_k) = sum_j g_kj (dy sy - dx^2, dx), g_kj = m_j yj^2 / theta^{3/2}, of the
-    heights y = Im w and the tables of _pairs, whose +inf diagonal zeroes j = k."""
-    th = tables.theta
-    g = np.sqrt(th)
-    g *= th
-    np.divide((masses * y * y)[..., None, :], g, out=g)
-    re = tables.dy * tables.sy
-    re -= tables.dx2
-    re *= g
-    g *= tables.dx
-    return np.add.reduce(re, axis=-1), np.add.reduce(g, axis=-1)
+    (k, j), x, y = _triu(w.shape[-1]), w.real, w.imag
+    return np.minimum.reduce(_pair_tables(x[..., k], y[..., k], x[..., j], y[..., j]).theta, axis=-1, initial=math.inf)
 
 
 def _accel(w: np.ndarray, v: np.ndarray, masses: np.ndarray, R: float, t=None, out=None):
     """Accelerations 2 wdot^2/(w - conj w) - (2 (w - conj w)^3 / R) S_k behind the
-    verdict of _pairs, written into ``out`` if given, and the theta table.
+    verdict of _pairs, written into ``out`` if given, and the smallest theta.
 
     With w - conj w = 2iy, the geodesic term is -i wdot^2 / y = q - i p for
     wdot^2 / y = p + i q, and the force (16i y^3 / R) S_k = c (y B + i A / 2)
-    for c = -128 y^3 / R and the _pair_sums (A, B).
+    for c = -128 y^3 / R and the pair sums (A, B) of the _kernel.
     """
-    tables = _pairs(w, t)
-    y = w.imag
-    A, B = _pair_sums(y, masses, tables)
+    y, A, B, low = _kernel(w, masses, t)
     c = y ** 3
     c *= -128.0 / R
     B *= y
@@ -228,9 +238,9 @@ def _accel(w: np.ndarray, v: np.ndarray, masses: np.ndarray, R: float, t=None, o
     geodesic = v * v
     geodesic /= y
     out = np.empty_like(geodesic) if out is None else out
-    np.add(geodesic.imag, B, out=out.real)
-    np.subtract(A, geodesic.real, out=out.imag)
-    return out, tables.theta
+    np.add(geodesic.imag, B, out.real)
+    np.subtract(A, geodesic.real, out.imag)
+    return out, low
 
 
 _PAIR_CHUNK = 1 << 14  # pair-table entries per kernel call over a series
@@ -257,7 +267,9 @@ def cotangent_potential(state: SystemState):
     mm = np.outer(state.masses, state.masses)[iu]
 
     def rows(t, w, v):
-        tables = _pair_tables(w[..., iu[0]], w[..., iu[1]])
+        wk, wj = w[..., iu[0]], w[..., iu[1]]  # two complex gathers: half the index work of four real ones
+        tables = _pair_tables(wk.real, wk.imag, wj.real, wj.imag)
+        del wk, wj  # freed before the sums, so that no more memory is live at once than the tables need
         if _singular(tables).any():
             _pairs(w, t)  # raises the verdict of eom_rhs
         cross = -(tables.near + tables.far)
@@ -477,11 +489,12 @@ def integrate(
     derivative, step size or error estimate and an accepted state past the
     position bound of SystemState.  The CLI bounds the (t_end - state.t) /
     max_step steps that max_step asks for (hnbody.cli.MAX_COUNT, MAX_WORK).
+    A tol below the double-precision epsilon is a DomainError.
     """
     if state.positions.ndim != 1:
         raise DomainError("integration starts from one state, not a series")
-    if not tol > 0:
-        raise DomainError("tolerance must be positive")
+    if not tol >= np.finfo(float).eps:
+        raise DomainError(f"tolerance must be at least the double-precision epsilon {np.finfo(float).eps!r}")
     t0, t1 = state.t, float(t_end)
     if not t1 > t0:
         raise DomainError("t_end must exceed the initial time")
@@ -494,16 +507,16 @@ def integrate(
 
     def rhs(y: np.ndarray, t: float, out: np.ndarray):
         """Write the derivative of the stacked state into out and return the
-        theta table of its positions; a singularity verdict carries the time t."""
+        smallest theta of its positions; a singularity verdict carries the time t."""
         w, v = y[:n], y[n:]
-        if w.imag.min() <= 0:
+        if np.minimum.reduce(w.imag) <= 0:
             raise DomainError("body left the upper half-plane")
         out[:n] = v
         return _accel(w, v, masses, R, t, out[n:])[1]
 
     y = np.concatenate([state.positions, state.velocities])
     f = np.empty_like(y)
-    min_theta = rhs(y, t0, f).min()
+    min_theta = rhs(y, t0, f)
     if not np.all(np.isfinite(f)):
         raise StepSizeError(f"non-finite derivative at t = {t0}")
     times, ys, fs = [t0], [y], [f]
@@ -575,13 +588,13 @@ def integrate(
                 raise StepSizeError(f"positions too large at t = {t}: {_DIVISOR_OVERFLOWS}")
             y, size_y = y5, size_y5
             # FSAL: the last stage is rhs(y5), which also guarded y5 against
-            # the singular set and gave its theta table; copy out of the stage buffer
+            # the singular set and gave its smallest theta; copy out of the stage buffer
             f = k[6].copy()
             times.append(t)
             ys.append(y)
             fs.append(f)
             steps += 1
-            min_theta = min(min_theta, stage_theta.min())
+            min_theta = min(min_theta, stage_theta)
             if err > 1e-30:
                 factor = min(5.0, max(0.2, 0.9 * err ** -0.2))
                 if h_acc is not None:

@@ -36,7 +36,7 @@ from .clifford import (
     killing_velocity,
     killing_wirtinger,
 )
-from .dynamics import SystemState, _pair_sums, _pair_tables, _pairs, eom_interaction
+from .dynamics import SystemState, _kernel, _pair_tables, eom_interaction
 from .errors import ClassNotSolvableError, ConvergenceError, DomainError, SingularityError
 
 
@@ -94,15 +94,15 @@ def mobius_ansatz_defect(
 # ---------------------------------------------------------------------------
 
 def _interaction(w: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Interaction sums S_k = -4 (A - 2i y B) of the positions w, shape (..., n), from the _pair_sums.
+    """Interaction sums S_k = -4 (A - 2i y B) of the positions w, shape (..., n), from the dynamics _kernel.
 
     Raises the SingularityError of _pairs when a pair is in the singular set;
     it names the pair of the first such row.
     """
     if np.size(masses) != w.shape[-1]:
         raise DomainError("masses must match the number of bodies")
-    A, B = _pair_sums(w.imag, masses, _pairs(w))
-    return -4.0 * (A - 2j * w.imag * B)
+    y, A, B, _ = _kernel(w, masses)
+    return -4.0 * (A - 2j * y * B)
 
 
 # the closed forms divide by (w - conj w)^4 = (2i Im w)^4, the real 16 (Im w)^4
@@ -282,7 +282,7 @@ def theta_parametric(p: CyclicParams, kind: str = "parabolic") -> np.ndarray:
     if kind not in _FAMILY_POSITIONS:
         raise DomainError(f"unknown family {kind!r}: expected parabolic or hyperbolic")
     w = _FAMILY_POSITIONS[kind](p)
-    return _pair_tables(w[:, None], w[None, :]).theta
+    return _pair_tables(w.real[:, None], w.imag[:, None], w.real[None, :], w.imag[None, :]).theta
 
 
 def residual_parabolic_cyclic(p: CyclicParams, masses, R: float):
@@ -613,12 +613,12 @@ def _axis_row(heights: np.ndarray, k: np.ndarray):
     """Pair tables of the axis body i h_k against every axis body i h_j, per sample of
     shape (..., n) and body k of shape (...), their divisors theta^{3/2} and h_k.
 
-    theta_kk is +inf, as in _pairs, so the terms j = k vanish.  On the axis
+    theta_kk is +inf, as in the dynamics _kernel, so the terms j = k vanish.  On the axis
     theta = 4 (h_k - h_j)^2 (h_k + h_j)^2, so a zero divisor (DomainError)
     means a body j != k with h_j^2 = h_k^2.
     """
     hk = np.take_along_axis(heights, k[..., None], axis=-1)
-    tables = _pair_tables(1j * hk, 1j * heights)
+    tables = _pair_tables(0.0, hk, 0.0, heights)
     th = tables.theta
     np.put_along_axis(th, k[..., None], math.inf, axis=-1)
     divisor = th * np.sqrt(th)

@@ -836,6 +836,14 @@ RANGE_FAULTS = {
         "simulate", {**SIMULATE_DOC, "integrator": {"tol": 1e-10, "t_end": 1.0, "max_step": 1e-15}},
         "integrator.max_step",
     ),
+    # below the double-precision epsilon: at 1e-160 the starting-step norm |y / sc|^2 overflowed
+    # (exit 3), and at 1e-17 the run asked for an accuracy that doubles cannot hold
+    "tol-below-double-precision": (
+        "simulate", {**SIMULATE_DOC, "integrator": {"tol": 1e-17, "t_end": 1.0}}, "integrator.tol"
+    ),
+    "tol-whose-step-norm-overflows": (
+        "simulate", {**SIMULATE_DOC, "integrator": {"tol": 1e-160, "t_end": 1.0}}, "integrator.tol"
+    ),
     # 1e9 steps, each node kept in memory: a run with no bound on its work
     "max-step-above-the-step-count-bound": (
         "simulate", {**SIMULATE_DOC, "integrator": {"tol": 1e-10, "t_end": 1.0, "max_step": 1e-9}},

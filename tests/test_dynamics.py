@@ -20,10 +20,10 @@ from hnbody.dynamics import (
     theta,
     vlasov_weak_residual,
 )
-from hnbody.dynamics import _PAIR_CHUNK, _pair_tables, _pairs, _triu
+from hnbody.dynamics import _PAIR_CHUNK, _kernel, _pair_tables, _pairs, _triu
 from hnbody.errors import DomainError, SingularityError, StepSizeError
 from hnbody.geometry import apply_mobius, geodesic_through
-from hnbody.equilibria import CLASS_DRIFT, EquilibriumClass, FindOptions, find_equilibrium
+from hnbody.equilibria import CLASS_DRIFT, EquilibriumClass, FindOptions, _interaction, find_equilibrium
 from hnbody.flows import flow
 
 
@@ -40,6 +40,55 @@ def elliptic_pair():
         np.array([2j, 0.5j]),
         FindOptions(symmetry="axis"),
     )
+
+
+def _reference_kernel(w, v, masses, R, t=None):
+    """The pair kernel's arithmetic written out op for op: (accelerations, interaction sums
+    S_k = -4 (A - 2i y B)), or the verdict (pair, time, theta, message) of a singular input."""
+    wk, wj = w[..., :, None], w[..., None, :]
+    dx = wk.real - wj.real
+    dy = wk.imag - wj.imag
+    sy = wk.imag + wj.imag
+    dx2 = dx * dx
+    near = dy * dy
+    near += dx2
+    far = sy * sy
+    far += dx2
+    th = near * far
+    th *= 4.0
+    for table in near, th:
+        table += np.diag(np.full(w.shape[-1], math.inf))
+    singular = (near < 1.0 * math.tanh(5e-7) ** 2 * far) | (th < 1.0 * 1e-200)
+    if singular.any():
+        row = np.unravel_index(np.argmax(singular), singular.shape)[:-2]
+        with np.errstate(all="ignore"):
+            worst = int(np.argmin(np.where(singular[row], near[row] / far[row], math.inf)))
+        pair, value = divmod(worst, w.shape[-1]), float(th[row].flat[worst])
+        time = None if t is None else float(np.asarray(t)[row])
+        when = "" if time is None else f" at t = {time}"
+        return pair, time, value, f"pair {pair} touched the singular set{when} (theta = {value:.3e})"
+    y = w.imag
+    g = np.sqrt(th)
+    g *= th
+    np.divide((masses * y * y)[..., None, :], g, out=g)
+    re = dy * sy
+    re -= dx2
+    re *= g
+    g *= dx
+    A, B = np.add.reduce(re, axis=-1), np.add.reduce(g, axis=-1)
+    interaction = -4.0 * (A - 2j * w.imag * B)
+    c = y ** 3
+    c *= -128.0 / R
+    B *= y
+    B *= c
+    A *= c
+    A *= 0.5
+    geodesic = v * v
+    geodesic /= y
+    out = np.empty_like(geodesic)
+    np.add(geodesic.imag, B, out=out.real)
+    np.subtract(A, geodesic.real, out=out.imag)
+    return out, interaction
 
 
 class TestTheta:
@@ -226,7 +275,9 @@ class TestEomRhs:
         rng = np.random.default_rng(sum(shape))
         w = rng.normal(size=shape) + 1j * rng.uniform(0.1, 3.0, shape)
         iu = _triu(shape[-1])
-        gathered = _pair_tables(w[..., :, None], w[..., None, :]).theta[..., iu[0], iu[1]]
+        x, y = w.real, w.imag
+        full = _pair_tables(x[..., :, None], y[..., :, None], x[..., None, :], y[..., None, :]).theta
+        gathered = full[..., iu[0], iu[1]]
         expect = gathered.min(axis=-1, initial=math.inf)
         table = _pairs(w).theta
         assert np.array_equal(table[..., iu[0], iu[1]], gathered)
@@ -296,6 +347,48 @@ class TestEomRhs:
         assert potential.value.time == s.t[bad]
         assert potential.value.pair == row.value.pair == (2, 5)
         assert potential.value.theta == row.value.theta
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 128])
+    def test_kernel_is_the_reference_arithmetic_bit_for_bit(self, n):
+        rng = np.random.default_rng(100 + n)
+        m, R = rng.uniform(0.2, 2.0, n), float(rng.uniform(0.5, 2.0))
+        w = np.linspace(-0.3, 0.3, n) * n + 1j * rng.uniform(0.3, 3.0, (3, n))
+        v = 0.3 * (rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n)))
+        for rows in (w[0], v[0]), (w, v):  # one state, and a (T, n) series
+            s = SystemState(np.zeros(rows[0].shape[:-1]), *rows, m, R)
+            accel, _ = _reference_kernel(*rows, m, R)
+            at_rest, _ = _reference_kernel(rows[0], np.zeros_like(rows[1]), m, R)
+            assert np.array_equal(eom_rhs(s), accel)
+            assert np.array_equal(eom_interaction(s), at_rest)
+        # the residual systems of equilibria, on the stacked (2p, p) rows of a Jacobian
+        p = min(n, 8)
+        stacked = np.repeat(w[0, None, :p], 2 * p, axis=0)
+        stacked[np.arange(2 * p), np.arange(2 * p) // 2] += np.tile([1e-7, 1e-7j], p)
+        _, interaction = _reference_kernel(stacked, np.zeros_like(stacked), m[:p], R)
+        assert np.array_equal(_interaction(stacked, m[:p]), interaction)
+
+    def test_kernel_verdict_of_a_singular_row_is_the_reference_verdict(self):
+        n, T, bad = 8, 5, 3
+        rng = np.random.default_rng(9)
+        w = np.linspace(-3.0, 3.0, n) + 1j * rng.uniform(0.5, 2.0, (T, n))
+        w[bad, 6] = w[bad, 1] + 3e-8 + 1e-7j
+        t = np.linspace(0.0, 0.4, T)
+        pair, time, value, message = _reference_kernel(w, np.zeros_like(w), np.ones(n), 1.0, t)
+        with pytest.raises(SingularityError) as info:
+            eom_rhs(SystemState(t, w, np.zeros_like(w), np.ones(n), 1.0))
+        assert (info.value.pair, info.value.time, info.value.theta, str(info.value)) == (pair, time, value, message)
+        assert pair == (1, 6) and time == t[bad]
+
+    @pytest.mark.parametrize("w", [[1e-170j], [1e-170j, 1 + 1e-170j]])
+    def test_tiny_heights_keep_the_geodesic_term(self, w):
+        # far_kk = 4 y_k^2 underflows to 0 here, so the +inf diagonal of theta
+        # must not come from near's (inf * 0 is nan)
+        s = SystemState(0.0, w, [0.1] * len(w), [1.0] * len(w), 1.0)
+        rhs = eom_rhs(s)
+        assert np.array_equal(rhs, _reference_kernel(s.positions, s.velocities, s.masses, 1.0)[0])
+        assert np.all(rhs == -(0.1 * 0.1 / 1e-170) * 1j)  # -1e168 i per body
+        assert np.all(np.diagonal(_pairs(s.positions).theta) == math.inf)
+        assert _kernel(s.positions, s.masses)[3] == (math.inf if len(w) == 1 else 4.0)
 
     def test_non_finite_state_raises_without_warnings(self):
         # RuntimeWarnings are errors under the suite's settings
@@ -506,10 +599,29 @@ class TestIntegrate:
         assert traj.times[-1] == t_end
         assert np.all(np.diff(traj.times) > 0)
 
+    @pytest.mark.parametrize("case", ["readme-orbit", "cluster-32"])
+    def test_min_theta_is_the_smallest_pair_theta_of_the_nodes(self, case):
+        if case == "readme-orbit":
+            s, t_end = two_body([1j, 2j], (0.6 + 0j, -0.6 + 0j)), 10.0
+        else:
+            rng = np.random.default_rng(32)
+            w = np.linspace(-30.0, 30.0, 32) + 1j * rng.uniform(1.0, 2.0, 32)
+            s, t_end = SystemState(0.0, w, 0.05 * rng.normal(size=32) + 0j, rng.uniform(0.5, 2.0, 32), 1.0), 0.2
+        traj = integrate(s, t_end, tol=1e-10)
+        assert traj.stats.min_theta == min_pair_theta(traj.ys[:, : s.n]).min()
+        if case == "readme-orbit":
+            assert traj.stats.min_theta == 0.0018581648127334676
+
     def test_invalid_inputs(self):
         s = two_body([1j, 2j])
         with pytest.raises(DomainError):
             integrate(s, 1.0, tol=-1e-9)
+        # below the double-precision epsilon: the starting step norm |y / sc|^2 overflows
+        # at 1e-160, and at 1e-18 a unit orbit takes 11,456 steps for digits doubles lack
+        for tol in (1e-18, 1e-160, np.finfo(float).eps / 2):
+            with pytest.raises(DomainError, match="double-precision epsilon"):
+                integrate(s, 1.0, tol=tol)
+        integrate(s, 1e-3, tol=np.finfo(float).eps)
         with pytest.raises(DomainError):
             integrate(s, -1.0)
 

@@ -10,8 +10,6 @@ that two_body_elliptic's closed form is a root of the two-body pairing
 condition of the elliptic-cyclic class.
 """
 
-import types
-
 import pytest
 
 from hnbody.dynamics import _pair_tables
@@ -25,7 +23,7 @@ ORDERS = {"k above j": (h + d, h), "k below j": (h, h + d)}
 
 def axis_tables(hk, hj):
     """The pair tables of the axis bodies i hk and i hj, as the kernel builds them."""
-    return _pair_tables(types.SimpleNamespace(real=0, imag=hk), types.SimpleNamespace(real=0, imag=hj))
+    return _pair_tables(0, hk, 0, hj)
 
 
 def kernel_theta(tables):
