@@ -113,8 +113,10 @@ def _integer(value, path: str, minimum=None) -> int:
 MAX_COUNT = 100_000
 # The bound on n times certify.samples, invariance.num_points or vlasov.num_points:
 # each holds its arrays over every body and sample or point at once.  It caps each
-# array of a certificate at 8 MB; vlasov_weak_residual holds about 270 bytes per
-# body and point (35 MB for 1,001 points at n = 128), so about 270 MB at the bound.
+# array of a certificate at 8 MB; vlasov_weak_residual keeps about 96 bytes per body
+# and asked-for point (positions, velocities and accelerations at twice the points,
+# for Simpson's rule), so about 100 MB at the bound, and works on one block of at
+# most 2^16 body-points at a time.
 MAX_WORK = 1_000_000
 
 
@@ -238,7 +240,7 @@ def _seed(doc: dict, args) -> int:
 
 
 def _emit(args, name: str, text) -> str:
-    """Write ``text``, a str or the pieces of one (a CSV report's blocks), written one at a time."""
+    """Write ``text``, a str or the pieces of one (a CSV report's or a certificate's blocks), one at a time."""
     path = os.path.join(args.out, name)
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -363,13 +365,13 @@ def cmd_certify(args, doc: dict) -> list[str]:
         raise ValidationError("certify.samples", "missing required field")
     samples = _work(_count(samples, "certify.samples", 1), "certify.samples", n)
     cert = certify_nonexistence(cls, n, samples, seed=_seed(doc, args))
-    payload = cert.to_dict()
+    payload = cert.to_report()
     if cls is EquilibriumClass.PARABOLIC_CYCLIC:
         lhs, rhs = parabolic_contradiction_sides([1.0, 2.0], [1.0, 1.0], 1.0, k=0)
         payload["reference_sample"] = {
             "beta": [1.0, 2.0], "masses": [1.0, 1.0], "R": 1.0, "lhs": lhs, "rhs": rhs,
         }
-    return [_emit(args, "certificate.json", reports.canonical_json(payload))]
+    return [_emit(args, "certificate.json", reports.json_pieces(payload))]
 
 
 def cmd_flow(args, doc: dict) -> list[str]:

@@ -34,6 +34,7 @@ ENERGY_COUPLING = 2.0
 _NEAR_FAR_MIN = math.tanh(5e-7) ** 2
 _THETA_MIN = 1e-200
 VLASOV_NUM_POINTS = 1001  # default of vlasov_weak_residual and of the CLI's vlasov.num_points
+_POINT_BLOCK = 1 << 16  # body-points per block of the evaluation points of _step_points and vlasov_weak_residual
 _DIVISOR_OVERFLOWS = "the pair kernel divisor 512 max|w|^6 overflows"
 
 
@@ -248,11 +249,11 @@ _PAIR_CHUNK = 1 << 14  # pair-table entries per kernel call over a series
 
 def _over_rows(state: SystemState, fn):
     """fn(t, w, v) on one state, or over the rows of a series a few rows per
-    call, so that no (T, n, n) table is built."""
+    call, so that no (T, n, n) table is built; a series of zero rows is one call."""
     t, w, v = state.t, state.positions, state.velocities
-    if w.ndim == 1:
-        return fn(t, w, v)
     step = max(1, _PAIR_CHUNK // (state.n * state.n))
+    if w.ndim == 1 or len(w) <= step:
+        return fn(t, w, v)
     return np.concatenate([fn(t[a:a + step], w[a:a + step], v[a:a + step]) for a in range(0, len(w), step)])
 
 
@@ -683,7 +684,8 @@ def _step_points(traj: Trajectory, num_points: int | None = None, per_part: int 
     """(ts, W, V, A), A the motion equations' acceleration, at the accepted nodes (ys
     and fs themselves) and at the points that split every step into per_part * m
     equal parts, m the fewest that give at least num_points points (1 for None);
-    the split points cost one sample_many and one eom_rhs call per trajectory."""
+    the split points cost one sample_many and one eom_rhs call per trajectory and
+    block of at most _POINT_BLOCK body-points, so one block of temporaries is held."""
     steps = len(traj.times) - 1
     parts = per_part * (1 if num_points is None else max(1, -(-(num_points - 1) // steps)))
     points = traj._points.get(parts)
@@ -693,9 +695,11 @@ def _step_points(traj: Trajectory, num_points: int | None = None, per_part: int 
         W, V, A = (np.empty((len(ts), n), dtype=complex) for _ in range(3))
         W[::parts], V[::parts], A[::parts] = traj.ys[:, :n], traj.ys[:, n:], traj.fs[:, n:]
         if parts > 1:
-            inner = np.arange(len(ts)) % parts != 0
-            W[inner], V[inner] = traj.sample_many(ts[inner])
-            A[inner] = eom_rhs(SystemState(ts[inner], W[inner], V[inner], traj.masses, traj.R))
+            inner = np.flatnonzero(np.arange(len(ts)) % parts)
+            block = max(1, _POINT_BLOCK // n)
+            for rows in np.split(inner, range(block, len(inner), block)):
+                W[rows], V[rows] = traj.sample_many(ts[rows])
+                A[rows] = eom_rhs(SystemState(ts[rows], W[rows], V[rows], traj.masses, traj.R))
         points = traj._points[parts] = (ts, W, V, A)
     return points
 
@@ -713,25 +717,35 @@ def vlasov_weak_residual(traj: Trajectory, tests=None, num_points: int = VLASOV_
     step, the change of the left side between its nodes is compared with
     composite Simpson of the right side over the 2m pieces of _step_points;
     the result is the largest sum of |defect| / span over the test functions.
+    The test functions are evaluated over blocks of whole steps of at most
+    _POINT_BLOCK body-points (at least one step), so beyond the points
+    themselves one block is held at a time; the per-step defects are summed
+    once, at the end.
     """
     if tests is None:
         tests = default_test_functions()
     ts, W, V, A = _step_points(traj, num_points, per_part=2)
-    pieces = (len(ts) - 1) // (len(traj.times) - 1)
+    steps = len(traj.times) - 1
+    pieces = (len(ts) - 1) // steps
+    per_block = max(1, (_POINT_BLOCK // traj.n - 1) // pieces)
     h = np.diff(traj.times) / (3.0 * pieces)
-    t = ts[:, None]
     m = traj.masses
     worst = 0.0
     for tf in tests:
-        g = np.sum(m * np.broadcast_to(tf.value(t, W, V), W.shape), axis=1)
-        rhs = np.sum(
-            m * (tf.dt(t, W, V)
-                 + (np.conjugate(V) * tf.grad_x(t, W, V)).real
-                 + (np.conjugate(A) * tf.grad_v(t, W, V)).real),
-            axis=1,
-        )
-        r = rhs[:-1].reshape(-1, pieces)  # row i: step i's points but its last
-        integral = h * (r[:, 0] + 4.0 * r[:, 1::2].sum(1) + 2.0 * r[:, 2::2].sum(1) + rhs[pieces::pieces])
-        defect = float(np.sum(np.abs(np.diff(g[::pieces]) - integral)) / (traj.t1 - traj.t0))
-        worst = max(worst, defect)
+        defects = []
+        for a in range(0, steps, per_block):
+            b = min(a + per_block, steps)
+            rows = slice(a * pieces, b * pieces + 1)  # steps a to b, their shared nodes once
+            t, w, v, acc = ts[rows, None], W[rows], V[rows], A[rows]
+            g = np.sum(m * np.broadcast_to(tf.value(t, w, v), w.shape), axis=1)
+            rhs = np.sum(
+                m * (tf.dt(t, w, v)
+                     + (np.conjugate(v) * tf.grad_x(t, w, v)).real
+                     + (np.conjugate(acc) * tf.grad_v(t, w, v)).real),
+                axis=1,
+            )
+            r = rhs[:-1].reshape(-1, pieces)  # row i: step a + i's points but its last
+            integral = h[a:b] * (r[:, 0] + 4.0 * r[:, 1::2].sum(1) + 2.0 * r[:, 2::2].sum(1) + rhs[pieces::pieces])
+            defects.append(np.abs(np.diff(g[::pieces]) - integral))
+        worst = max(worst, float(np.sum(np.concatenate(defects)) / (traj.t1 - traj.t0)))
     return worst

@@ -20,6 +20,7 @@ the sign-contradiction identities behind the non-existence results.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -585,28 +586,66 @@ class CertificateSample:
         return self.lhs > 0 and self.rhs < 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonexistenceCertificate:
-    """Sampled sign-contradiction evidence that a solution class is empty."""
+    """Sampled sign-contradiction evidence that a solution class is empty.
+
+    The S samples are kept as the arrays of the draw: ``beta`` and ``masses``
+    of shape (S, n), and ``R``, ``k`` (the body whose identity is sampled),
+    ``lhs`` and ``rhs`` of shape (S,).  A sample witnesses the contradiction
+    when lhs > 0 and rhs < 0, and the verdict is true when every sample does.
+    ``samples``, one CertificateSample per sample, is built on first access;
+    ``to_report`` renders the samples from the arrays without it.
+    """
 
     cls: EquilibriumClass
     n: int
     seed: int
-    samples: tuple
-    verdict: bool
+    beta: np.ndarray
+    masses: np.ndarray
+    R: np.ndarray
+    k: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
 
-    def to_dict(self) -> dict:
+    def __post_init__(self):
+        for name in ("beta", "masses", "R", "k", "lhs", "rhs"):  # read-only, so samples stays theirs
+            getattr(self, name).flags.writeable = False
+
+    @property
+    def witnesses(self) -> np.ndarray:
+        return (self.lhs > 0) & (self.rhs < 0)
+
+    @property
+    def verdict(self) -> bool:
+        return bool(self.witnesses.all())
+
+    @functools.cached_property
+    def samples(self) -> tuple:
+        return tuple(CertificateSample(s["params"], s["lhs"], s["rhs"]) for s in self._records().tolist())
+
+    def _records(self):
+        from .reports import Records  # loaded with the first certificate rendered, so import hnbody goes without it
+
+        return Records({
+            "params": {"beta": self.beta, "masses": self.masses, "R": self.R, "k": self.k},
+            "lhs": self.lhs, "rhs": self.rhs, "witnesses": self.witnesses,
+        })
+
+    def to_report(self) -> dict:
+        """The report tree of to_dict(), its samples one reports.Records node of the arrays."""
         return {
             "class": self.cls.value,
             "n": self.n,
             "seed": self.seed,
-            "sample_count": len(self.samples),
+            "sample_count": len(self.lhs),
             "verdict": self.verdict,
-            "samples": [
-                {"params": s.params, "lhs": s.lhs, "rhs": s.rhs, "witnesses": s.witnesses}
-                for s in self.samples
-            ],
+            "samples": self._records(),
         }
+
+    def to_dict(self) -> dict:
+        report = self.to_report()
+        return {**report, "samples": report["samples"].tolist()}
 
 
 def _axis_row(heights: np.ndarray, k: np.ndarray):
@@ -676,8 +715,9 @@ def certify_nonexistence(cls, n: int, samples: int, seed: int = 0) -> Nonexisten
     and n log-masses on [log 0.1, log 10], then 3u for R = (0.5, 1, 2)[floor(3u)]),
     so k samples are the first k rows of a longer draw.  Rows with two equal sizes
     are redrawn from the same generator (the one exception), in up to 100 rounds.
-    Both sides are evaluated over all samples at once.  The verdict is true exactly
-    when every sample has a positive left and a negative right side.
+    Both sides are evaluated over all samples at once, and the certificate keeps
+    the draw and the sides as those arrays.  The verdict is true exactly when
+    every sample has a positive left and a negative right side.
     """
     cls = EquilibriumClass(cls)
     if cls not in CERTIFIABLE_CLASSES:
@@ -705,8 +745,4 @@ def certify_nonexistence(cls, n: int, samples: int, seed: int = 0) -> Nonexisten
         k = np.zeros(samples, dtype=int)
     else:
         lhs, rhs, k = hyperbolic_contradiction_sides(beta, m, R)
-    out = [
-        CertificateSample({"beta": b, "masses": mm, "R": r, "k": kk}, lo, hi)
-        for b, mm, r, kk, lo, hi in zip(beta.tolist(), m.tolist(), R.tolist(), k.tolist(), lhs.tolist(), rhs.tolist())
-    ]
-    return NonexistenceCertificate(cls, n, seed, tuple(out), all(s.witnesses for s in out))
+    return NonexistenceCertificate(cls, n, seed, beta, m, R, k, lhs, rhs)

@@ -5,8 +5,9 @@ to round-trip IEEE doubles) and object keys are emitted sorted, so a fixed
 configuration and seed always produce byte-identical output.  A JSON list
 whose items share one shape (see ``_shape``) is rendered from one template
 in one %-format call; any other list item by item, which is the reference
-for those bytes and raises the first error.  CSV reports are rendered one
-block of rows at a time.
+for those bytes and raises the first error.  A list of records given as
+columns (``Records``) takes the same template, filled from its arrays; it
+and the CSV reports are rendered one block of records or rows at a time.
 """
 
 from __future__ import annotations
@@ -46,10 +47,7 @@ def _json(obj, pad: str) -> str:
         return fmt_float(obj)
     inner = pad + "  "
     if isinstance(obj, dict):
-        for key in obj:
-            if not isinstance(key, str):
-                raise DomainError(f"report keys must be strings, got {key!r}")
-        items = [f"{inner}{_json_string(key)}: {_json(obj[key], inner)}" for key in sorted(obj)]
+        items = [f"{inner}{_json_string(key)}: {_json(obj[key], inner)}" for key in _sorted_keys(obj)]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
         shape = _shape(obj, inner)
@@ -66,9 +64,18 @@ def _json(obj, pad: str) -> str:
         return _LITERALS(obj)
     elif isinstance(obj, (int, np.integer)):
         return str(int(obj))
+    elif isinstance(obj, Records):
+        return "".join(obj.pieces(pad))
     else:
         raise DomainError(f"cannot serialize {type(obj).__name__} into a report")
     return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}" if items else brackets
+
+
+def _sorted_keys(obj: dict) -> list:
+    for key in obj:
+        if not isinstance(key, str):
+            raise DomainError(f"report keys must be strings, got {key!r}")
+    return sorted(obj)
 
 
 def _shape(nodes, pad: str):
@@ -123,6 +130,120 @@ def _shape(nodes, pad: str):
         return None
     template = f"{brackets[0]}\n" + ",\n".join(parts) + f"\n{pad}{brackets[1]}" if parts else brackets
     return template, columns
+
+
+def json_pieces(obj) -> Iterator[str]:
+    """The text of canonical_json(obj) in pieces, one per block of records of
+    the Records nodes that obj reaches through dicts alone; the rest of the
+    text joins the block before it (or the first block).  Everything else is
+    rendered and every Records node checked here, at the call, so an error is
+    raised before the first piece."""
+    return _joined([*_parts(obj, ""), "\n"])
+
+
+def _parts(obj, pad: str) -> list:
+    """The text of one node on a line indented by ``pad``: strings and the block iterators of its Records."""
+    if isinstance(obj, Records):
+        return [obj.pieces(pad)]
+    if not (isinstance(obj, dict) and obj):
+        return [_json(obj, pad)]
+    inner = pad + "  "
+    parts = []
+    for i, key in enumerate(_sorted_keys(obj)):
+        parts.append(f"{',' if i else '{'}\n{inner}{_json_string(key)}: ")
+        parts += _parts(obj[key], inner)
+    parts.append(f"\n{pad}}}")
+    return parts
+
+
+def _joined(parts) -> Iterator[str]:
+    text, blocks = "", 0
+    for part in parts:
+        if isinstance(part, str):
+            text += part
+            continue
+        for piece in part:
+            if blocks:
+                yield text
+                text = ""
+            text += piece
+            blocks += 1
+    yield text
+
+
+_RECORD_BLOCK = 2048  # records rendered at a time by json_pieces
+
+
+class Records:
+    """A list of records of one shape, given as columns, for a report tree.
+
+    ``columns`` is a nested dict with str keys whose leaves are arrays of
+    floats, ints or bools with the record on the leading axis; a leaf of
+    shape (S, m) gives every record a list of m values.  In a tree it renders
+    as the list ``tolist()`` does, from the template _shape makes of the first
+    record, with each block of records filled from the columns in one %-format
+    call: no per-record object is built.
+    """
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+        # (S, slots) per leaf, in the order of the template's slots: keys sorted, then each leaf in C order
+        self._leaves = [leaf.reshape(leaf.shape[0], math.prod(leaf.shape[1:])) for leaf in _leaves(columns)]
+        if len({len(leaf) for leaf in self._leaves}) > 1:
+            raise DomainError("record columns must have one length")
+        if not all(leaf.dtype.kind in "biuf" for leaf in self._leaves):
+            raise DomainError("record columns must hold floats, ints or bools")
+
+    def __len__(self) -> int:
+        return len(self._leaves[0]) if self._leaves else 0
+
+    def tolist(self, start: int = 0, stop: int | None = None) -> list:
+        """Records start to stop as nested dicts of Python values."""
+        return _rows(self.columns, slice(start, stop))
+
+    def pieces(self, pad: str) -> Iterator[str]:
+        """The list's text on a line indented by ``pad``, one piece per block of
+        records.  Floats come out as fmt_float renders them: 17 significant
+        digits and -0.0 written as 0; they are checked for finiteness here, at
+        the call."""
+        if not all(np.isfinite(leaf).all() for leaf in self._leaves if leaf.dtype.kind == "f"):
+            raise DomainError("reports may not contain NaN or infinite values")
+        if not len(self):
+            return iter(["[]"])
+        return self._blocks(_shape(self.tolist(0, 1), pad + "  ")[0], pad)
+
+    def _blocks(self, template: str, pad: str) -> Iterator[str]:
+        inner = pad + "  "
+        joint, size, rows, body = ",\n" + inner, len(self), 0, ""
+        for a in range(0, size, _RECORD_BLOCK):
+            block = [_slot_values(leaf[a:a + _RECORD_BLOCK]) for leaf in self._leaves]
+            if len(block[0]) != rows:
+                rows = len(block[0])
+                body = joint.join([template] * rows)
+            head = "[\n" + inner if a == 0 else joint
+            tail = f"\n{pad}]" if a + rows == size else ""
+            yield head + body % tuple(np.concatenate(block, axis=1).ravel().tolist()) + tail
+
+
+def _leaves(node):
+    if isinstance(node, dict):
+        for key in _sorted_keys(node):
+            yield from _leaves(node[key])
+    else:
+        yield np.asarray(node)
+
+
+def _rows(node, rows: slice) -> list:
+    if isinstance(node, dict):
+        return [dict(zip(node, values)) for values in zip(*(_rows(child, rows) for child in node.values()))]
+    return np.asarray(node)[rows].tolist()
+
+
+def _slot_values(leaf: np.ndarray) -> np.ndarray:
+    """The Python values of a block of one leaf's slots, as _shape's columns hold them."""
+    if leaf.dtype.kind == "b":
+        return np.where(leaf, "true", "false").astype(object)
+    return (leaf + 0.0 if leaf.dtype.kind == "f" else leaf).astype(object)  # -0.0 + 0.0 == +0.0
 
 
 def write_text(path, text: str, append: bool = False):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import hnbody
+from hnbody import equilibria, reports
 from hnbody.cli import MAX_COUNT, MAX_WORK, _build_parser, main
 
 
@@ -298,6 +300,30 @@ class TestCertify:
         assert code == 0
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["verdict"] is True and cert["sample_count"] == 3
+
+    @pytest.mark.parametrize("cls, n, seed, samples, size, digest", [
+        ("hyperbolic-cyclic", 3, 7, 2049, 825855, "edbd73d67cd4ecc443567877bbbda16700c7ea46a2863e164c4816a5c71f8c14"),
+        ("parabolic-cyclic", 8, 3, 5, 3831, "967fa084d7e005135848d03ec8be12ae6b23ae4ca6b8fb04f68f2104da95e45c"),
+    ])
+    def test_certificate_is_rendered_from_the_arrays(self, tmp_path, monkeypatch, cls, n, seed, samples, size, digest):
+        # the file is the report tree of to_dict() as canonical_json renders it, and these bytes, written
+        # without a CertificateSample; the digests are of the files rendered one report tree per certificate
+        cert = equilibria.certify_nonexistence(cls, n, samples, seed=seed)
+        payload = cert.to_dict()
+        if cls == "parabolic-cyclic":
+            lhs, rhs = equilibria.parabolic_contradiction_sides([1.0, 2.0], [1.0, 1.0], 1.0, k=0)
+            payload["reference_sample"] = {"beta": [1.0, 2.0], "masses": [1.0, 1.0], "R": 1.0, "lhs": lhs, "rhs": rhs}
+
+        def refused(*args, **kwargs):
+            raise AssertionError("certify built a CertificateSample")
+
+        monkeypatch.setattr(equilibria, "CertificateSample", refused)
+        cfg = write_config(tmp_path, {"seed": seed, "certify": {"class": cls, "n": n, "samples": samples}})
+        code, out = run(tmp_path, "certify", "--config", cfg)
+        assert code == 0
+        text = (out / "certificate.json").read_bytes()
+        assert text == reports.canonical_json(payload).encode()
+        assert (len(text), hashlib.sha256(text).hexdigest()) == (size, digest)
 
     def test_zero_samples_exits_one(self, tmp_path):
         doc = {"certify": {"class": "parabolic-cyclic", "n": 2, "samples": 0}}

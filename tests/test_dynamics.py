@@ -1,10 +1,12 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hnbody import dynamics
 from hnbody.clifford import exp_subgroup, NORMAL_A, NILPOTENT_N, random_unimodular
 from hnbody.dynamics import (
     ConservedQuantities,
@@ -460,6 +462,16 @@ class TestConserved:
         assert set(d) == {"energy", "momentum_normal", "momentum_nilpotent", "momentum_rotation"}
 
 
+def test_a_series_of_zero_rows_gives_empty_results():
+    empty = SystemState(np.zeros(0), np.zeros((0, 2), complex) + 1j, np.zeros((0, 2), complex), [1, 1], 1)
+    for fn in (eom_rhs, eom_interaction):
+        got = fn(empty)
+        assert got.shape == (0, 2) and got.dtype == complex
+    assert cotangent_potential(empty).shape == (0,)
+    q = conserved(empty)
+    assert q.energy.shape == (0,) and q.momenta.shape == (3, 0)
+
+
 class TestIntegrate:
     def test_free_motion_follows_geodesic(self):
         s = SystemState(0.0, [1j], [1.0 + 0j], [1.0], 1.0)
@@ -840,6 +852,30 @@ class TestVlasovWeakForm:
             expected = total / (traj.t1 - traj.t0)
             got = vlasov_weak_residual(traj, tests=(tf,), num_points=num)
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-15), tf.name
+
+    def test_blocks_bound_the_memory_and_keep_the_value(self, monkeypatch):
+        # 40,000 asked-for points at n = 4 are over 80,000 evaluation points: about five blocks of _POINT_BLOCK
+        s = SystemState(0.0, [1j, 2j, 0.5 + 1.5j, -1 + 1j], [0.3, -0.3, 0.1j, 0.2 - 0.1j], [1.0, 0.5, 2.0, 1.0], 1.0)
+        traj = integrate(s, 1.0, tol=1e-8)
+
+        def run():
+            fresh = Trajectory(traj.times, traj.ys, traj.fs, traj.masses, traj.R, traj.stats)
+            tracemalloc.start()
+            try:
+                value = vlasov_weak_residual(fresh, num_points=40_000)
+                kept, peak = tracemalloc.get_traced_memory()  # kept: the evaluation points of the trajectory
+            finally:
+                tracemalloc.stop()
+            assert kept > 48 * 80_000 * 4  # positions, velocities and accelerations
+            return value, peak - kept
+
+        block = dynamics._POINT_BLOCK
+        value, blocked = run()
+        monkeypatch.setattr(dynamics, "_POINT_BLOCK", 1 << 40)
+        whole_value, whole = run()
+        assert value == whole_value
+        assert blocked < 200 * block  # bytes per body-point of one block
+        assert whole > 3 * blocked
 
 
 class TestSystemStateValidation:

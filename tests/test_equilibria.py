@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hnbody.clifford import (
     ROTATION_HYPERBOLIC,
     ROTATION_PARABOLIC,
 )
-from hnbody import equilibria
+from hnbody import equilibria, reports
 from hnbody.dynamics import SystemState, theta
 from hnbody.equilibria import (
     _CONDITION_LHS,
@@ -20,6 +21,7 @@ from hnbody.equilibria import (
     _jacobian,
     CERTIFIABLE_CLASSES,
     CLASS_DRIFT,
+    CertificateSample,
     CyclicParams,
     EquilibriumClass,
     FindOptions,
@@ -926,6 +928,72 @@ class TestCertificates:
         assert all(len(set(s.params["beta"])) == 3 for s in cert.samples)
         for i, (got, was) in enumerate(zip(cert.samples, clean)):
             assert (got == was) == (i % 3 != 0)
+
+    @staticmethod
+    def _per_sample_certificate(cls, n, samples, seed):
+        """(samples, to_dict(), verdict) built one sample at a time: the certificate's draw, then
+        each sample's sides from the one-sample functions and one CertificateSample per sample."""
+        rng = np.random.default_rng(seed)
+        low = np.append(np.full(2 * n, math.log(0.1)), 0.0)
+        high = np.append(np.full(2 * n, math.log(10.0)), 3.0)
+        table, redraw = np.empty((samples, 2 * n + 1)), np.ones(samples, dtype=bool)
+        while redraw.any():
+            table[redraw] = rng.uniform(low, high, (np.count_nonzero(redraw), 2 * n + 1))
+            beta = np.exp(table[:, :n])
+            redraw = (np.diff(np.sort(beta, axis=-1), axis=-1) == 0).any(axis=-1)
+        m, R = np.exp(table[:, n:-1]), np.array([0.5, 1.0, 2.0])[table[:, -1].astype(int)]
+        out = []
+        for b, mm, r in zip(beta.tolist(), m.tolist(), R.tolist()):
+            if cls is EquilibriumClass.PARABOLIC_CYCLIC:
+                (lhs, rhs), k = parabolic_contradiction_sides(b, mm, r, k=0), 0
+            else:
+                lhs, rhs, k = hyperbolic_contradiction_sides(b, mm, r)
+            out.append(CertificateSample({"beta": b, "masses": mm, "R": r, "k": k}, lhs, rhs))
+        verdict = all(s.witnesses for s in out)
+        payload = {
+            "class": cls.value, "n": n, "seed": seed, "sample_count": len(out), "verdict": verdict,
+            "samples": [{"params": s.params, "lhs": s.lhs, "rhs": s.rhs, "witnesses": s.witnesses} for s in out],
+        }
+        return tuple(out), payload, verdict
+
+    @pytest.mark.parametrize("cls", list(CERTIFIABLE_CLASSES))
+    def test_the_arrays_give_the_per_sample_certificate(self, cls):
+        for n, samples, seed in [(2, 1, 0), (3, 300, 1), (4, 1000, 2026), (8, 50, 5), (40, 7, 3)]:
+            cert = certify_nonexistence(cls, n, samples, seed=seed)
+            assert (cert.samples, cert.to_dict(), cert.verdict) == self._per_sample_certificate(cls, n, samples, seed)
+            assert cert.verdict is True
+            assert cert.samples is cert.samples  # built once, on first access
+            assert all(type(s.params["k"]) is int and type(s.lhs) is float for s in cert.samples)
+
+    def test_a_refuted_sample_makes_the_verdict_false(self):
+        drawn = certify_nonexistence(EquilibriumClass.HYPERBOLIC_CYCLIC, 3, 20, seed=1)
+        with pytest.raises(ValueError, match="read-only"):
+            drawn.rhs[4] = 0.0
+        cert = dataclasses.replace(drawn, rhs=np.where(np.arange(20) == 4, 0.0, drawn.rhs))
+        assert drawn.verdict is True and cert.verdict is False
+        assert [s["witnesses"] for s in cert.to_dict()["samples"]] == [i != 4 for i in range(20)]
+
+    @staticmethod
+    def _blocks_equal_the_tree(cert):
+        pieces = list(reports.json_pieces(cert.to_report()))
+        assert "".join(pieces) == reports.canonical_json(cert.to_dict())
+        assert len(pieces) == -(-len(cert.lhs) // reports._RECORD_BLOCK)  # one piece per block of samples
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("cls", list(CERTIFIABLE_CLASSES))
+    def test_block_rendering_equals_the_report_tree(self, monkeypatch, cls, n):
+        B = 16  # the real block size takes the redrawn-row case below and the CLI digests
+        monkeypatch.setattr(reports, "_RECORD_BLOCK", B)
+        for seed in range(6):
+            for samples in (1, B - 1, B, B + 1, 2 * B + 1):
+                self._blocks_equal_the_tree(certify_nonexistence(cls, n, samples, seed=seed))
+
+    def test_block_rendering_of_a_redrawn_row_equals_the_report_tree(self, monkeypatch):
+        rows = reports._RECORD_BLOCK + 1
+        rounds = self._repeating_generator(monkeypatch, bad_rounds=1, rows=slice(reports._RECORD_BLOCK - 1, None))
+        cert = certify_nonexistence(EquilibriumClass.HYPERBOLIC_CYCLIC, 3, rows, seed=1)
+        assert rounds == [rows, 2]
+        self._blocks_equal_the_tree(cert)
 
     def test_deterministic_under_seed(self):
         a = certify_nonexistence(EquilibriumClass.PARABOLIC_CYCLIC, 2, 50, seed=3)

@@ -456,3 +456,78 @@ def test_a_hand_built_certificate_renders_its_odd_samples_as_before(odd):
     payload["samples"][extended]["note"] = "100% of %s"
     assert canonical_json(payload) == _with_samples_per_item(payload)
     assert '"witnesses": false' in canonical_json(payload)
+
+
+# ---------------------------------------------------------------------------
+# Records: a list of records given as columns, rendered a block at a time
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _record_columns(draw):
+    """Nested dicts of columns of one length: floats of shape (S,) or (S, m), ints and bools."""
+    size = draw(st.integers(0, 7))
+
+    def leaf():
+        kind = draw(st.sampled_from(["float", "floats", "int", "bool"]))
+        if kind == "int":
+            return np.array(draw(st.lists(st.integers(-(2 ** 63), 2 ** 63 - 1), min_size=size, max_size=size)),
+                            dtype=np.int64)
+        if kind == "bool":
+            return np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool)
+        width = 1 if kind == "float" else draw(st.integers(0, 3))
+        values = np.array(draw(st.lists(_finite, min_size=size * width, max_size=size * width)), dtype=float)
+        return values if kind == "float" else values.reshape(size, width)
+
+    def node(depth):
+        keys = draw(st.lists(_texts, min_size=1, max_size=3, unique=True))
+        return {key: node(depth + 1) if depth < 2 and draw(st.booleans()) else leaf() for key in keys}
+
+    return node(0)
+
+
+@given(_record_columns(), st.integers(1, 3))
+def test_records_render_as_their_list_in_blocks(columns, block):
+    records = reports.Records(columns)
+    listed = records.tolist()
+    assert len(records) == len(listed)
+    tree = {"%s": 1.5, "records": records, "z": {"inner": records, "tail": [True]}}
+    expected = canonical_json({**tree, "records": listed, "z": {"inner": listed, "tail": [True]}})
+    with mock.patch.object(reports, "_RECORD_BLOCK", block):
+        pieces = list(reports.json_pieces(tree))
+        assert canonical_json(tree) == expected
+    assert "".join(pieces) == expected
+    assert len(pieces) == 2 * max(1, -(-len(listed) // block))  # a piece per block ("[]" for none)
+
+
+def test_records_write_floats_as_fmt_float_and_keep_their_leaf_types():
+    records = reports.Records({"x": np.array(AWKWARD), "k": np.arange(10), "ok": np.arange(10) % 2 == 0,
+                               "row": np.array(AWKWARD * 2).reshape(10, 2)})
+    text = "".join(reports.json_pieces(records))
+    assert json.loads(text) == records.tolist()
+    first = '[\n  {\n    "k": 0,\n    "ok": true,\n    "row": [\n      0,\n      0\n    ],\n    "x": 0\n  },'
+    assert text.startswith(first)  # -0.0 written as 0
+    assert [type(v) for v in records.tolist()[0].values()] == [float, int, bool, list]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_records_reject_a_nonfinite_value_at_the_call(bad):
+    values = np.ones((5000, 2))
+    values[-1, -1] = bad
+    tree = {"samples": reports.Records({"lhs": np.ones(5000), "params": {"beta": values}})}
+    with pytest.raises(DomainError, match="NaN or infinite"):
+        reports.json_pieces(tree)  # before the first piece is asked for
+    with pytest.raises(DomainError, match="NaN or infinite"):
+        canonical_json(tree)
+
+
+@pytest.mark.parametrize("columns", [
+    {"a": np.ones(3), "b": np.ones(4)},
+    {"a": np.ones(3), "b": {"c": np.ones((2, 3))}},
+    {"a": np.array(["x", "y"])},
+    {"a": np.ones(2) + 1j},
+    {"a": np.array([None, 1.0])},
+    {1: np.ones(2)},
+])
+def test_records_refuse_columns_that_are_not_one_list(columns):
+    with pytest.raises(DomainError):
+        reports.Records(columns)
