@@ -164,7 +164,8 @@ def _points(raw, path: str, width: int) -> np.ndarray:
 def _integrator(doc: dict, n: int) -> dict:
     """Keyword arguments of ``integrate`` from the ``integrator`` section: tol at least the double-precision
     epsilon, t_end and max_step at least the step floor, and max_step against the t_end / max_step steps
-    it asks for at n bodies: at most MAX_COUNT, and n times it at most MAX_WORK."""
+    it asks for at n bodies: at most MAX_COUNT, and n times it at most MAX_WORK.  The same bound limits
+    the attempts, accepted and rejected, of the run (max_attempts)."""
     raw = _section(doc, "integrator", {"tol", "t_end", "max_step"})
     opts = {
         "tol": _real(_require(raw, "integrator.", "tol"), "integrator.tol", positive=True),
@@ -182,6 +183,7 @@ def _integrator(doc: dict, n: int) -> dict:
     if opts["max_step"] is not None and opts["t_end"] / opts["max_step"] > steps:
         raise ValidationError("integrator.max_step",
                               f"must be >= {opts['t_end'] / steps:g} at n = {n} (t_end / max_step <= {steps})")
+    opts["max_attempts"] = steps  # the same bound on the steps the controller chooses
     return opts
 
 
@@ -413,7 +415,7 @@ def cmd_flow(args, doc: dict) -> list[str]:
         "max_derivative_defect": float(np.max(checks)),
     }
     return [
-        _emit(args, "flow.csv", reports.flow_csv(rows)),
+        _emit(args, "flow.csv", reports.flow_csv(rows, len(points))),
         _emit(args, "flow.json", reports.canonical_json(payload)),
     ]
 

@@ -399,6 +399,9 @@ class IntegratorStats:
     min_theta: float
     rhs_calls: int
     stage_failures: int  # attempts rejected for a singular stage or one below the real axis
+    singular_stages: int = 0  # the stage failures with a singular stage; the rest left the half-plane
+    min_step: float = math.inf  # smallest and largest accepted step (inf and 0 before any)
+    max_step: float = 0.0
 
 
 @dataclass
@@ -471,6 +474,7 @@ def integrate(
     t_end: float,
     tol: float = 1e-10,
     max_step: float | None = None,
+    max_attempts: int | None = None,
 ) -> Trajectory:
     """Integrate the motion equations from state.t to t_end.
 
@@ -487,10 +491,13 @@ def integrate(
     singular since the start, else of a pair of the state in the singular set
     widened 1e8-fold (d below about 1e-2 at R = 1), named with its own theta;
     otherwise the underflow is a step-size error, as are a non-finite initial
-    derivative, step size or error estimate and an accepted state past the
-    position bound of SystemState.  The CLI bounds the (t_end - state.t) /
-    max_step steps that max_step asks for (hnbody.cli.MAX_COUNT, MAX_WORK).
-    A tol below the double-precision epsilon is a DomainError.
+    derivative, step size or error estimate, an accepted state past the
+    position bound of SystemState, and a step that would be attempt number
+    max_attempts + 1 (accepted and rejected attempts count; None sets no
+    bound).  The CLI bounds the (t_end - state.t) / max_step steps that
+    max_step asks for, and passes the same bound as max_attempts
+    (hnbody.cli.MAX_COUNT, MAX_WORK).  A tol below the double-precision
+    epsilon is a DomainError.
     """
     if state.positions.ndim != 1:
         raise DomainError("integration starts from one state, not a series")
@@ -532,7 +539,7 @@ def integrate(
         raise StepSizeError(f"non-finite step size at t = {t0}")
 
     t = t0
-    steps = rejected = stage_failures = 0
+    steps = rejected = stage_failures = singular_stages = 0
     rhs_calls = 1
     h_acc = err_acc = None  # step and floored error norm of the last accepted step
     last_singularity = verdict = None
@@ -552,6 +559,8 @@ def integrate(
                     raise StepSizeError(f"step size underflow at t = {t}")
             verdict = last_singularity
             break
+        if max_attempts is not None and steps + rejected >= max_attempts:
+            raise StepSizeError(f"step budget of {max_attempts} attempts exhausted at t = {t}")
         last = t1 - t - h < end_gap
         if last:
             h = t1 - t
@@ -565,6 +574,7 @@ def integrate(
                 stage_theta = rhs(yi, t, k[i])
             except SingularityError as exc:
                 last_singularity = exc
+                singular_stages += 1
                 failed = True
                 break
             except DomainError:
@@ -608,9 +618,12 @@ def integrate(
             rejected += 1
             h *= max(0.2, 0.9 * err ** -0.2)
 
+    times = np.array(times)
+    taken = np.diff(times)  # the accepted steps as the nodes give them
+    h_range = (float(taken.min()), float(taken.max())) if steps else (math.inf, 0.0)
     traj = Trajectory(
-        np.array(times), np.array(ys), np.array(fs), masses, R,
-        IntegratorStats(steps, rejected, float(min_theta), rhs_calls, stage_failures),
+        times, np.array(ys), np.array(fs), masses, R,
+        IntegratorStats(steps, rejected, float(min_theta), rhs_calls, stage_failures, singular_stages, *h_range),
     )
     if verdict is not None:
         verdict.trajectory = traj

@@ -8,6 +8,11 @@ in one %-format call; any other list item by item, which is the reference
 for those bytes and raises the first error.  A list of records given as
 columns (``Records``) takes the same template, filled from its arrays; it
 and the CSV reports are rendered one block of records or rows at a time.
+Every CSV report goes through one renderer (``_grouped_csv``): its rows
+come in groups that share leading key columns, such as the time of a
+trajectory node, and count an index k within the group; keys are formatted
+once per group, k is a literal of the row template, and only the value
+columns are formatted row by row.
 """
 
 from __future__ import annotations
@@ -258,47 +263,57 @@ def write_text(path, text: str, append: bool = False):
 _CSV_BLOCK = 2048  # rows rendered at a time, so the text and floats held at once stay small
 
 
-def _csv(header: str, fmt: str, arrays, blocks) -> Iterator[str]:
+def _grouped_csv(header: str, keys: np.ndarray, columns, index: bool = True) -> Iterator[str]:
     """CSV text in pieces: ``header`` with its newline, then one string per
-    array of ``blocks``, each (rows, fields) and rendered with one %-format
-    call, every row ending in a newline.
+    block of whole groups of rows, every row ending in a newline.
+
+    Group g is m rows that share the key columns ``keys[g]`` (keys has shape
+    (groups, K), K may be 0); row k of it holds those keys, then with
+    ``index`` the number k = 0..m-1, then ``column[g, k]`` of each of
+    ``columns``, arrays of shape (groups, m).  A block holds as many whole
+    groups as fit in _CSV_BLOCK rows (at least one group).  A group's keys
+    are formatted once and spliced into its rows through a %s slot, k is a
+    literal of the template, and the values of a block fill the template in
+    one %-format call.
 
     Floats come out as fmt_float renders them: 17 significant digits and
-    -0.0 written as 0.  Every value of ``arrays`` is checked for finiteness
-    here, at the call; ``blocks``, which must hold only those values, is
-    iterated as the pieces are.
+    -0.0 written as 0.  Every key and value is checked for finiteness here,
+    at the call; the columns are read a block at a time as the pieces are.
     """
-    if not all(np.isfinite(a).all() for a in arrays):
+    if not all(np.isfinite(a).all() for a in (keys, *columns)):
         raise DomainError("reports may not contain NaN or infinite values")
-    return _csv_pieces(header, fmt, blocks)
+    groups, width = keys.shape
+    m = columns[0].shape[1]
+    row = ("%s," if width else "") + "{}" + ",".join(["%.17g"] * len(columns)) + "\n"
+    group = "".join(row.format(f"{k}," if index else "") for k in range(m))
+    key_fmt = ",".join(["%.17g"] * width)
+    step = max(1, _CSV_BLOCK // m)
 
+    def pieces():
+        yield header + "\n"
+        size, template = 0, ""
+        for a in range(0, groups, step):
+            b = min(a + step, groups)
+            if b - a != size:
+                size = b - a
+                template = group * size
+            slots = np.empty((size, m, bool(width) + len(columns)), dtype=object)
+            if width:  # -0.0 + 0.0 == +0.0
+                texts = [key_fmt % key for key in map(tuple, (keys[a:b] + 0.0).tolist())]
+                slots[:, :, 0] = np.array(texts, dtype=object)[:, None]
+            for i, column in enumerate(columns, start=bool(width)):
+                slots[:, :, i] = column[a:b] + 0.0
+            yield template % tuple(slots.ravel().tolist())
 
-def _csv_pieces(header: str, fmt: str, blocks) -> Iterator[str]:
-    yield header + "\n"
-    rows, template = 0, ""
-    for block in blocks:
-        if len(block) != rows:
-            rows = len(block)
-            template = "\n".join([fmt] * rows) + "\n"
-        yield template % tuple((block + 0.0).ravel().tolist())  # -0.0 + 0.0 == +0.0
+    return pieces()
 
 
 def trajectory_csv(traj: Trajectory) -> Iterator[str]:
-    """CSV pieces with header t,k,re,im,vre,vim, one row per node and body;
-    a block holds the rows of as many whole nodes as fit in _CSV_BLOCK rows
-    (at least one node)."""
+    """CSV pieces with header t,k,re,im,vre,vim, one row per node and body:
+    one group of n rows per node, keyed by its time."""
     n = traj.n
-    step = max(1, _CSV_BLOCK // n)
-    k = np.arange(n)
-
-    def blocks():
-        for a in range(0, len(traj.times), step):
-            ys = traj.ys[a:a + step]
-            w, v = ys[:, :n], ys[:, n:]
-            columns = np.broadcast_arrays(traj.times[a:a + step, None], k, w.real, w.imag, v.real, v.imag)
-            yield np.stack(columns, axis=-1).reshape(-1, 6)
-
-    return _csv("t,k,re,im,vre,vim", "%.17g,%d,%.17g,%.17g,%.17g,%.17g", (traj.times, traj.ys), blocks())
+    w, v = traj.ys[:, :n], traj.ys[:, n:]
+    return _grouped_csv("t,k,re,im,vre,vim", traj.times[:, None], (w.real, w.imag, v.real, v.imag))
 
 
 def trajectory_sidecar(traj: Trajectory) -> dict:
@@ -322,18 +337,24 @@ def trajectory_sidecar(traj: Trajectory) -> dict:
     }
 
 
-def _row_blocks(data: np.ndarray):
-    return (data[a:a + _CSV_BLOCK] for a in range(0, len(data), _CSV_BLOCK))
-
-
-def flow_csv(rows) -> Iterator[str]:
-    """CSV pieces with header t,s,k,re,im for flow samples."""
+def flow_csv(rows, m: int) -> Iterator[str]:
+    """CSV pieces with header t,s,k,re,im for flow samples: ``rows`` (t, s, k,
+    re, im) are t-major, as flow_samples gives them, with m seed points, so
+    each time is one group of m rows sharing its t and s and counting k from
+    0 to m - 1; rows in any other layout are a DomainError."""
     data = np.array(rows, dtype=float).reshape(-1, 5)
-    return _csv("t,s,k,re,im", "%.17g,%.17g,%d,%.17g,%.17g", (data,), _row_blocks(data))
+    if not (m >= 1 and len(data) % m == 0):
+        raise DomainError(f"{len(data)} flow rows do not split into groups of m = {m}")
+    grouped = data.reshape(-1, m, 5)
+    # rendering checks finiteness first, so a non-finite key is reported as such
+    pieces = _grouped_csv("t,s,k,re,im", grouped[:, 0, :2], (grouped[:, :, 3], grouped[:, :, 4]))
+    if not ((grouped[:, :, 2] == np.arange(m)).all() and (grouped[:, :, :2] == grouped[:, :1, :2]).all()):
+        raise DomainError(f"flow rows must be t-major: k = 0 to {m - 1} at each time, all with its t and s")
+    return pieces
 
 
 def map_csv(rows) -> Iterator[str]:
-    """CSV pieces with header re,im,disk_re,disk_im,back_re,back_im for disk round trips."""
+    """CSV pieces with header re,im,disk_re,disk_im,back_re,back_im for disk
+    round trips: groups of one row and no key or index."""
     data = np.array(rows, dtype=float).reshape(-1, 6)
-    return _csv("re,im,disk_re,disk_im,back_re,back_im", "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g", (data,),
-                _row_blocks(data))
+    return _grouped_csv("re,im,disk_re,disk_im,back_re,back_im", data[:, :0], data.T[:, :, None], index=False)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hnbody
-from hnbody import equilibria, reports
+from hnbody import cli, equilibria, reports
 from hnbody.cli import MAX_COUNT, MAX_WORK, _build_parser, main
 
 
@@ -124,6 +124,25 @@ class TestSimulate:
         assert json.loads(captured.out)["error"] == {
             "code": "integrator-failure", "message": "step size underflow at t = 0.0"
         }
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, section", [
+        ("simulate", {}),
+        ("invariance", {"invariance": {"kind": "normal", "group_time": 0.5}}),
+        ("vlasov", {"vlasov": {"num_points": 21}}),
+    ])
+    def test_a_run_past_its_step_budget_exits_three(self, tmp_path, capsys, monkeypatch, command, section):
+        # the README orbit to t_end 1e12 took steps without end; the bound on the steps
+        # max_step asks for, min(MAX_COUNT, MAX_WORK // n), also bounds the attempts
+        monkeypatch.setattr(cli, "MAX_COUNT", 50)
+        doc = {**SIMULATE_DOC, "integrator": {"tol": 1e-10, "t_end": 1e12}, **section}
+        code, out = run(tmp_path, command, "--config", write_config(tmp_path, doc))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ""
+        err = json.loads(captured.out)["error"]  # one JSON object and nothing else
+        assert err["code"] == "integrator-failure"
+        assert re.fullmatch(r"step budget of 50 attempts exhausted at t = 0\.\d+(e-\d+)?", err["message"])
         assert not out.exists()
 
 

@@ -542,6 +542,11 @@ class TestIntegrate:
                 assert stats.rejected <= 20
                 assert stats.stage_failures <= stats.rejected
                 assert stats.rhs_calls <= 1 + 6 * (stats.steps + stats.rejected)
+            # head-on along the imaginary axis no stage leaves the half-plane: every
+            # stage failure is a singular stage
+            assert stats.singular_stages == stats.stage_failures > 0
+            taken = np.diff(info.value.trajectory.times)
+            assert (stats.min_step, stats.max_step) == (taken.min(), taken.max())
 
     def test_step_underflow_verdict_carries_the_theta_of_the_last_state(self):
         # at R = 1e-8 the approach takes t ~ 3.4e-5, where h falls below the
@@ -593,7 +598,23 @@ class TestIntegrate:
         traj = integrate(s, 2.0, tol=1e-8)
         assert raised and all(args == ("body left the upper half-plane",) for args in raised)
         assert traj.stats.stage_failures == len(raised)
+        assert traj.stats.singular_stages == 0
+        taken = np.diff(traj.times)
+        assert (traj.stats.min_step, traj.stats.max_step) == (taken.min(), taken.max())
         assert np.all(traj.ys[:, :2].imag > 0)
+
+    def test_max_attempts_bounds_accepted_and_rejected_steps(self):
+        s = SystemState(0.0, [0.001j, 5.0 + 1j], [-0.005j, 0j], [1.0, 1.0], 1.0)
+        traj = integrate(s, 2.0, tol=1e-8)  # no bound by default
+        attempts = traj.stats.steps + traj.stats.rejected
+        assert traj.stats.rejected > 0
+        assert integrate(s, 2.0, tol=1e-8, max_attempts=attempts).stats == traj.stats
+        # one attempt short: the last, accepted step onto t_end is not tried
+        message = f"step budget of {attempts - 1} attempts exhausted at t = {traj.times[-2]}"
+        with pytest.raises(StepSizeError, match=f"^{re.escape(message)}$"):
+            integrate(s, 2.0, tol=1e-8, max_attempts=attempts - 1)
+        with pytest.raises(StepSizeError, match=r"^step budget of 0 attempts exhausted at t = 0\.0$"):
+            integrate(s, 2.0, tol=1e-8, max_attempts=0)
 
     def test_monotone_times_and_stats(self):
         s = two_body([1j, 2j], (0.6 + 0j, -0.6 + 0j))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hnbody.clifford import (
     exp_subgroup,
     killing_velocity,
 )
-from hnbody.dynamics import SystemState, eom_rhs, integrate
+from hnbody.dynamics import SystemState, _step_points, eom_rhs, integrate
 from hnbody.equilibria import EquilibriumClass, FindOptions, find_equilibrium
 from hnbody.errors import DomainError, PoleError
 from hnbody.geometry import apply_mobius, mobius_derivative
@@ -291,6 +292,31 @@ class TestVerifyInvariance:
         assert len(rep.per_body) == 1
         d = rep.to_dict()
         assert d["transport"] == "normal"
+
+
+    @pytest.mark.parametrize("spec", [ROTATION_ELLIPTIC, ROTATION_HYPERBOLIC], ids=["isometric", "sigma1"])
+    def test_blocks_bound_the_memory_and_keep_the_report(self, spec, monkeypatch):
+        # 40,000 asked-for points at n = 4 are 163,100 body-points: 40 blocks of 4096
+        s = SystemState(0.0, [1j, 2j, 0.5 + 1.5j, -1 + 1j], [0.3, -0.3, 0.1j, 0.2 - 0.1j], [1.0, 0.5, 2.0, 1.0], 1.0)
+        traj = integrate(s, 1.0, tol=1e-8)
+        _step_points(traj, 40_000)  # the kept points, built once before the runs
+
+        def run(block):
+            monkeypatch.setattr(hnbody.flows, "_POINT_BLOCK", block)
+            tracemalloc.start()
+            try:
+                report = verify_invariance(traj, spec, 0.3, num_points=40_000)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return report, peak
+
+        report, blocked = run(1 << 12)
+        whole_report, whole = run(1 << 40)
+        assert report.num_points * traj.n == 163_100
+        assert report == whole_report
+        assert blocked < 500 * (1 << 12)  # bytes per body-point of one block
+        assert whole > 5 * blocked
 
 
 @pytest.fixture(scope="module")

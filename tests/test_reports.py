@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hnbody.clifford import KillingField
 from hnbody.dynamics import IntegratorStats, SystemState, Trajectory, conserved, integrate
 from hnbody.equilibria import EquilibriumClass, certify_nonexistence
 from hnbody.errors import DomainError
+from hnbody.flows import flow_samples
 from hnbody import cli, reports
 from hnbody.reports import canonical_json, flow_csv, fmt_float, map_csv, trajectory_csv, trajectory_sidecar
 
@@ -50,12 +52,14 @@ def test_trajectory_csv_matches_fmt_float():
 
 def test_flow_csv_matches_fmt_float():
     rng = np.random.default_rng(8)
-    rows = [(t, s, k, re, im) for k, (t, s, re, im) in enumerate(rng.choice(AWKWARD, (40, 4)))]
+    # 8 times of 5 points: every row of a time repeats its t and s
+    rows = [(t, s, k, re, im) for (t, s), values in zip(rng.choice(AWKWARD, (8, 2)), rng.choice(AWKWARD, (8, 5, 2)))
+            for k, (re, im) in enumerate(values)]
     expected = ["t,s,k,re,im"] + [
         ",".join([fmt_float(t), fmt_float(s), str(k), fmt_float(re), fmt_float(im)]) for t, s, k, re, im in rows
     ]
-    assert "".join(flow_csv(rows)) == "\n".join(expected) + "\n"
-    assert "".join(flow_csv(np.array(rows))) == "".join(flow_csv(rows))
+    assert "".join(flow_csv(rows, 5)) == "\n".join(expected) + "\n"
+    assert "".join(flow_csv(np.array(rows), 5)) == "".join(flow_csv(rows, 5))
 
 
 def test_map_csv_matches_fmt_float():
@@ -69,7 +73,7 @@ def test_csv_rejects_nonfinite_values(bad):
     with pytest.raises(DomainError):
         trajectory_csv(_awkward_trajectory(bad=bad))
     with pytest.raises(DomainError):
-        flow_csv([(0.0, 0.0, 0, 1.0, bad)])
+        flow_csv([(0.0, 0.0, 0, 1.0, bad)], 1)
     with pytest.raises(DomainError):
         map_csv([(0.0, 1.0, 0.0, 0.0, 0.0, bad)])
 
@@ -93,9 +97,9 @@ def test_trajectory_csv_blocks_join_to_the_per_row_text(nodes):
 @pytest.mark.parametrize("count", [2047, 2048, 2049])
 def test_flow_and_map_csv_blocks_join_to_the_per_row_text(count):
     rng = np.random.default_rng(count)
-    flow_rows = [(t, s, k, re, im) for k, (t, s, re, im) in enumerate(rng.choice(AWKWARD, (count, 4)))]
+    flow_rows = [(t, s, 0, re, im) for t, s, re, im in rng.choice(AWKWARD, (count, 4))]  # one point per time
     map_rows = rng.choice(AWKWARD, (count, 6))
-    pieces = list(flow_csv(flow_rows))
+    pieces = list(flow_csv(flow_rows, 1))
     assert "".join(pieces) == _reference_rows("t,s,k,re,im", flow_rows, k=2)
     assert len(pieces) == 1 + -(-count // reports._CSV_BLOCK)
     assert "".join(map_csv(map_rows)) == _reference_rows("re,im,disk_re,disk_im,back_re,back_im", map_rows)
@@ -112,11 +116,97 @@ def test_csv_rejects_a_nonfinite_value_in_the_last_block_at_the_call(bad):
     with pytest.raises(DomainError):
         trajectory_csv(traj)
     rows = np.ones((2049, 5))
+    rows[:, 2] = 0  # one point per time
     rows[-1, 4] = bad
     with pytest.raises(DomainError):
-        flow_csv(rows)
+        flow_csv(rows, 1)
     with pytest.raises(DomainError):
         map_csv(np.hstack([rows, rows[:, :1]]))
+
+
+def _flow_rows(times: int, m: int, seed: int = 0) -> np.ndarray:
+    """t-major rows (t, s, k, re, im): m points at each of ``times`` awkward keys."""
+    rng = np.random.default_rng(seed)
+    keys = np.repeat(rng.choice(AWKWARD, (times, 2)), m, axis=0)
+    k = np.tile(np.arange(m), times)
+    return np.column_stack([keys, k, rng.choice(AWKWARD, (times * m, 2))])
+
+
+def _assert_whole_groups(pieces, m):
+    """Every block but the header holds whole groups, at most _CSV_BLOCK rows unless one group is larger."""
+    rows = [piece.count("\n") for piece in pieces[1:]]
+    assert all(r % m == 0 and r <= max(reports._CSV_BLOCK, m) for r in rows)
+
+
+# a block of 16 rows: groups of 3, 5 and 7 rows straddle its end, 16 fills it, 17 and 40 exceed it
+@pytest.mark.parametrize("m", [1, 3, 5, 7, 16, 17, 40])
+@pytest.mark.parametrize("times", [1, 2, 3, 5, 6, 11])
+def test_grouped_blocks_are_whole_groups_and_join_to_the_per_row_text(monkeypatch, m, times):
+    monkeypatch.setattr(reports, "_CSV_BLOCK", 16)
+    rows = _flow_rows(times, m, seed=m * times)
+    pieces = list(flow_csv(rows, m))
+    assert "".join(pieces) == _reference_rows("t,s,k,re,im", rows, k=2)
+    _assert_whole_groups(pieces, m)
+    assert len(pieces) == 1 + -(-times // max(1, 16 // m))
+    traj = _awkward_trajectory(n=m, nodes=times)
+    pieces = list(trajectory_csv(traj))
+    assert "".join(pieces) == _reference_trajectory_csv(traj)
+    _assert_whole_groups(pieces, m)
+
+
+@pytest.mark.parametrize("m", [2047, 2048, 2049, 4100])
+def test_a_group_of_about_one_block_or_more_is_one_piece(m):
+    rows = _flow_rows(3, m, seed=m)
+    pieces = list(flow_csv(rows, m))
+    assert "".join(pieces) == _reference_rows("t,s,k,re,im", rows, k=2)
+    assert [piece.count("\n") for piece in pieces] == [1] + [m] * 3
+
+
+def test_a_trajectory_of_one_body_is_one_row_per_node():
+    traj = _awkward_trajectory(n=1, nodes=4097)
+    pieces = list(trajectory_csv(traj))
+    assert "".join(pieces) == _reference_trajectory_csv(traj)
+    assert [piece.count("\n") for piece in pieces] == [1, 2048, 2048, 1]
+
+
+@pytest.mark.parametrize("key", [-0.0, 5e-324, 1e300])
+def test_keys_render_as_fmt_float(key):
+    rows = _flow_rows(3, 4)
+    rows[4:8, :2] = key
+    text = "".join(flow_csv(rows, 4))
+    assert text == _reference_rows("t,s,k,re,im", rows, k=2)
+    assert f"\n{fmt_float(key)},{fmt_float(key)},3," in text
+    traj = _awkward_trajectory(n=4, nodes=3)
+    traj.times[1] = key
+    text = "".join(trajectory_csv(traj))
+    assert text == _reference_trajectory_csv(traj)
+    assert f"\n{fmt_float(key)},3," in text
+
+
+@pytest.mark.parametrize("field", [
+    ("rotation", -1), ("rotation", 0), ("rotation", 1), ("normal", -1), ("nilpotent", -1),
+])
+def test_flow_samples_render_as_the_per_row_text(field):
+    points = np.array([-0.3 + 0.2j, 0.0 + 0.5j, 0.25 + 0.25j, -0.0 + 0.05j, 0.1 + 0.1j])
+    rows = flow_samples(KillingField(*field), points, np.linspace(-0.5, 0.5, 33))
+    assert "".join(flow_csv(rows, len(points))) == _reference_rows("t,s,k,re,im", rows, k=2)
+
+
+def test_flow_rows_not_t_major_are_refused():
+    rows = _flow_rows(4, 3)
+    point_major = rows.reshape(4, 3, 5).transpose(1, 0, 2).reshape(-1, 5)
+    unrepeated = rows.copy()
+    unrepeated[4, 0] = 0.125  # the second row of the second time has its own t
+    unrepeated_s = rows.copy()
+    unrepeated_s[11, 1] = 0.125
+    shifted = rows.copy()
+    shifted[:, 2] += 1  # k from 1 to 3
+    for bad, m in [(point_major, 3), (unrepeated, 3), (unrepeated_s, 3), (shifted, 3), (rows, 4), (rows, 6),
+                   (rows, 5), (rows, 0)]:
+        with pytest.raises(DomainError):
+            flow_csv(bad, m)
+    assert "".join(flow_csv(rows, 3)) == _reference_rows("t,s,k,re,im", rows, k=2)
+    assert "".join(flow_csv(np.empty((0, 5)), 3)) == "t,s,k,re,im\n"
 
 
 def test_simulate_writes_no_trajectory_csv_with_a_nonfinite_last_node(tmp_path, monkeypatch, capsys):
