@@ -111,8 +111,9 @@ def _integer(value, path: str, minimum=None) -> int:
 # from --samples), map.samples, invariance.num_points and vlasov.num_points (at least
 # this many evaluation points, the steps split evenly); above it is a validation error.
 MAX_COUNT = 100_000
-# The bound on n times certify.samples, invariance.num_points or vlasov.num_points:
-# each holds its arrays over every body and sample or point at once.  It caps each
+# The bound on n times certify.samples, invariance.num_points or vlasov.num_points, and on
+# the number of flow.points times flow.num (the rows of flow.csv, which flow_samples holds
+# at once): each holds its arrays over every body and sample or point at once.  It caps each
 # array of a certificate at 8 MB; vlasov_weak_residual keeps about 96 bytes per body
 # and asked-for point (positions, velocities and accelerations at twice the points,
 # for Simpson's rule), so about 100 MB at the bound, and works on one block of at
@@ -384,7 +385,7 @@ def cmd_flow(args, doc: dict) -> list[str]:
     t_max = _real(_require(section, "flow.", "t_max"), "flow.t_max")
     if not t_max > t_min:
         raise ValidationError("flow.t_max", "must exceed t_min")
-    num = _count(section.get("num", 33), "flow.num", 2)
+    num = _work(_count(section.get("num", 33), "flow.num", 2), "flow.num", len(points))
     overflows = "the flow overflows the floating-point range"
     with np.errstate(all="ignore"):  # an overflow ends in the error below
         ts = np.linspace(t_min, t_max, num)

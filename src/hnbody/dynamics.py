@@ -95,11 +95,6 @@ class SystemState:
         return self.positions.shape[-1]
 
 
-@functools.cache
-def _triu(n: int):
-    return np.triu_indices(n, k=1)
-
-
 @functools.lru_cache(maxsize=64)
 def _diagonal(shape: tuple) -> np.ndarray:
     """Flat indices of the diagonals of near and theta in a (7, ..., n, n) block of _pair_tables."""
@@ -145,7 +140,7 @@ def _pair_tables(xk, yk, xj, yj, out=(None,) * 7) -> _PairTables:
 def _square_tables(w: np.ndarray):
     """Im w, and the _pair_tables of positions w, shape (..., n), from contiguous Re w and Im w, in one
     (7, ..., n, n) block: seven tables freed apart let malloc hand their pages back after every call.
-    Near and theta get a +inf diagonal (the pairs j = k are never _singular and add nothing); theta must
+    Near and theta get a +inf diagonal (the pairs j = k are never singular and add nothing); theta must
     not take near's, as far_kk = 4 y_k^2 underflows to 0 below y ~ 1e-162 and inf * 0 is nan."""
     x, y = w.real.copy(), w.imag.copy()
     block = np.empty((7,) + w.shape + w.shape[-1:])
@@ -154,20 +149,15 @@ def _square_tables(w: np.ndarray):
     return y, block, tables
 
 
-def _singular(tables: _PairTables, margin: float = 1.0) -> np.ndarray:
-    """Which pairs of the tables are in the singular set widened by ``margin``; +inf near and theta never are."""
-    return (tables.near < margin * _NEAR_FAR_MIN * tables.far) | (tables.theta < margin * _THETA_MIN)
-
-
 def _pairs(w: np.ndarray, t=None, margin: float = 1.0) -> _PairTables:
     """The _square_tables of positions w, shape (..., n); entry [k, j] is the pair (k, j).
 
-    When a pair is in the _singular set widened by ``margin``, raises the SingularityError of the
-    first such configuration, timed by ``t`` (a float, or an array over the leading axes) if given.
-    It names the singular pair with the smallest near/far: the row-major argmin of the table, which
-    in the symmetric table is the first such pair in _triu order."""
+    When a pair is in the singular set widened by ``margin`` (near < margin tanh^2(5e-7) far or theta <
+    margin 1e-200; never the +inf diagonal), raises the SingularityError of the first such configuration,
+    timed by ``t`` (a float, or an array over the leading axes) if given.  It names the singular pair with
+    the smallest near/far: the row-major argmin of the table, the first such pair in k < j row-major order."""
     tables = _square_tables(w)[2]
-    singular = _singular(tables, margin)
+    singular = (tables.near < margin * _NEAR_FAR_MIN * tables.far) | (tables.theta < margin * _THETA_MIN)
     if not singular.any():
         return tables
     row = np.unravel_index(np.argmax(singular), singular.shape)[:-2]
@@ -181,16 +171,22 @@ def _pairs(w: np.ndarray, t=None, margin: float = 1.0) -> _PairTables:
     raise SingularityError(message, pair=pair, time=time, theta=value)
 
 
+def _guard(w: np.ndarray, t, near: np.ndarray, far: np.ndarray, th: np.ndarray) -> float:
+    """The smallest theta (NaN-ignoring, +inf for one body) of the _square_tables of w, after the verdict of
+    _pairs(w, t) if a pair is singular, in one boolean table and one minimum.  Writes tanh^2(5e-7) far to far."""
+    low = np.fmin.reduce(th, None, initial=math.inf)
+    if np.logical_or.reduce(np.less(near, np.multiply(far, _NEAR_FAR_MIN, far)), None) or low < _THETA_MIN:
+        _pairs(w, t)
+    return low
+
+
 def _kernel(w: np.ndarray, masses: np.ndarray, t=None):
     """Im w, the sums (A_k, B_k) = sum_j g_kj (dy sy - dx^2, dx), g_kj = m_j yj^2 / theta^{3/2}, and the
     smallest theta of all rows (+inf for one body): the one pair kernel of positions w, shape (..., n).
 
-    One body guards and sums the _square_tables.  The guard, one boolean table and one NaN-ignoring
-    minimum of theta, makes the decision of _singular; only when it trips does _pairs(w, t) run."""
+    One body sums the _square_tables behind their _guard."""
     y, block, (dx, dy, sy, dx2, near, far, th) = _square_tables(w)
-    low = np.fmin.reduce(th, None, initial=math.inf)
-    if np.logical_or.reduce(np.less(near, np.multiply(far, _NEAR_FAR_MIN, far)), None) or low < _THETA_MIN:
-        _pairs(w, t)
+    low = _guard(w, t, near, far, th)
     g = np.sqrt(th, near)  # near and far are spent: block[4:6] takes g and re, summed in one reduction
     g *= th
     np.divide((masses * y * y)[..., None, :], g, g)
@@ -215,10 +211,10 @@ def theta(wk: complex, wj: complex) -> float:
 
 
 def min_pair_theta(positions: np.ndarray):
-    """Smallest theta over distinct pairs per configuration of shape (..., n), inf for one body."""
-    w = np.asarray(positions, dtype=complex)
-    (k, j), x, y = _triu(w.shape[-1]), w.real, w.imag
-    return np.minimum.reduce(_pair_tables(x[..., k], y[..., k], x[..., j], y[..., j]).theta, axis=-1, initial=math.inf)
+    """Smallest theta over distinct pairs per configuration of shape (..., n), inf for one body
+    (NaN if a pair's theta is)."""
+    th = _square_tables(np.asarray(positions, dtype=complex))[2].theta
+    return np.minimum.reduce(th, axis=(-2, -1), initial=math.inf)
 
 
 def _accel(w: np.ndarray, v: np.ndarray, masses: np.ndarray, R: float, t=None, out=None):
@@ -258,23 +254,24 @@ def _over_rows(state: SystemState, fn):
 
 
 def cotangent_potential(state: SystemState):
-    """Total potential (1/R) * sum_{k<j} m_k m_j * cross_{kj} / sqrt(theta_{kj}).
+    """Total potential (1/R) * sum_{k<j} m_k m_j * cross_{kj} / sqrt(theta_{kj}), cross = -(near + far).
 
-    Mobius invariant; a series gives one value per row.  The sum runs over the
-    k < j pairs only; with a _singular pair, the verdict of _pairs on the same
-    rows is raised, with the pair, time and theta that eom_rhs would give.
+    Mobius invariant; a series gives one value per row.  The sum is -1/2 m^T S m / R over the
+    square _square_tables, S = (near + far) / sqrt(theta) with a zero diagonal; behind their
+    _guard, so a singular pair raises the verdict of eom_rhs on the same rows (pair, time, theta).
     """
-    iu = _triu(state.n)
-    mm = np.outer(state.masses, state.masses)[iu]
+    n, mm = state.n, np.outer(state.masses, state.masses).ravel() * (-0.5 / state.R)
 
     def rows(t, w, v):
-        wk, wj = w[..., iu[0]], w[..., iu[1]]  # two complex gathers: half the index work of four real ones
-        tables = _pair_tables(wk.real, wk.imag, wj.real, wj.imag)
-        del wk, wj  # freed before the sums, so that no more memory is live at once than the tables need
-        if _singular(tables).any():
-            _pairs(w, t)  # raises the verdict of eom_rhs
-        cross = -(tables.near + tables.far)
-        return np.sum(mm * cross / np.sqrt(tables.theta), axis=-1) / state.R
+        *_, dx2, near, far, th = _square_tables(w)[2]
+        s = np.add(near, far, dx2)  # -cross, summed before _guard overwrites far
+        _guard(w, t, near, far, th)
+        flat = s.reshape(w.shape[:-1] + (n * n,))  # a view: one row per configuration
+        flat[..., :: n + 1] = 0.0  # near's +inf diagonal: the pairs j = k add nothing
+        s /= np.sqrt(th, th)
+        # summed pairwise, not by a BLAS dot: from ~10^4 terms OpenBLAS wakes a worker thread that then spins
+        flat *= mm
+        return np.add.reduce(flat, -1)
 
     return _over_rows(state, rows)
 
@@ -486,7 +483,7 @@ def integrate(
     Solving ODEs II, IV.8); a rejection shrinks the step by
     max(0.2, 0.9 err^-1/5), a failed stage by 0.25.  A step that would pass
     t_end, or end less than step_floor(t_end) short of it, ends on
-    t_end.  Halts with a singularity error if any pair enters the _singular
+    t_end.  Halts with a singularity error if any pair enters the singular
     set.  At a step below step_floor(t) the verdict is that of a stage
     singular since the start, else of a pair of the state in the singular set
     widened 1e8-fold (d below about 1e-2 at R = 1), named with its own theta;

@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hnbody
 from hnbody import cli, equilibria, reports
@@ -1055,6 +1060,68 @@ def test_check_grids_above_the_work_bound_are_validation_errors(tmp_path, capsys
         "message": f"{field}: must be <= 7812 at n = 128 (n * num_points <= 1000000)",
     }
     assert not out.exists()
+
+
+# flow.points times flow.num (the rows of flow.csv) above MAX_WORK, refused before any sample
+def test_flow_rows_above_the_work_bound_are_a_validation_error(tmp_path, capsys):
+    points = [[0.001 * k, 1.0] for k in range(1001)]
+    doc = {"flow": {"kind": "normal", "points": points, "t_max": 0.5, "num": 1000}}
+    code, out = run(tmp_path, "flow", "--config", write_config(tmp_path, doc))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert json.loads(captured.out)["error"] == {
+        "code": "validation",
+        "message": f"flow.num: must be <= 999 at n = 1001 (n * num <= {MAX_WORK})",
+    }
+    assert not out.exists()
+
+
+# flow times: inside the rotation kinds' |t| < pi/2 and at its edge, past a point's pole (the
+# rotation kinds) and far enough out that the normal flow's e^{t/2} leaves the double range
+_FLOW_TIMES = st.one_of(
+    st.floats(-1.5, 1.5), st.sampled_from([-math.pi / 2, math.pi / 2]), st.floats(-2000.0, 2000.0)
+)
+
+
+# drawn flow configs must each end in exit 0 or 1, one JSON object on stdout, nothing on
+# stderr and output files only on exit 0; when flip indexes a point, its Im is negated
+@settings(max_examples=60)
+@given(
+    kind=st.sampled_from(["normal", "nilpotent", "rotation"]),
+    sigma=st.sampled_from([-1, 0, 1]),
+    points=st.lists(st.tuples(st.floats(-100.0, 100.0), st.floats(1e-3, 100.0)), min_size=1, max_size=40),
+    flip=st.integers(0, 99),
+    num=st.integers(2, 300),
+    t_min=_FLOW_TIMES,
+    span=st.one_of(st.floats(1e-3, 1.5), st.floats(1e-3, 4000.0)),
+)
+@example(kind="rotation", sigma=0, points=[(1.0, 1.0), (-2.0, 0.5)], flip=99, num=7, t_min=-0.5, span=1.7)  # poles
+@example(kind="rotation", sigma=1, points=[(3.0, 1.0)], flip=99, num=50, t_min=-1.0, span=2.0)
+@example(kind="rotation", sigma=-1, points=[(0.0, 1.0)], flip=99, num=3, t_min=0.0, span=math.pi / 2)
+@example(kind="normal", sigma=-1, points=[(0.0, 1.0)], flip=99, num=3, t_min=-800.0, span=800.0)  # underflow
+def test_flow_fuzz_ends_in_one_json_object(kind, sigma, points, flip, num, t_min, span):
+    points = [[re, -im if k == flip else im] for k, (re, im) in enumerate(points)]
+    doc = {"flow": {"kind": kind, "sigma": sigma, "points": points, "num": num, "t_min": t_min, "t_max": t_min + span}}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "config.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        out, stdout, stderr = os.path.join(tmp, "out"), io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["flow", "--config", cfg, "--out", out])
+        written = sorted(os.listdir(out)) if os.path.exists(out) else []
+    assert stderr.getvalue() == ""
+    assert stdout.getvalue().startswith("{") and stdout.getvalue().endswith("}\n")
+    report = json.loads(stdout.getvalue())  # raises on a second object
+    if code == 0:
+        assert report == {"ok": True, "outputs": ["flow.csv", "flow.json"]}
+        assert written == ["flow.csv", "flow.json"]
+    else:
+        assert code == 1
+        assert report["error"]["code"] in ("validation", "flow-pole")
+        assert report["error"]["message"].startswith("flow.")
+        assert written == []
 
 
 # Each CLI call runs in a fresh process, so the package import is paid on every

@@ -22,7 +22,7 @@ from hnbody.dynamics import (
     theta,
     vlasov_weak_residual,
 )
-from hnbody.dynamics import _PAIR_CHUNK, _kernel, _pair_tables, _pairs, _triu
+from hnbody.dynamics import _PAIR_CHUNK, _kernel, _pair_tables, _pairs
 from hnbody.errors import DomainError, SingularityError, StepSizeError
 from hnbody.geometry import apply_mobius, geodesic_through
 from hnbody.equilibria import CLASS_DRIFT, EquilibriumClass, FindOptions, _interaction, find_equilibrium
@@ -107,6 +107,12 @@ class TestTheta:
 
     def test_hand_value(self):
         assert theta(1 + 1j, 1 + 2j) == 36.0
+
+    def test_min_pair_theta_of_a_nan_position_is_nan(self):
+        # per configuration, without a verdict or a warning
+        w = np.array([[1j, 2j, 3j], [1j, complex(math.nan, 1.0), 2j]])
+        got = min_pair_theta(w)
+        assert got[0] == 36.0 and math.isnan(got[1])
 
     def test_bitwise_symmetry(self):
         rng = np.random.default_rng(20)
@@ -272,11 +278,12 @@ class TestEomRhs:
             assert np.array_equal(f[:n], y[n:])
             assert np.array_equal(f[n:], eom_rhs(SystemState(0.0, y[:n], y[n:], s.masses, s.R)))
 
-    @pytest.mark.parametrize("shape", [(1,), (2,), (5,), (8,), (4, 1), (4, 3), (6, 7)])
+    # the last shape is a series of more than three _over_rows chunks
+    @pytest.mark.parametrize("shape", [(1,), (2,), (5,), (8,), (4, 1), (4, 3), (6, 7), (3 * _PAIR_CHUNK // 64 + 5, 8)])
     def test_inf_diagonal_guard_matches_the_triu_gather(self, shape):
         rng = np.random.default_rng(sum(shape))
         w = rng.normal(size=shape) + 1j * rng.uniform(0.1, 3.0, shape)
-        iu = _triu(shape[-1])
+        iu = np.triu_indices(shape[-1], k=1)
         x, y = w.real, w.imag
         full = _pair_tables(x[..., :, None], y[..., :, None], x[..., None, :], y[..., None, :]).theta
         gathered = full[..., iu[0], iu[1]]
@@ -289,6 +296,14 @@ class TestEomRhs:
         assert np.array_equal(min_pair_theta(w), expect)
         if shape[-1] == 1:
             assert np.all(min_pair_theta(w) == math.inf)
+        # the potential against the k < j sum of m_k m_j cross / sqrt(theta) / R, cross = -(near + far)
+        m, R = rng.uniform(0.2, 2.0, shape[-1]), 1.7
+        pairs = _pair_tables(x[..., iu[0]], y[..., iu[0]], x[..., iu[1]], y[..., iu[1]])
+        terms = m[iu[0]] * m[iu[1]] * -(pairs.near + pairs.far) / np.sqrt(pairs.theta)
+        reference = np.sum(terms, axis=-1) / R
+        potential = cotangent_potential(SystemState(np.zeros(shape[:-1]), w, np.zeros_like(w), m, R))
+        assert np.shape(potential) == shape[:-1]
+        assert np.allclose(potential, reference, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("w, pair", [
         ([-1e-8 + 1j, 1j, 1e-8 + 1j], (0, 1)),  # (0, 1) ties (1, 2)
