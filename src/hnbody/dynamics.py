@@ -13,7 +13,6 @@ conserved-quantity monitors.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -95,13 +94,6 @@ class SystemState:
         return self.positions.shape[-1]
 
 
-@functools.lru_cache(maxsize=64)
-def _diagonal(shape: tuple) -> np.ndarray:
-    """Flat indices of the diagonals of near and theta in a (7, ..., n, n) block of _pair_tables."""
-    rows, n = math.prod(shape[1:-2]), shape[-1]
-    return (np.arange(4 * rows, 7 * rows).reshape(3, rows, 1)[::2] * (n * n) + np.arange(n) * (n + 1)).ravel()
-
-
 class _PairTables(NamedTuple):
     """Tables over body pairs (k, j) of positions wk = xk + i yk and wj = xj + i yj."""
 
@@ -114,49 +106,98 @@ class _PairTables(NamedTuple):
     theta: np.ndarray  # 4 near far
 
 
-def _pair_tables(xk, yk, xj, yj, out=(None,) * 7) -> _PairTables:
-    """Pair tables of xk + i yk against xj + i yj, broadcast: new arrays, or the seven of ``out``.
+class _Block:
+    """A (7, ...) block of the _PairTables, with the views through which one ufunc call fills several tables."""
 
-    theta = cross^2 - (conj(wk)-wk)^2 (conj(wj)-wj)^2 with
-    cross = (conj(wk)+wk)(conj(wj)+wj) - 2(|wk|^2+|wj|^2) factors exactly
-    as theta = 4 near far and cross = -(near + far).  Nothing subtracts two
-    nearly equal quantities (a close coordinate difference is exact), so
-    theta keeps its relative accuracy down to coincidence: it is >= 0,
-    exactly 0 for coincident bodies, and symmetric in k, j bit for bit.
-    """
-    dx = np.subtract(xk, xj, out[0])
-    dy = np.subtract(yk, yj, out[1])
-    sy = np.add(yk, yj, out[2])
-    dx2 = np.multiply(dx, dx, out[3])
-    near = np.multiply(dy, dy, out[4])
-    near += dx2
-    far = np.multiply(sy, sy, out[5])
-    far += dx2
-    th = np.multiply(near, far, out[6])
-    th *= 4.0
-    return _PairTables(dx, dy, sy, dx2, near, far, th)
+    __slots__ = ("array", "tables", "dxdy", "signed", "squares", "near_far")
+
+    def __init__(self, shape: tuple, dtype=float):
+        self.array = np.empty((7,) + shape, dtype)
+        self.tables = _PairTables(*(self.array[i, ...] for i in range(7)))
+        self.dxdy, self.signed = self.array[:2], self.array[:3]
+        self.squares, self.near_far = self.array[3:6], self.array[4:6]
+
+    def fill(self, k, j, yk, yj) -> _PairTables:
+        """The pair tables of the points k = (xk, yk) against j = (xj, yj), each stacked on a first axis of
+        length 2 and broadcast against the other to the block's shape; yk and yj are their second rows.
+
+        theta = cross^2 - (conj(wk)-wk)^2 (conj(wj)-wj)^2 with
+        cross = (conj(wk)+wk)(conj(wj)+wj) - 2(|wk|^2+|wj|^2) factors exactly
+        as theta = 4 near far and cross = -(near + far).  Nothing subtracts two
+        nearly equal quantities (a close coordinate difference is exact), so
+        theta keeps its relative accuracy down to coincidence: it is >= 0,
+        exactly 0 for coincident bodies, and symmetric in k, j bit for bit.
+        """
+        _, _, sy, dx2, near, far, th = self.tables
+        np.subtract(k, j, self.dxdy)
+        np.add(yk, yj, sy)
+        np.multiply(self.signed, self.signed, self.squares)  # dx^2, dy^2, sy^2
+        np.add(self.near_far, dx2, self.near_far)  # near = dy^2 + dx^2, far = sy^2 + dx^2
+        np.multiply(near, far, th)
+        np.multiply(th, 4.0, th)
+        return self.tables
 
 
-def _square_tables(w: np.ndarray):
-    """Im w, and the _pair_tables of positions w, shape (..., n), from contiguous Re w and Im w, in one
-    (7, ..., n, n) block: seven tables freed apart let malloc hand their pages back after every call.
-    Near and theta get a +inf diagonal (the pairs j = k are never singular and add nothing); theta must
-    not take near's, as far_kk = 4 y_k^2 underflows to 0 below y ~ 1e-162 and inf * 0 is nan."""
-    x, y = w.real.copy(), w.imag.copy()
-    block = np.empty((7,) + w.shape + w.shape[-1:])
-    tables = _pair_tables(x[..., None], y[..., None], x[..., None, :], y[..., None, :], block)
-    block.put(_diagonal(block.shape), math.inf)
-    return y, block, tables
+def _stacked(x, y) -> np.ndarray:
+    """x and y broadcast against each other and stacked on a new first axis, as floats or (symbolic) objects."""
+    x, y = np.asarray(x), np.asarray(y)
+    xy = np.empty((2,) + np.broadcast_shapes(x.shape, y.shape), np.result_type(x, y, 1.0))
+    xy[0], xy[1] = x, y
+    return xy
+
+
+def _pair_tables(xk, yk, xj, yj) -> _PairTables:
+    """Pair tables of xk + i yk against xj + i yj, broadcast, in a new _Block (of objects for symbolic input)."""
+    k, j = _stacked(xk, yk), _stacked(xj, yj)
+    block = _Block(np.broadcast_shapes(k.shape, j.shape)[1:], np.result_type(k, j))
+    block.fill(k, j, k[1], j[1])
+    return _PairTables(*block.array)
+
+
+class _Workspace(_Block):
+    """The pair kernel's buffers for positions of shape (..., n), built once and refilled by every call: the
+    (7, ..., n, n) _Block; Re w, Im w, m_j yj^2, the sums (B, A) and c of _kernel and _accel in one (6, ..., n)
+    buffer, with the broadcast views of Re w and Im w; the diagonals of near and theta; the guard's boolean
+    table; and the geodesic term.  Every result it returns is a view of these buffers, overwritten by the
+    next call."""
+
+    __slots__ = ("xy", "y", "k", "j", "yk", "yj", "diagonal", "singular", "my2", "my2_j", "sums", "B", "A", "c",
+                 "geodesic", "geodesic_re", "geodesic_im")
+
+    def __init__(self, shape: tuple):
+        n = shape[-1]
+        super().__init__(shape + (n,))
+        rows = np.empty((6,) + shape)
+        self.xy, self.sums = rows[:2], rows[3:5]
+        _, self.y, self.my2, self.B, self.A, self.c = rows
+        self.k, self.j = self.xy[..., :, None], self.xy[..., None, :]
+        self.yk, self.yj = self.k[1], self.j[1]
+        self.diagonal = self.array.reshape(7, -1, n * n)[4::2, :, :: n + 1]  # a view: near's and theta's
+        self.singular = np.empty(shape + (n,), dtype=bool)
+        self.my2_j = self.my2[..., None, :]
+        self.geodesic = np.empty(shape, dtype=complex)
+        self.geodesic_re, self.geodesic_im = self.geodesic.real, self.geodesic.imag
+
+    def square(self, w: np.ndarray) -> _PairTables:
+        """The pair tables of positions w, entry [k, j] the pair (k, j).  Near and theta get a +inf diagonal
+        (the pairs j = k are never singular and add nothing); theta must not take near's, as
+        far_kk = 4 y_k^2 underflows to 0 below y ~ 1e-162 and inf * 0 is nan."""
+        np.copyto(self.xy[0], w.real)
+        np.copyto(self.y, w.imag)
+        self.fill(self.k, self.j, self.yk, self.yj)
+        self.diagonal.fill(math.inf)
+        return self.tables
 
 
 def _pairs(w: np.ndarray, t=None, margin: float = 1.0) -> _PairTables:
-    """The _square_tables of positions w, shape (..., n); entry [k, j] is the pair (k, j).
+    """The square pair tables of positions w, shape (..., n), in a workspace of their own; entry [k, j] is
+    the pair (k, j).
 
     When a pair is in the singular set widened by ``margin`` (near < margin tanh^2(5e-7) far or theta <
     margin 1e-200; never the +inf diagonal), raises the SingularityError of the first such configuration,
     timed by ``t`` (a float, or an array over the leading axes) if given.  It names the singular pair with
     the smallest near/far: the row-major argmin of the table, the first such pair in k < j row-major order."""
-    tables = _square_tables(w)[2]
+    tables = _Workspace(w.shape).square(w)
     singular = (tables.near < margin * _NEAR_FAR_MIN * tables.far) | (tables.theta < margin * _THETA_MIN)
     if not singular.any():
         return tables
@@ -171,31 +212,37 @@ def _pairs(w: np.ndarray, t=None, margin: float = 1.0) -> _PairTables:
     raise SingularityError(message, pair=pair, time=time, theta=value)
 
 
-def _guard(w: np.ndarray, t, near: np.ndarray, far: np.ndarray, th: np.ndarray) -> float:
-    """The smallest theta (NaN-ignoring, +inf for one body) of the _square_tables of w, after the verdict of
-    _pairs(w, t) if a pair is singular, in one boolean table and one minimum.  Writes tanh^2(5e-7) far to far."""
+def _guard(ws: _Workspace, w: np.ndarray, t) -> float:
+    """The smallest theta (NaN-ignoring, +inf for one body) of the square tables of w in ws, after the verdict
+    of _pairs(w, t) if a pair is singular, in one boolean table and one minimum.  Writes tanh^2(5e-7) far to far."""
+    _, _, _, _, near, far, th = ws.tables
     low = np.fmin.reduce(th, None, initial=math.inf)
-    if np.logical_or.reduce(np.less(near, np.multiply(far, _NEAR_FAR_MIN, far)), None) or low < _THETA_MIN:
+    singular = np.less(near, np.multiply(far, _NEAR_FAR_MIN, far), ws.singular)
+    if np.logical_or.reduce(singular, None) or low < _THETA_MIN:
         _pairs(w, t)
     return low
 
 
-def _kernel(w: np.ndarray, masses: np.ndarray, t=None):
+def _kernel(ws: _Workspace, w: np.ndarray, masses: np.ndarray, t=None):
     """Im w, the sums (A_k, B_k) = sum_j g_kj (dy sy - dx^2, dx), g_kj = m_j yj^2 / theta^{3/2}, and the
-    smallest theta of all rows (+inf for one body): the one pair kernel of positions w, shape (..., n).
+    smallest theta of all rows (+inf for one body): the one pair kernel of positions w, shape (..., n), in
+    the workspace ws of that shape.
 
-    One body sums the _square_tables behind their _guard."""
-    y, block, (dx, dy, sy, dx2, near, far, th) = _square_tables(w)
-    low = _guard(w, t, near, far, th)
-    g = np.sqrt(th, near)  # near and far are spent: block[4:6] takes g and re, summed in one reduction
+    One body sums the square tables behind their _guard."""
+    dx, dy, sy, dx2, near, far, th = ws.square(w)
+    low = _guard(ws, w, t)
+    g = np.sqrt(th, near)  # near and far are spent: they take g and re, summed in one reduction
     g *= th
-    np.divide((masses * y * y)[..., None, :], g, g)
+    y, my2 = ws.y, ws.my2
+    np.multiply(masses, y, my2)
+    my2 *= y
+    np.divide(ws.my2_j, g, g)
     re = np.multiply(dy, sy, far)
     re -= dx2
     re *= g
     g *= dx
-    sums = np.add.reduce(block[4:6], -1)
-    return y, sums[1], sums[0], low
+    np.add.reduce(ws.near_far, -1, out=ws.sums)  # g dx and re: (B, A)
+    return y, ws.A, ws.B, low
 
 
 def theta(wk: complex, wj: complex) -> float:
@@ -213,30 +260,31 @@ def theta(wk: complex, wj: complex) -> float:
 def min_pair_theta(positions: np.ndarray):
     """Smallest theta over distinct pairs per configuration of shape (..., n), inf for one body
     (NaN if a pair's theta is)."""
-    th = _square_tables(np.asarray(positions, dtype=complex))[2].theta
+    w = np.asarray(positions, dtype=complex)
+    th = _Workspace(w.shape).square(w).theta
     return np.minimum.reduce(th, axis=(-2, -1), initial=math.inf)
 
 
-def _accel(w: np.ndarray, v: np.ndarray, masses: np.ndarray, R: float, t=None, out=None):
+def _accel(ws: _Workspace, w: np.ndarray, v: np.ndarray, masses: np.ndarray, R: float, t=None, out=None):
     """Accelerations 2 wdot^2/(w - conj w) - (2 (w - conj w)^3 / R) S_k behind the
-    verdict of _pairs, written into ``out`` if given, and the smallest theta.
+    verdict of _pairs, written into ``out`` if given (else a new array), and the
+    smallest theta; the _kernel runs in the workspace ws of w's shape.
 
     With w - conj w = 2iy, the geodesic term is -i wdot^2 / y = q - i p for
     wdot^2 / y = p + i q, and the force (16i y^3 / R) S_k = c (y B + i A / 2)
     for c = -128 y^3 / R and the pair sums (A, B) of the _kernel.
     """
-    y, A, B, low = _kernel(w, masses, t)
-    c = y ** 3
+    y, A, B, low = _kernel(ws, w, masses, t)
+    c = np.power(y, 3, ws.c)
     c *= -128.0 / R
     B *= y
-    B *= c
-    A *= c
+    np.multiply(ws.sums, c, ws.sums)  # B and A
     A *= 0.5
-    geodesic = v * v
+    geodesic = np.multiply(v, v, ws.geodesic)
     geodesic /= y
     out = np.empty_like(geodesic) if out is None else out
-    np.add(geodesic.imag, B, out.real)
-    np.subtract(A, geodesic.real, out.imag)
+    np.add(ws.geodesic_im, B, out.real)
+    np.subtract(A, ws.geodesic_re, out.imag)
     return out, low
 
 
@@ -244,28 +292,36 @@ _PAIR_CHUNK = 1 << 14  # pair-table entries per kernel call over a series
 
 
 def _over_rows(state: SystemState, fn):
-    """fn(t, w, v) on one state, or over the rows of a series a few rows per
-    call, so that no (T, n, n) table is built; a series of zero rows is one call."""
+    """fn(ws, t, w, v) on one state, or over the rows of a series a few rows per
+    call, so that no (T, n, n) table is built; a series of zero rows is one call.
+    ws is a _Workspace of w's shape, one for all the equal chunks of a series."""
     t, w, v = state.t, state.positions, state.velocities
     step = max(1, _PAIR_CHUNK // (state.n * state.n))
     if w.ndim == 1 or len(w) <= step:
-        return fn(t, w, v)
-    return np.concatenate([fn(t[a:a + step], w[a:a + step], v[a:a + step]) for a in range(0, len(w), step)])
+        return fn(_Workspace(w.shape), t, w, v)
+    ws = _Workspace((step, state.n))
+    parts = []
+    for a in range(0, len(w), step):
+        rows = slice(a, a + step)
+        if len(w) - a < step:  # the last, shorter chunk
+            ws = _Workspace(w[rows].shape)
+        parts.append(fn(ws, t[rows], w[rows], v[rows]))
+    return np.concatenate(parts)
 
 
 def cotangent_potential(state: SystemState):
     """Total potential (1/R) * sum_{k<j} m_k m_j * cross_{kj} / sqrt(theta_{kj}), cross = -(near + far).
 
     Mobius invariant; a series gives one value per row.  The sum is -1/2 m^T S m / R over the
-    square _square_tables, S = (near + far) / sqrt(theta) with a zero diagonal; behind their
-    _guard, so a singular pair raises the verdict of eom_rhs on the same rows (pair, time, theta).
+    square pair tables of a _Workspace, S = (near + far) / sqrt(theta) with a zero diagonal; behind
+    their _guard, so a singular pair raises the verdict of eom_rhs on the same rows (pair, time, theta).
     """
     n, mm = state.n, np.outer(state.masses, state.masses).ravel() * (-0.5 / state.R)
 
-    def rows(t, w, v):
-        *_, dx2, near, far, th = _square_tables(w)[2]
+    def rows(ws, t, w, v):
+        *_, dx2, near, far, th = ws.square(w)
         s = np.add(near, far, dx2)  # -cross, summed before _guard overwrites far
-        _guard(w, t, near, far, th)
+        _guard(ws, w, t)
         flat = s.reshape(w.shape[:-1] + (n * n,))  # a view: one row per configuration
         flat[..., :: n + 1] = 0.0  # near's +inf diagonal: the pairs j = k add nothing
         s /= np.sqrt(th, th)
@@ -281,12 +337,12 @@ def eom_interaction(state: SystemState) -> np.ndarray:
 
     -(2 (wk - conj(wk))^3 / R) * S_k  per body, the accelerations at rest.
     """
-    return _over_rows(state, lambda t, w, v: _accel(w, np.zeros_like(v), state.masses, state.R, t)[0])
+    return _over_rows(state, lambda ws, t, w, v: _accel(ws, w, np.zeros_like(v), state.masses, state.R, t)[0])
 
 
 def eom_rhs(state: SystemState) -> np.ndarray:
     """Accelerations: 2*wdot^2/(w - conj(w)) plus the interaction force."""
-    return _over_rows(state, lambda t, w, v: _accel(w, v, state.masses, state.R, t)[0])
+    return _over_rows(state, lambda ws, t, w, v: _accel(ws, w, v, state.masses, state.R, t)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +551,11 @@ def integrate(
     max_step asks for, and passes the same bound as max_attempts
     (hnbody.cli.MAX_COUNT, MAX_WORK).  A tol below the double-precision
     epsilon is a DomainError.
+
+    Besides the accepted nodes, a run holds one kernel _Workspace, whose
+    7 n^2 float block is built once, and about ten stage vectors of 2n
+    complex values (the stage input, the seven stage derivatives, the error
+    estimate and its scale), all filled in place by every attempt.
     """
     if state.positions.ndim != 1:
         raise DomainError("integration starts from one state, not a series")
@@ -509,19 +570,31 @@ def integrate(
 
     n = state.n
     masses, R = state.masses, state.R
+    # the run's buffers, which every attempt fills in place: the kernel's workspace, the stage input
+    # with its position, velocity and height views, the stage derivatives k with the halves of their
+    # rows, and the error estimate e with two float buffers of the error norm
+    ws = _Workspace((n,))
+    stage = np.empty(2 * n, dtype=complex)
+    stage_w, stage_v = stage[:n], stage[n:]
+    stage_y = stage_w.imag
+    k = np.empty((7, 2 * n), dtype=complex)
+    halves = [(row[:n], row[n:]) for row in k]
+    stages = [(_DP_A[i], k[:i]) for i in range(1, 7)]
+    e, scale, size_y5 = np.empty(2 * n, dtype=complex), np.empty(2 * n), np.empty(2 * n)
 
-    def rhs(y: np.ndarray, t: float, out: np.ndarray):
-        """Write the derivative of the stacked state into out and return the
+    def rhs(t: float, i: int):
+        """Write the derivative of the stage input into row i of k and return the
         smallest theta of its positions; a singularity verdict carries the time t."""
-        w, v = y[:n], y[n:]
-        if np.minimum.reduce(w.imag) <= 0:
+        if np.minimum.reduce(stage_y) <= 0:
             raise DomainError("body left the upper half-plane")
-        out[:n] = v
-        return _accel(w, v, masses, R, t, out[n:])[1]
+        dw, dv = halves[i]
+        np.copyto(dw, stage_v)
+        return _accel(ws, stage_w, stage_v, masses, R, t, dv)[1]
 
     y = np.concatenate([state.positions, state.velocities])
-    f = np.empty_like(y)
-    min_theta = rhs(y, t0, f)
+    np.copyto(stage, y)
+    min_theta = rhs(t0, 0)
+    f = k[0].copy()
     if not np.all(np.isfinite(f)):
         raise StepSizeError(f"non-finite derivative at t = {t0}")
     times, ys, fs = [t0], [y], [f]
@@ -540,7 +613,6 @@ def integrate(
     rhs_calls = 1
     h_acc = err_acc = None  # step and floored error norm of the last accepted step
     last_singularity = verdict = None
-    k = np.empty((7, 2 * n), dtype=complex)
     size_y = np.abs(y)
     end_gap = step_floor(t1)  # a step leaving less than this before t_end ends on t_end
     while t < t1:
@@ -563,12 +635,12 @@ def integrate(
             h = t1 - t
         k[0] = f
         failed = False
-        for i in range(1, 7):
-            yi = _DP_A[i] @ k[:i]
-            yi *= h
-            yi += y
+        for i, (weights, ks) in enumerate(stages, 1):
+            np.matmul(weights, ks, stage)
+            stage *= h
+            stage += y
             try:
-                stage_theta = rhs(yi, t, k[i])
+                stage_theta = rhs(t, i)
             except SingularityError as exc:
                 last_singularity = exc
                 singular_stages += 1
@@ -583,10 +655,16 @@ def integrate(
             rejected += 1
             stage_failures += 1
             continue
-        y5, size_y5 = yi, np.abs(yi)
-        e = h * (_DP_E @ k)
-        e /= tol + tol * np.maximum(size_y, size_y5)
-        err = math.sqrt(np.add.reduce(np.abs(e) ** 2) / e.size)
+        np.abs(stage, size_y5)
+        np.matmul(_DP_E, k, e)
+        e *= h
+        np.maximum(size_y, size_y5, out=scale)
+        scale *= tol
+        scale += tol
+        e /= scale
+        norms = np.abs(e, scale)
+        norms *= norms
+        err = math.sqrt(np.add.reduce(norms) / e.size)
         if not math.isfinite(err):
             raise StepSizeError(f"non-finite error estimate at t = {t}")
         if err <= 1.0:
@@ -594,9 +672,11 @@ def integrate(
             # the position bound of SystemState, on each accepted node
             if not math.isfinite(_divisor_bound(float(size_y5[:n].max()))):
                 raise StepSizeError(f"positions too large at t = {t}: {_DIVISOR_OVERFLOWS}")
-            y, size_y = y5, size_y5
+            # copies out of the stage buffers, which the next attempt overwrites
+            y = stage.copy()
+            size_y, size_y5 = size_y5, size_y
             # FSAL: the last stage is rhs(y5), which also guarded y5 against
-            # the singular set and gave its smallest theta; copy out of the stage buffer
+            # the singular set and gave its smallest theta
             f = k[6].copy()
             times.append(t)
             ys.append(y)

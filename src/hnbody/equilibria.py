@@ -37,7 +37,7 @@ from .clifford import (
     killing_velocity,
     killing_wirtinger,
 )
-from .dynamics import SystemState, _kernel, _pair_tables, eom_interaction
+from .dynamics import SystemState, _Workspace, _kernel, _pair_tables, eom_interaction
 from .errors import ClassNotSolvableError, ConvergenceError, DomainError, SingularityError
 
 
@@ -102,7 +102,7 @@ def _interaction(w: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """
     if np.size(masses) != w.shape[-1]:
         raise DomainError("masses must match the number of bodies")
-    y, A, B, _ = _kernel(w, masses)
+    y, A, B, _ = _kernel(_Workspace(w.shape), w, masses)
     return -4.0 * (A - 2j * y * B)
 
 

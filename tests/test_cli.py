@@ -1124,6 +1124,49 @@ def test_flow_fuzz_ends_in_one_json_object(kind, sigma, points, flip, num, t_min
         assert written == []
 
 
+# a body [x, y, vx, vy]: heights log-uniform on [1e-2, 10] or [1e-300, 1e3], speed components
+# zero or of magnitude 1e-3 to 10 or to 1e200, with either sign
+_HEIGHTS = st.one_of(st.floats(-2.0, 1.0), st.floats(-300.0, 3.0)).map(lambda e: 10.0 ** e)
+_SPEEDS = st.one_of(st.just(0.0), st.tuples(st.sampled_from([-1.0, 1.0]), st.one_of(
+    st.floats(-3.0, 1.0), st.floats(-3.0, 200.0))).map(lambda s: s[0] * 10.0 ** s[1]))
+_BODIES = st.tuples(st.floats(-1e3, 1e3), _HEIGHTS, _SPEEDS, _SPEEDS)
+
+
+# drawn simulate configs must each end in exit 0 to 3, one JSON object on stdout, nothing on
+# stderr and report files only on exit 0; t_end bounds the work of each example
+@settings(max_examples=60)
+@given(
+    bodies=st.lists(_BODIES.map(list), min_size=1, max_size=4),
+    masses=st.lists(st.floats(0.1, 10.0), min_size=4, max_size=4),
+    tol=st.floats(math.log10(np.finfo(float).eps), 1.0).map(lambda e: max(10.0 ** e, np.finfo(float).eps)),
+    t_end=st.floats(1e-3, 1.0),
+)
+@example(bodies=[[0.0, 1.0, 0.3, 0.1]], masses=[1.0] * 4, tol=1e-10, t_end=1.0)  # n = 1
+@example(bodies=[[0.5, 2.0, 0.0, 0.0], [0.5, 2.0, 0.1, 0.0]], masses=[1.0] * 4, tol=1e-10, t_end=1.0)  # coincident
+@example(bodies=[[0.0, 1.0, 1e300, 0.0]], masses=[1.0] * 4, tol=1e-10, t_end=0.1)
+@example(bodies=[[0.0, 5e-324, 0.0, 0.0], [1.0, 5e-324, 0.0, 1.0]], masses=[1.0] * 4, tol=1e-10, t_end=1.0)
+def test_simulate_fuzz_ends_in_one_json_object(bodies, masses, tol, t_end):
+    doc = {"R": 1.0, "masses": masses[: len(bodies)], "bodies": bodies, "integrator": {"tol": tol, "t_end": t_end}}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "config.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        out, stdout, stderr = os.path.join(tmp, "out"), io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["simulate", "--config", cfg, "--out", out])
+        written = sorted(os.listdir(out)) if os.path.exists(out) else []
+    assert stderr.getvalue() == ""
+    assert stdout.getvalue().startswith("{") and stdout.getvalue().endswith("}\n")
+    report = json.loads(stdout.getvalue())  # raises on a second object
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert report == {"ok": True, "outputs": ["trajectory.csv", "trajectory.json"]}
+        assert written == ["trajectory.csv", "trajectory.json"]
+    else:
+        assert set(report) == {"error"}
+        assert written == []
+
+
 # Each CLI call runs in a fresh process, so the package import is paid on every
 # call.  The package runs on numpy alone: no command, and not two_body_elliptic
 # either, loads scipy, whose optimize module takes most of a second to import.

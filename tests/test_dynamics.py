@@ -22,7 +22,7 @@ from hnbody.dynamics import (
     theta,
     vlasov_weak_residual,
 )
-from hnbody.dynamics import _PAIR_CHUNK, _kernel, _pair_tables, _pairs
+from hnbody.dynamics import _PAIR_CHUNK, _Workspace, _kernel, _pair_tables, _pairs
 from hnbody.errors import DomainError, SingularityError, StepSizeError
 from hnbody.geometry import apply_mobius, geodesic_through
 from hnbody.equilibria import CLASS_DRIFT, EquilibriumClass, FindOptions, _interaction, find_equilibrium
@@ -266,17 +266,34 @@ class TestEomRhs:
             eom_rhs(two_body([1j, 1j + 1e-9]))
         assert info.value.pair == (0, 1)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 128, "axis dive"])
     def test_integrator_rhs_is_eom_rhs_bit_for_bit(self, n):
-        # the integrator writes the same kernel into its stage buffer
-        rng = np.random.default_rng(n)
-        w = np.linspace(-0.2, 0.2, n) * n + 1j * rng.uniform(0.5, 2.0, n)
-        v = 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        s = SystemState(0.0, w, v, rng.uniform(0.2, 2.0, n), float(rng.uniform(0.5, 2.0)))
-        traj = integrate(s, 0.01, tol=1e-8, max_step=0.002)
+        # the integrator writes the same kernel into its stage buffers, which every
+        # attempt overwrites: no node may keep a view of them, and a run that ends in
+        # a verdict may leave nothing behind that a later run reads
+        if n == "axis dive":  # the dive of test_stage_below_the_real_axis_is_a_stage_failure
+            s, run = SystemState(0.0, [0.001j, 5.0 + 1j], [-0.005j, 0j], [1.0, 1.0], 1.0), dict(t_end=2.0, tol=1e-8)
+        else:
+            rng = np.random.default_rng(n)
+            w = np.linspace(-0.2, 0.2, n) * n + 1j * rng.uniform(0.5, 2.0, n)
+            v = 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            s = SystemState(0.0, w, v, rng.uniform(0.2, 2.0, n), float(rng.uniform(0.5, 2.0)))
+            run = dict(t_end=0.01, tol=1e-8, max_step=0.002)
+        traj = integrate(s, **run)
+        if n == "axis dive":
+            assert traj.stats.rejected > traj.stats.stage_failures > 0  # both kinds of rejection
         for y, f in zip(traj.ys, traj.fs):
-            assert np.array_equal(f[:n], y[n:])
-            assert np.array_equal(f[n:], eom_rhs(SystemState(0.0, y[:n], y[n:], s.masses, s.R)))
+            assert np.array_equal(f[:s.n], y[s.n:])
+            assert np.array_equal(f[s.n:], eom_rhs(SystemState(0.0, y[:s.n], y[s.n:], s.masses, s.R)))
+        # in address order, two overlapping rows would include a neighbouring pair
+        rows = sorted([*traj.ys, *traj.fs], key=lambda row: row.__array_interface__["data"][0])
+        assert not any(np.shares_memory(a, b) for a, b in zip(rows, rows[1:]))
+        with pytest.raises(SingularityError):
+            integrate(two_body([1j, 2j]), 1.0, tol=1e-8)
+        again = integrate(s, **run)
+        assert np.array_equal(again.times, traj.times)
+        assert np.array_equal(again.ys, traj.ys) and np.array_equal(again.fs, traj.fs)
+        assert again.stats == traj.stats
 
     # the last shape is a series of more than three _over_rows chunks
     @pytest.mark.parametrize("shape", [(1,), (2,), (5,), (8,), (4, 1), (4, 3), (6, 7), (3 * _PAIR_CHUNK // 64 + 5, 8)])
@@ -405,7 +422,8 @@ class TestEomRhs:
         assert np.array_equal(rhs, _reference_kernel(s.positions, s.velocities, s.masses, 1.0)[0])
         assert np.all(rhs == -(0.1 * 0.1 / 1e-170) * 1j)  # -1e168 i per body
         assert np.all(np.diagonal(_pairs(s.positions).theta) == math.inf)
-        assert _kernel(s.positions, s.masses)[3] == (math.inf if len(w) == 1 else 4.0)
+        low = _kernel(_Workspace(s.positions.shape), s.positions, s.masses)[3]
+        assert low == (math.inf if len(w) == 1 else 4.0)
 
     def test_non_finite_state_raises_without_warnings(self):
         # RuntimeWarnings are errors under the suite's settings
