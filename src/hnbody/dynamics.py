@@ -28,10 +28,19 @@ from .errors import DomainError, SingularityError, StepSizeError
 GRADIENT_SIGN = -1.0
 ENERGY_COUPLING = 2.0
 
+
+def _constant(value: float) -> np.ndarray:
+    """value as a read-only 0-d float array: as a ufunc operand it skips the conversion a Python scalar takes."""
+    array = np.array(value, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
 # The singular set: pairs with near/far = tanh^2(d/2) below tanh^2(5e-7), closer than d = 1e-6 at R = 1
 # (Beardon, The Geometry of Discrete Groups, 7.2), and pairs whose kernel divisor theta^{3/2} underflows.
-_NEAR_FAR_MIN = math.tanh(5e-7) ** 2
-_THETA_MIN = 1e-200
+_NEAR_FAR_MIN = _constant(math.tanh(5e-7) ** 2)
+_THETA_MIN = _constant(1e-200)
+_FOUR, _THREE, _HALF = _constant(4.0), _constant(3.0), _constant(0.5)
 VLASOV_NUM_POINTS = 1001  # default of vlasov_weak_residual and of the CLI's vlasov.num_points
 _POINT_BLOCK = 1 << 16  # body-points per block of the evaluation points of _step_points and vlasov_weak_residual
 _DIVISOR_OVERFLOWS = "the pair kernel divisor 512 max|w|^6 overflows"
@@ -134,7 +143,7 @@ class _Block:
         np.multiply(self.signed, self.signed, self.squares)  # dx^2, dy^2, sy^2
         np.add(self.near_far, dx2, self.near_far)  # near = dy^2 + dx^2, far = sy^2 + dx^2
         np.multiply(near, far, th)
-        np.multiply(th, 4.0, th)
+        np.multiply(th, _FOUR, th)
         return self.tables
 
 
@@ -157,11 +166,11 @@ def _pair_tables(xk, yk, xj, yj) -> _PairTables:
 class _Workspace(_Block):
     """The pair kernel's buffers for positions of shape (..., n), built once and refilled by every call: the
     (7, ..., n, n) _Block; Re w, Im w, m_j yj^2, the sums (B, A) and c of _kernel and _accel in one (6, ..., n)
-    buffer, with the broadcast views of Re w and Im w; the diagonals of near and theta; the guard's boolean
-    table; and the geodesic term.  Every result it returns is a view of these buffers, overwritten by the
+    buffer, with the broadcast views of Re w and Im w; the diagonals of near and theta; the guard's (2, ..., n, n)
+    boolean table; and the geodesic term.  Every result it returns is a view of these buffers, overwritten by the
     next call."""
 
-    __slots__ = ("xy", "y", "k", "j", "yk", "yj", "diagonal", "singular", "my2", "my2_j", "sums", "B", "A", "c",
+    __slots__ = ("xy", "x", "y", "k", "j", "yk", "yj", "diagonal", "singular", "my2", "my2_j", "sums", "B", "A", "c",
                  "geodesic", "geodesic_re", "geodesic_im")
 
     def __init__(self, shape: tuple):
@@ -169,11 +178,11 @@ class _Workspace(_Block):
         super().__init__(shape + (n,))
         rows = np.empty((6,) + shape)
         self.xy, self.sums = rows[:2], rows[3:5]
-        _, self.y, self.my2, self.B, self.A, self.c = rows
+        self.x, self.y, self.my2, self.B, self.A, self.c = rows
         self.k, self.j = self.xy[..., :, None], self.xy[..., None, :]
         self.yk, self.yj = self.k[1], self.j[1]
         self.diagonal = self.array.reshape(7, -1, n * n)[4::2, :, :: n + 1]  # a view: near's and theta's
-        self.singular = np.empty(shape + (n,), dtype=bool)
+        self.singular = np.empty((2,) + shape + (n,), dtype=bool)
         self.my2_j = self.my2[..., None, :]
         self.geodesic = np.empty(shape, dtype=complex)
         self.geodesic_re, self.geodesic_im = self.geodesic.real, self.geodesic.imag
@@ -182,7 +191,7 @@ class _Workspace(_Block):
         """The pair tables of positions w, entry [k, j] the pair (k, j).  Near and theta get a +inf diagonal
         (the pairs j = k are never singular and add nothing); theta must not take near's, as
         far_kk = 4 y_k^2 underflows to 0 below y ~ 1e-162 and inf * 0 is nan."""
-        np.copyto(self.xy[0], w.real)
+        np.copyto(self.x, w.real)
         np.copyto(self.y, w.imag)
         self.fill(self.k, self.j, self.yk, self.yj)
         self.diagonal.fill(math.inf)
@@ -212,37 +221,37 @@ def _pairs(w: np.ndarray, t=None, margin: float = 1.0) -> _PairTables:
     raise SingularityError(message, pair=pair, time=time, theta=value)
 
 
-def _guard(ws: _Workspace, w: np.ndarray, t) -> float:
-    """The smallest theta (NaN-ignoring, +inf for one body) of the square tables of w in ws, after the verdict
-    of _pairs(w, t) if a pair is singular, in one boolean table and one minimum.  Writes tanh^2(5e-7) far to far."""
+def _guard(ws: _Workspace, w: np.ndarray, t) -> None:
+    """The verdict of _pairs(w, t) if a pair of the square tables of w in ws is singular, decided by one
+    boolean table that stacks near < tanh^2(5e-7) far on theta < 1e-200, and one reduction of it.  Returns
+    nothing: integrate reduces theta itself, once per accepted node.  Writes tanh^2(5e-7) far to far."""
     _, _, _, _, near, far, th = ws.tables
-    low = np.fmin.reduce(th, None, initial=math.inf)
-    singular = np.less(near, np.multiply(far, _NEAR_FAR_MIN, far), ws.singular)
-    if np.logical_or.reduce(singular, None) or low < _THETA_MIN:
+    singular = ws.singular
+    np.less(near, np.multiply(far, _NEAR_FAR_MIN, far), singular[0])
+    np.less(th, _THETA_MIN, singular[1])
+    if np.logical_or.reduce(singular, None):
         _pairs(w, t)
-    return low
 
 
 def _kernel(ws: _Workspace, w: np.ndarray, masses: np.ndarray, t=None):
-    """Im w, the sums (A_k, B_k) = sum_j g_kj (dy sy - dx^2, dx), g_kj = m_j yj^2 / theta^{3/2}, and the
-    smallest theta of all rows (+inf for one body): the one pair kernel of positions w, shape (..., n), in
-    the workspace ws of that shape.
+    """Im w and the sums (A_k, B_k) = sum_j g_kj (dy sy - dx^2, dx), g_kj = m_j yj^2 / theta^{3/2}: the one
+    pair kernel of positions w, shape (..., n), in the workspace ws of that shape.  Theta stays in the
+    workspace's tables.
 
     One body sums the square tables behind their _guard."""
     dx, dy, sy, dx2, near, far, th = ws.square(w)
-    low = _guard(ws, w, t)
-    g = np.sqrt(th, near)  # near and far are spent: they take g and re, summed in one reduction
+    _guard(ws, w, t)
+    re = np.multiply(dy, sy, dy)  # dy and sy are spent: they take re and g, weighted in one multiply
+    re -= dx2
+    g = np.sqrt(th, sy)
     g *= th
     y, my2 = ws.y, ws.my2
     np.multiply(masses, y, my2)
     my2 *= y
     np.divide(ws.my2_j, g, g)
-    re = np.multiply(dy, sy, far)
-    re -= dx2
-    re *= g
-    g *= dx
-    np.add.reduce(ws.near_far, -1, out=ws.sums)  # g dx and re: (B, A)
-    return y, ws.A, ws.B, low
+    np.multiply(ws.dxdy, g, ws.near_far)  # g dx and g re, into the spent near and far
+    np.add.reduce(ws.near_far, -1, out=ws.sums)  # (B, A)
+    return y, ws.A, ws.B
 
 
 def theta(wk: complex, wj: complex) -> float:
@@ -267,25 +276,25 @@ def min_pair_theta(positions: np.ndarray):
 
 def _accel(ws: _Workspace, w: np.ndarray, v: np.ndarray, masses: np.ndarray, R: float, t=None, out=None):
     """Accelerations 2 wdot^2/(w - conj w) - (2 (w - conj w)^3 / R) S_k behind the
-    verdict of _pairs, written into ``out`` if given (else a new array), and the
-    smallest theta; the _kernel runs in the workspace ws of w's shape.
+    verdict of _pairs, written into ``out`` if given (else a new array); the _kernel
+    runs in the workspace ws of w's shape.
 
     With w - conj w = 2iy, the geodesic term is -i wdot^2 / y = q - i p for
     wdot^2 / y = p + i q, and the force (16i y^3 / R) S_k = c (y B + i A / 2)
     for c = -128 y^3 / R and the pair sums (A, B) of the _kernel.
     """
-    y, A, B, low = _kernel(ws, w, masses, t)
-    c = np.power(y, 3, ws.c)
+    y, A, B = _kernel(ws, w, masses, t)
+    c = np.power(y, _THREE, ws.c)
     c *= -128.0 / R
     B *= y
     np.multiply(ws.sums, c, ws.sums)  # B and A
-    A *= 0.5
+    A *= _HALF
     geodesic = np.multiply(v, v, ws.geodesic)
     geodesic /= y
     out = np.empty_like(geodesic) if out is None else out
     np.add(ws.geodesic_im, B, out.real)
     np.subtract(A, ws.geodesic_re, out.imag)
-    return out, low
+    return out
 
 
 _PAIR_CHUNK = 1 << 14  # pair-table entries per kernel call over a series
@@ -337,12 +346,12 @@ def eom_interaction(state: SystemState) -> np.ndarray:
 
     -(2 (wk - conj(wk))^3 / R) * S_k  per body, the accelerations at rest.
     """
-    return _over_rows(state, lambda ws, t, w, v: _accel(ws, w, np.zeros_like(v), state.masses, state.R, t)[0])
+    return _over_rows(state, lambda ws, t, w, v: _accel(ws, w, np.zeros_like(v), state.masses, state.R, t))
 
 
 def eom_rhs(state: SystemState) -> np.ndarray:
     """Accelerations: 2*wdot^2/(w - conj(w)) plus the interaction force."""
-    return _over_rows(state, lambda ws, t, w, v: _accel(ws, w, v, state.masses, state.R, t)[0])
+    return _over_rows(state, lambda ws, t, w, v: _accel(ws, w, v, state.masses, state.R, t))
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +561,12 @@ def integrate(
     (hnbody.cli.MAX_COUNT, MAX_WORK).  A tol below the double-precision
     epsilon is a DomainError.
 
+    ``stats.min_theta`` is the smallest pair theta of the accepted nodes
+    (NaN-ignoring, +inf for one body), one reduction of the workspace's theta
+    table per node: at state.t, and at each acceptance, when the table is
+    still that of the FSAL stage, the new node.  The stages themselves only
+    decide whether a pair is singular.
+
     Besides the accepted nodes, a run holds one kernel _Workspace, whose
     7 n^2 float block is built once, and about ten stage vectors of 2n
     complex values (the stage input, the seven stage derivatives, the error
@@ -570,10 +585,12 @@ def integrate(
 
     n = state.n
     masses, R = state.masses, state.R
-    # the run's buffers, which every attempt fills in place: the kernel's workspace, the stage input
-    # with its position, velocity and height views, the stage derivatives k with the halves of their
-    # rows, and the error estimate e with two float buffers of the error norm
+    # the run's buffers, which every attempt fills in place: the kernel's workspace with its theta
+    # table, the stage input with its position, velocity and height views, the stage derivatives k
+    # with the halves of their rows, the error estimate e with two float buffers of the error norm,
+    # and tol and the attempt's step h as 0-d operands
     ws = _Workspace((n,))
+    node_theta = ws.tables.theta
     stage = np.empty(2 * n, dtype=complex)
     stage_w, stage_v = stage[:n], stage[n:]
     stage_y = stage_w.imag
@@ -581,19 +598,21 @@ def integrate(
     halves = [(row[:n], row[n:]) for row in k]
     stages = [(_DP_A[i], k[:i]) for i in range(1, 7)]
     e, scale, size_y5 = np.empty(2 * n, dtype=complex), np.empty(2 * n), np.empty(2 * n)
+    tolerance, hh = np.array(float(tol)), np.empty(())
 
     def rhs(t: float, i: int):
-        """Write the derivative of the stage input into row i of k and return the
-        smallest theta of its positions; a singularity verdict carries the time t."""
+        """Write the derivative of the stage input into row i of k, its theta table into
+        node_theta; a singularity verdict carries the time t."""
         if np.minimum.reduce(stage_y) <= 0:
             raise DomainError("body left the upper half-plane")
         dw, dv = halves[i]
         np.copyto(dw, stage_v)
-        return _accel(ws, stage_w, stage_v, masses, R, t, dv)[1]
+        _accel(ws, stage_w, stage_v, masses, R, t, dv)
 
     y = np.concatenate([state.positions, state.velocities])
     np.copyto(stage, y)
-    min_theta = rhs(t0, 0)
+    rhs(t0, 0)
+    min_theta = np.fmin.reduce(node_theta, None, initial=math.inf)
     f = k[0].copy()
     if not np.all(np.isfinite(f)):
         raise StepSizeError(f"non-finite derivative at t = {t0}")
@@ -633,14 +652,15 @@ def integrate(
         last = t1 - t - h < end_gap
         if last:
             h = t1 - t
+        hh[()] = h
         k[0] = f
         failed = False
         for i, (weights, ks) in enumerate(stages, 1):
             np.matmul(weights, ks, stage)
-            stage *= h
+            stage *= hh
             stage += y
             try:
-                stage_theta = rhs(t, i)
+                rhs(t, i)
             except SingularityError as exc:
                 last_singularity = exc
                 singular_stages += 1
@@ -657,10 +677,10 @@ def integrate(
             continue
         np.abs(stage, size_y5)
         np.matmul(_DP_E, k, e)
-        e *= h
+        e *= hh
         np.maximum(size_y, size_y5, out=scale)
-        scale *= tol
-        scale += tol
+        scale *= tolerance
+        scale += tolerance
         e /= scale
         norms = np.abs(e, scale)
         norms *= norms
@@ -676,13 +696,13 @@ def integrate(
             y = stage.copy()
             size_y, size_y5 = size_y5, size_y
             # FSAL: the last stage is rhs(y5), which also guarded y5 against
-            # the singular set and gave its smallest theta
+            # the singular set and left its theta table in node_theta
             f = k[6].copy()
             times.append(t)
             ys.append(y)
             fs.append(f)
             steps += 1
-            min_theta = min(min_theta, stage_theta)
+            min_theta = min(min_theta, np.fmin.reduce(node_theta, None, initial=math.inf))
             if err > 1e-30:
                 factor = min(5.0, max(0.2, 0.9 * err ** -0.2))
                 if h_acc is not None:

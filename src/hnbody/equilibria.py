@@ -94,15 +94,16 @@ def mobius_ansatz_defect(
 # Position-space residual systems
 # ---------------------------------------------------------------------------
 
-def _interaction(w: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Interaction sums S_k = -4 (A - 2i y B) of the positions w, shape (..., n), from the dynamics _kernel.
+def _interaction(w: np.ndarray, masses: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
+    """Interaction sums S_k = -4 (A - 2i y B) of the positions w, shape (..., n), from the dynamics _kernel,
+    run in the workspace ws of w's shape if given, else in a new one.
 
     Raises the SingularityError of _pairs when a pair is in the singular set;
     it names the pair of the first such row.
     """
     if np.size(masses) != w.shape[-1]:
         raise DomainError("masses must match the number of bodies")
-    y, A, B, _ = _kernel(_Workspace(w.shape), w, masses)
+    y, A, B = _kernel(_Workspace(w.shape) if ws is None else ws, w, masses)
     return -4.0 * (A - 2j * y * B)
 
 
@@ -500,11 +501,15 @@ def find_equilibrium_detailed(
         raise DomainError("masses must match the ansatz size")
 
     n = positions.size
+    spaces = {}  # one kernel workspace per shape of the positions: the residual's and the Jacobian's rows
 
     def fun(x):
         w = _unpack(x, n, opts.symmetry)
-        lhs, rhs = condition_sides(cls, SystemState(np.zeros(w.shape[:-1]), w, np.zeros_like(w), masses, R))
-        r = lhs - rhs
+        # the sides of condition_sides in the workspace of w's shape; the state refuses off-domain trial steps
+        state = SystemState(np.zeros(w.shape[:-1]), w, np.zeros_like(w), masses, R)
+        if w.shape not in spaces:
+            spaces[w.shape] = _Workspace(w.shape)
+        r = _CONDITION_LHS[cls](w, state.R) - _interaction(w, masses, spaces[w.shape])
         return np.concatenate([r.real, r.imag], axis=-1)
 
     x, report = _levenberg_marquardt(fun, _pack(positions, opts.symmetry), opts)

@@ -171,6 +171,43 @@ class TestEquilibria:
         other = rep["state"]["bodies"][1][1]
         assert found * other == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("cls, masses, bodies, symmetry, unknowns", [
+        ("elliptic-cyclic", [1.0, 2.0], [[0.0, 2.0], [0.0, 0.5]], "axis", 2),
+        ("elliptic-cyclic", [1.0, 2.0, 1.5], [[0.0, 3.0], [0.0, 1.5], [0.0, 0.5]], "axis", 3),
+        ("hyperbolic-normal", [1.0, 1.0], [[0.9, 1.0], [-0.9, 1.0]], "mirror", 2),
+        ("elliptic-cyclic", [1.0, 2.0], [[0.05, 1.9], [-0.03, 0.52]], "none", 4),
+    ])
+    def test_find_builds_one_kernel_workspace_per_residual_shape(self, tmp_path, monkeypatch, cls, masses, bodies,
+                                                                   symmetry, unknowns):
+        # the solver's residual rows and the Jacobian's stacked (2p, p) rows keep one workspace each; the
+        # report is the one of a workspace built afresh for every residual call, iterations and bytes
+        n = len(bodies)
+        doc = {"R": 1.0, "masses": masses, "bodies": [[*b, 0.0, 0.0] for b in bodies],
+               "equilibria": {"class": cls, "symmetry": symmetry}}
+        cfg = write_config(tmp_path, doc)
+
+        def find(name):
+            out = tmp_path / name
+            assert main(["equilibria", "find", "--config", cfg, "--out", str(out)]) == 0
+            return (out / "equilibrium.json").read_bytes()
+
+        interaction = equilibria._interaction
+        with monkeypatch.context() as patch:
+            patch.setattr(equilibria, "_interaction", lambda w, masses, ws=None: interaction(w, masses))
+            fresh = find("fresh")
+        built = []
+
+        class Counted(equilibria._Workspace):
+            def __init__(self, shape):
+                built.append(shape)
+                super().__init__(shape)
+
+        monkeypatch.setattr(equilibria, "_Workspace", Counted)
+        assert find("kept") == fresh
+        assert json.loads(fresh)["iterations"] > 0
+        # the CLI's two condition_sides, the end check of the find, and the solver's two shapes
+        assert sorted(built) == [(n,)] * 4 + [(2 * unknowns, n)]
+
     def test_find_nonexistent_class_exits_one(self, tmp_path, capsys):
         doc = {
             "R": 1.0,
@@ -1165,6 +1202,75 @@ def test_simulate_fuzz_ends_in_one_json_object(bodies, masses, tol, t_end):
     else:
         assert set(report) == {"error"}
         assert written == []
+
+
+# certify fields: valid values, with at most one field (bad[0]) replaced by another value, most of
+# them ones it does not take; the valid counts (at most 12 bodies times 1500 samples) bound the
+# work of each example
+_CERTIFY_BAD = st.one_of(
+    st.sampled_from([MAX_COUNT + 1, 2.5, "3", True, None, -1, 0, 1, "elliptic-cyclic", "hyperbolic-normal"]),
+    st.text(max_size=8),
+)
+
+
+# drawn certify configs must each end in exit 0 to 3, one JSON object on stdout, nothing on
+# stderr and certificate.json only on exit 0; with flag set, samples comes from --samples
+@settings(max_examples=60)
+@given(
+    cls=st.sampled_from(["parabolic-cyclic", "hyperbolic-cyclic"]),
+    n=st.integers(2, 12),
+    samples=st.integers(1, 1500),
+    seed=st.integers(0, 2**64),
+    flag=st.booleans(),
+    bad=st.one_of(st.none(), st.tuples(st.sampled_from(["cls", "n", "samples", "seed"]), _CERTIFY_BAD)),
+)
+@example(cls="parabolic-cyclic", n=3, samples=1000, seed=7, flag=True, bad=None)
+@example(cls="hyperbolic-cyclic", n=2, samples=MAX_COUNT + 1, seed=0, flag=False, bad=None)
+@example(cls="hyperbolic-cyclic", n=2, samples=MAX_COUNT + 1, seed=0, flag=True, bad=None)
+@example(cls="parabolic-cyclic", n=MAX_COUNT + 1, samples=1, seed=0, flag=False, bad=None)
+@example(cls="parabolic-cyclic", n=101, samples=9901, seed=0, flag=False, bad=None)  # n samples = MAX_WORK + 1
+@example(cls="hyperbolic-cyclic", n=101, samples=9901, seed=0, flag=True, bad=None)
+def test_certify_fuzz_ends_in_one_json_object(cls, n, samples, seed, flag, bad):
+    fields = {"cls": cls, "n": n, "samples": samples, "seed": seed}
+    if bad is not None:
+        fields[bad[0]] = bad[1]
+    cls, n, samples, seed = fields.values()
+    section = {"class": cls, "n": n} if flag else {"class": cls, "n": n, "samples": samples}
+    argv = ["--samples", str(samples)] if flag else []
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "config.json")
+        with open(cfg, "w") as fh:
+            json.dump({"seed": seed, "certify": section}, fh)
+        out, stdout, stderr = os.path.join(tmp, "out"), io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["certify", "--config", cfg, "--out", out, *argv])
+        written = sorted(os.listdir(out)) if os.path.exists(out) else []
+        if code == 0:
+            with open(os.path.join(out, "certificate.json")) as fh:
+                certificate = json.load(fh)
+    assert stderr.getvalue() == ""
+    assert stdout.getvalue().startswith("{") and stdout.getvalue().endswith("}\n")
+    report = json.loads(stdout.getvalue())  # raises on a second object
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert report == {"ok": True, "outputs": ["certificate.json"]}
+        assert written == ["certificate.json"]
+        asked = int(str(samples)) if flag else samples  # as argparse reads --samples
+        assert (certificate["class"], certificate["n"], certificate["sample_count"], certificate["seed"]) == (
+            cls, n, asked, seed)
+        assert len(certificate["samples"]) == asked
+        assert n * asked <= MAX_WORK
+    else:
+        assert set(report) == {"error"}
+        assert written == []
+    # the bounds on the counts, checked before the seed
+    if cls in ("parabolic-cyclic", "hyperbolic-cyclic") and type(n) is type(samples) is int and n >= 2 and samples >= 1:
+        if n > MAX_COUNT or samples > MAX_COUNT:
+            path = "certify.n" if n > MAX_COUNT else "certify.samples"
+            assert (code, report["error"]["message"]) == (1, f"{path}: must be <= {MAX_COUNT}")
+        elif n * samples > MAX_WORK:
+            message = f"certify.samples: must be <= {MAX_WORK // n} at n = {n} (n * samples <= {MAX_WORK})"
+            assert (code, report["error"]["message"]) == (1, message)
 
 
 # Each CLI call runs in a fresh process, so the package import is paid on every

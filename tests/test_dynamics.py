@@ -422,7 +422,9 @@ class TestEomRhs:
         assert np.array_equal(rhs, _reference_kernel(s.positions, s.velocities, s.masses, 1.0)[0])
         assert np.all(rhs == -(0.1 * 0.1 / 1e-170) * 1j)  # -1e168 i per body
         assert np.all(np.diagonal(_pairs(s.positions).theta) == math.inf)
-        low = _kernel(_Workspace(s.positions.shape), s.positions, s.masses)[3]
+        ws = _Workspace(s.positions.shape)
+        _kernel(ws, s.positions, s.masses)
+        low = np.fmin.reduce(ws.tables.theta, None, initial=math.inf)  # as integrate reads it per node
         assert low == (math.inf if len(w) == 1 else 4.0)
 
     def test_non_finite_state_raises_without_warnings(self):
@@ -665,15 +667,30 @@ class TestIntegrate:
         assert traj.times[-1] == t_end
         assert np.all(np.diff(traj.times) > 0)
 
-    @pytest.mark.parametrize("case", ["readme-orbit", "cluster-32"])
+    @pytest.mark.parametrize("case", ["readme-orbit", "cluster-32", "axis-dive", "head-on"])
     def test_min_theta_is_the_smallest_pair_theta_of_the_nodes(self, case):
+        # the minimum is taken once per accepted node, from the theta table the FSAL stage
+        # left in the kernel's workspace; rejected and failed attempts must not reach it
+        tol = 1e-10
         if case == "readme-orbit":
             s, t_end = two_body([1j, 2j], (0.6 + 0j, -0.6 + 0j)), 10.0
-        else:
+        elif case == "cluster-32":
             rng = np.random.default_rng(32)
             w = np.linspace(-30.0, 30.0, 32) + 1j * rng.uniform(1.0, 2.0, 32)
             s, t_end = SystemState(0.0, w, 0.05 * rng.normal(size=32) + 0j, rng.uniform(0.5, 2.0, 32), 1.0), 0.2
-        traj = integrate(s, t_end, tol=1e-10)
+        elif case == "axis-dive":  # error rejections and stages below the real axis
+            s, t_end, tol = SystemState(0.0, [0.001j, 5.0 + 1j], [-0.005j, 0j], [1.0, 1.0], 1.0), 2.0, 1e-8
+        else:  # singular stages, then the verdict
+            s, t_end, tol = two_body([1j, 2j]), 2.0, 1e-8
+        if case == "head-on":
+            with pytest.raises(SingularityError) as info:
+                integrate(s, t_end, tol=tol)
+            traj = info.value.trajectory
+            assert traj.stats.singular_stages > 0
+        else:
+            traj = integrate(s, t_end, tol=tol)
+        if case == "axis-dive":
+            assert traj.stats.rejected > traj.stats.stage_failures > 0
         assert traj.stats.min_theta == min_pair_theta(traj.ys[:, : s.n]).min()
         if case == "readme-orbit":
             assert traj.stats.min_theta == 0.0018581648127334676
