@@ -117,7 +117,7 @@ MAX_COUNT = 100_000
 # array of a certificate at 8 MB; vlasov_weak_residual keeps about 96 bytes per body
 # and asked-for point (positions, velocities and accelerations at twice the points,
 # for Simpson's rule), so about 100 MB at the bound, and works on one block of at
-# most 2^16 body-points at a time.
+# most 2^16 body-points at a time.  It bounds n^2 too (_bodies): a pair table holds about n^2 / 2 entries.
 MAX_WORK = 1_000_000
 
 
@@ -134,6 +134,12 @@ def _work(count: int, path: str, n: int) -> int:
         name = path.rpartition(".")[2]
         raise ValidationError(path, f"must be <= {MAX_WORK // n} at n = {n} (n * {name} <= {MAX_WORK})")
     return count
+
+
+def _bodies(n: int, path: str) -> None:
+    """Refuse n bodies, counted by the field ``path``, when n^2 exceeds MAX_WORK: before any pair table."""
+    if n * n > MAX_WORK:
+        raise ValidationError(path, f"must hold at most {math.isqrt(MAX_WORK)} bodies, not {n} (n^2 <= {MAX_WORK})")
 
 
 def _reals(doc: dict, path: str, key: str, positive=False) -> list[float]:
@@ -192,6 +198,7 @@ def _system_state(doc: dict) -> SystemState:
     R = _real(_require(doc, "", "R"), "R", positive=True)
     masses = _reals(doc, "", "masses", positive=True)
     pos, vel = _points(_require(doc, "", "bodies"), "bodies", 4)
+    _bodies(pos.size, "bodies")
     if len(masses) != pos.size:
         raise ValidationError("masses", "length must match bodies")
     try:
@@ -334,6 +341,7 @@ def cmd_equilibria(args, doc: dict) -> list[str]:
                 _reals(section, "equilibria.", "beta"),
                 _real(section.get("s", 0.0), "equilibria.s"),
             )
+            _bodies(params.n, "equilibria.alpha")
             if params.n != masses.size:
                 raise ValidationError("equilibria.alpha", "length must match masses")
             re_res, im_res = _CYCLIC_RESIDUALS[cls](params, masses, R)

@@ -163,57 +163,78 @@ def _pair_tables(xk, yk, xj, yj) -> _PairTables:
     return _PairTables(*block.array)
 
 
-class _Workspace(_Block):
-    """The pair kernel's buffers for positions of shape (..., n), built once and refilled by every call: the
-    (7, ..., n, n) _Block; Re w, Im w, m_j yj^2, the sums (B, A) and c of _kernel and _accel in one (6, ..., n)
-    buffer, with the broadcast views of Re w and Im w; the diagonals of near and theta; the guard's (2, ..., n, n)
-    boolean table; and the geodesic term.  Every result it returns is a view of these buffers, overwritten by the
-    next call."""
+def _view(base: np.ndarray, shape: tuple, strides: tuple, offset: int = 0) -> np.ndarray:
+    """A float view of base's buffer from byte offset, by byte strides (a new empty array if it has no entries)."""
+    return np.ndarray(shape, float, base, offset, strides) if math.prod(shape) else np.empty(shape)
 
-    __slots__ = ("xy", "x", "y", "k", "j", "yk", "yj", "diagonal", "singular", "my2", "my2_j", "sums", "B", "A", "c",
-                 "geodesic", "geodesic_re", "geodesic_im")
+
+class _Workspace(_Block):
+    """The pair kernel's buffers for positions of shape (..., n), built once and refilled by every call.
+
+    Its pair tables are cyclic, (..., n // 2, n): row s - 1, column k holds the pair (k, (k + s) mod n), so the
+    rows s < n/2 hold every unordered pair once and row n/2 (n even) both orders of its pairs.  The _Block fills
+    them from strided views alone: the k side views the positions, the j side slides over them stored twice
+    (w2).  Besides: m y^2 twice, with its window; -m_k y_k^2; the guard's boolean table; the (B, A) terms'
+    accumulator, zeroed once, the forward terms in its first n // 2 rows and the mirrored ones, by a skewed
+    view, in the rows after; the sums (B, A), c and the geodesic term.  Every result is a view of these buffers,
+    overwritten by the next call."""
+
+    __slots__ = ("w2", "k", "j", "yk", "yj", "y", "y2", "my2", "my2_j", "my2_k", "neg_my2_k", "mirrored", "singular",
+                 "acc", "forward", "mirror", "mirror_num", "mirror_g", "sums", "B", "A", "c", "geodesic", "geodesic_re",
+                 "geodesic_im")
 
     def __init__(self, shape: tuple):
-        n = shape[-1]
-        super().__init__(shape + (n,))
-        rows = np.empty((6,) + shape)
-        self.xy, self.sums = rows[:2], rows[3:5]
-        self.x, self.y, self.my2, self.B, self.A, self.c = rows
-        self.k, self.j = self.xy[..., :, None], self.xy[..., None, :]
+        lead, n = shape[:-1], shape[-1]
+        rows, self.mirrored = n // 2, (n - 1) // 2
+        super().__init__(lead + (rows, n))
+        self.w2 = np.empty(lead + (2, n), dtype=complex)
+        # float views of (Re w, Im w): body k, broadcast over the rows, and the window of bodies k + 1 to k + n // 2
+        outer, one = (8,) + self.w2.strides[:-2], self.w2.strides[-1]
+        self.k = _view(self.w2, (2,) + lead + (1, n), outer + (0, one))
+        self.j = _view(self.w2, (2,) + lead + (rows, n), outer + (one, one), one)
         self.yk, self.yj = self.k[1], self.j[1]
-        self.diagonal = self.array.reshape(7, -1, n * n)[4::2, :, :: n + 1]  # a view: near's and theta's
-        self.singular = np.empty((2,) + shape + (n,), dtype=bool)
-        self.my2_j = self.my2[..., None, :]
+        self.y2, self.y = self.w2.imag, self.w2.imag[..., 0, :]
+        self.my2 = np.empty(lead + (2, n))
+        self.my2_j = _view(self.my2, lead + (rows, n), self.my2.strides[:-2] + (8, 8), 8)
+        self.my2_k, self.neg_my2_k = self.my2[..., :1, :], np.empty(lead + (1, n))
+        self.singular = np.empty((2,) + lead + (rows, n), dtype=bool)
+        # the mirrored term of row s - 1, column k belongs to body (k + s) mod n: in rows of width n, the
+        # entry r (n + 1) + k + s - 1 past the first mirrored row is column (k + s) mod n, of row r or r + 1
+        self.acc = np.zeros((2,) + lead + (rows + self.mirrored + (self.mirrored > 0), n))
+        self.forward = self.acc[..., :rows, :]
+        self.mirror = _view(self.acc, (2,) + lead + (self.mirrored, n), self.acc.strides[:-2] + (8 * n + 8, 8),
+                            8 * rows * n + 8)
+        self.mirror_num = self.array[0:5:4, ..., :self.mirrored, :]  # dx and near, which takes dy sy + dx^2
+        self.mirror_g = self.array[2, ..., :self.mirrored, :]  # sy's rows, which take -g_jk
+        sums_c = np.empty((3,) + shape)
+        self.sums, (self.B, self.A, self.c) = sums_c[:2], sums_c
         self.geodesic = np.empty(shape, dtype=complex)
         self.geodesic_re, self.geodesic_im = self.geodesic.real, self.geodesic.imag
 
-    def square(self, w: np.ndarray) -> _PairTables:
-        """The pair tables of positions w, entry [k, j] the pair (k, j).  Near and theta get a +inf diagonal
-        (the pairs j = k are never singular and add nothing); theta must not take near's, as
-        far_kk = 4 y_k^2 underflows to 0 below y ~ 1e-162 and inf * 0 is nan."""
-        np.copyto(self.x, w.real)
-        np.copyto(self.y, w.imag)
-        self.fill(self.k, self.j, self.yk, self.yj)
-        self.diagonal.fill(math.inf)
-        return self.tables
+    def cyclic(self, w: np.ndarray) -> _PairTables:
+        """The cyclic pair tables of positions w."""
+        np.copyto(self.w2, w[..., None, :])
+        return self.fill(self.k, self.j, self.yk, self.yj)
 
 
-def _pairs(w: np.ndarray, t=None, margin: float = 1.0) -> _PairTables:
-    """The square pair tables of positions w, shape (..., n), in a workspace of their own; entry [k, j] is
-    the pair (k, j).
+def _pairs(w: np.ndarray, t=None, margin: float = 1.0) -> None:
+    """The verdict on positions w, shape (..., n), decided on their square pair tables, entry [k, j] the pair
+    (k, j), built afresh by _pair_tables.
 
     When a pair is in the singular set widened by ``margin`` (near < margin tanh^2(5e-7) far or theta <
-    margin 1e-200; never the +inf diagonal), raises the SingularityError of the first such configuration,
-    timed by ``t`` (a float, or an array over the leading axes) if given.  It names the singular pair with
-    the smallest near/far: the row-major argmin of the table, the first such pair in k < j row-major order."""
-    tables = _Workspace(w.shape).square(w)
+    margin 1e-200; never a pair j = k), raises the SingularityError of the first such configuration, timed
+    by ``t`` (a float, or an array over the leading axes) if given.  It names the singular pair with the
+    smallest near/far: the row-major argmin of the table, the first such pair in k < j row-major order."""
+    x, y, n = w.real, w.imag, w.shape[-1]
+    tables = _pair_tables(x[..., :, None], y[..., :, None], x[..., None, :], y[..., None, :])
     singular = (tables.near < margin * _NEAR_FAR_MIN * tables.far) | (tables.theta < margin * _THETA_MIN)
+    singular[..., range(n), range(n)] = False
     if not singular.any():
-        return tables
+        return
     row = np.unravel_index(np.argmax(singular), singular.shape)[:-2]
     with np.errstate(all="ignore"):  # 0/0 or inf/0 where heights underflow; a NaN ratio comes first
         worst = int(np.argmin(np.where(singular[row], tables.near[row] / tables.far[row], math.inf)))
-    pair = divmod(worst, w.shape[-1])
+    pair = divmod(worst, n)
     value = float(tables.theta[row].flat[worst])
     time = None if t is None else float(np.asarray(t)[row])
     when = "" if time is None else f" at t = {time}"
@@ -222,7 +243,7 @@ def _pairs(w: np.ndarray, t=None, margin: float = 1.0) -> _PairTables:
 
 
 def _guard(ws: _Workspace, w: np.ndarray, t) -> None:
-    """The verdict of _pairs(w, t) if a pair of the square tables of w in ws is singular, decided by one
+    """The verdict of _pairs(w, t) if a pair of the cyclic tables of w in ws is singular, decided by one
     boolean table that stacks near < tanh^2(5e-7) far on theta < 1e-200, and one reduction of it.  Returns
     nothing: integrate reduces theta itself, once per accepted node.  Writes tanh^2(5e-7) far to far."""
     _, _, _, _, near, far, th = ws.tables
@@ -238,20 +259,26 @@ def _kernel(ws: _Workspace, w: np.ndarray, masses: np.ndarray, t=None):
     pair kernel of positions w, shape (..., n), in the workspace ws of that shape.  Theta stays in the
     workspace's tables.
 
-    One body sums the square tables behind their _guard."""
-    dx, dy, sy, dx2, near, far, th = ws.square(w)
+    Each entry (k, j) of a cyclic row s < n/2 serves both bodies: the forward term goes to body k, and the
+    mirrored one, -g_jk (dx, dy sy + dx^2) with g_jk = m_k yk^2 / theta^{3/2} (the pair (j, k) has -dx and
+    -dy), to body j through the skewed view; one reduction over the accumulator's rows gives (B, A)."""
+    dx, dy, sy, dx2, near, far, th = ws.cyclic(w)
     _guard(ws, w, t)
-    re = np.multiply(dy, sy, dy)  # dy and sy are spent: they take re and g, weighted in one multiply
-    re -= dx2
-    g = np.sqrt(th, sy)
-    g *= th
-    y, my2 = ws.y, ws.my2
-    np.multiply(masses, y, my2)
-    my2 *= y
-    np.divide(ws.my2_j, g, g)
-    np.multiply(ws.dxdy, g, ws.near_far)  # g dx and g re, into the spent near and far
-    np.add.reduce(ws.near_far, -1, out=ws.sums)  # (B, A)
-    return y, ws.A, ws.B
+    p = np.multiply(dy, sy, dy)
+    d = np.sqrt(th, sy)
+    d *= th  # theta^{3/2}
+    np.multiply(masses, ws.y2, ws.my2)
+    ws.my2 *= ws.y2
+    np.divide(ws.my2_j, d, far)  # g_kj, into the spent far
+    if ws.mirrored:
+        np.add(p, dx2, near)  # into the spent near
+        np.negative(ws.my2_k, ws.neg_my2_k)
+        np.divide(ws.neg_my2_k, ws.mirror_g, ws.mirror_g)  # -g_jk, over theta^{3/2}
+        np.multiply(ws.mirror_num, ws.mirror_g, ws.mirror)
+    p -= dx2  # re = dy sy - dx^2
+    np.multiply(ws.dxdy, far, ws.forward)  # g dx and g re
+    np.add.reduce(ws.acc, -2, out=ws.sums)  # (B, A)
+    return ws.y, ws.A, ws.B
 
 
 def theta(wk: complex, wj: complex) -> float:
@@ -270,7 +297,7 @@ def min_pair_theta(positions: np.ndarray):
     """Smallest theta over distinct pairs per configuration of shape (..., n), inf for one body
     (NaN if a pair's theta is)."""
     w = np.asarray(positions, dtype=complex)
-    th = _Workspace(w.shape).square(w).theta
+    th = _Workspace(w.shape).cyclic(w).theta
     return np.minimum.reduce(th, axis=(-2, -1), initial=math.inf)
 
 
@@ -297,15 +324,15 @@ def _accel(ws: _Workspace, w: np.ndarray, v: np.ndarray, masses: np.ndarray, R: 
     return out
 
 
-_PAIR_CHUNK = 1 << 14  # pair-table entries per kernel call over a series
+_PAIR_CHUNK = 1 << 14  # cyclic pair-table entries, n (n // 2) per row, per kernel call over a series
 
 
 def _over_rows(state: SystemState, fn):
     """fn(ws, t, w, v) on one state, or over the rows of a series a few rows per
-    call, so that no (T, n, n) table is built; a series of zero rows is one call.
+    call, so that no (T, n // 2, n) table is built; a series of zero rows is one call.
     ws is a _Workspace of w's shape, one for all the equal chunks of a series."""
     t, w, v = state.t, state.positions, state.velocities
-    step = max(1, _PAIR_CHUNK // (state.n * state.n))
+    step = max(1, _PAIR_CHUNK // max(1, state.n * (state.n // 2)))
     if w.ndim == 1 or len(w) <= step:
         return fn(_Workspace(w.shape), t, w, v)
     ws = _Workspace((step, state.n))
@@ -321,19 +348,20 @@ def _over_rows(state: SystemState, fn):
 def cotangent_potential(state: SystemState):
     """Total potential (1/R) * sum_{k<j} m_k m_j * cross_{kj} / sqrt(theta_{kj}), cross = -(near + far).
 
-    Mobius invariant; a series gives one value per row.  The sum is -1/2 m^T S m / R over the
-    square pair tables of a _Workspace, S = (near + far) / sqrt(theta) with a zero diagonal; behind
+    Mobius invariant; a series gives one value per row.  The sum runs over the cyclic pair tables of a
+    _Workspace, with the weights -m_k m_j / R halved on row n/2 (n even), which holds its pairs twice; behind
     their _guard, so a singular pair raises the verdict of eom_rhs on the same rows (pair, time, theta).
     """
-    n, mm = state.n, np.outer(state.masses, state.masses).ravel() * (-0.5 / state.R)
+    n, m = state.n, state.masses
+    s = np.arange(1, n // 2 + 1)[:, None]
+    mm = (m * m[(np.arange(n) + s) % n] * np.where(2 * s == n, -0.5 / state.R, -1.0 / state.R)).ravel()
 
     def rows(ws, t, w, v):
-        *_, dx2, near, far, th = ws.square(w)
+        *_, dx2, near, far, th = ws.cyclic(w)
         s = np.add(near, far, dx2)  # -cross, summed before _guard overwrites far
         _guard(ws, w, t)
-        flat = s.reshape(w.shape[:-1] + (n * n,))  # a view: one row per configuration
-        flat[..., :: n + 1] = 0.0  # near's +inf diagonal: the pairs j = k add nothing
         s /= np.sqrt(th, th)
+        flat = s.reshape(w.shape[:-1] + (mm.size,))  # a view: one row per configuration
         # summed pairwise, not by a BLAS dot: from ~10^4 terms OpenBLAS wakes a worker thread that then spins
         flat *= mm
         return np.add.reduce(flat, -1)
@@ -568,9 +596,10 @@ def integrate(
     decide whether a pair is singular.
 
     Besides the accepted nodes, a run holds one kernel _Workspace, whose
-    7 n^2 float block is built once, and about ten stage vectors of 2n
-    complex values (the stage input, the seven stage derivatives, the error
-    estimate and its scale), all filled in place by every attempt.
+    cyclic pair tables (about 5.5 n^2 floats with the accumulator) are
+    built once, and about ten stage vectors of 2n complex values (the stage
+    input, the seven stage derivatives, the error estimate and its scale),
+    all filled in place by every attempt.
     """
     if state.positions.ndim != 1:
         raise DomainError("integration starts from one state, not a series")

@@ -657,7 +657,7 @@ def _axis_row(heights: np.ndarray, k: np.ndarray):
     """Pair tables of the axis body i h_k against every axis body i h_j, per sample of
     shape (..., n) and body k of shape (...), their divisors theta^{3/2} and h_k.
 
-    theta_kk is +inf, as in the dynamics _kernel, so the terms j = k vanish.  On the axis
+    theta_kk is set to +inf, so the terms j = k vanish.  On the axis
     theta = 4 (h_k - h_j)^2 (h_k + h_j)^2, so a zero divisor (DomainError)
     means a body j != k with h_j^2 = h_k^2.
     """

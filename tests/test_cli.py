@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hnbody
-from hnbody import cli, equilibria, reports
+from hnbody import cli, dynamics, equilibria, reports
 from hnbody.cli import MAX_COUNT, MAX_WORK, _build_parser, main
 
 
@@ -1096,6 +1096,47 @@ def test_check_grids_above_the_work_bound_are_validation_errors(tmp_path, capsys
         "code": "validation",
         "message": f"{field}: must be <= 7812 at n = 128 (n * num_points <= 1000000)",
     }
+    assert not out.exists()
+
+
+# more than 1000 bodies (n^2 above MAX_WORK), refused before any pair table is built
+@pytest.mark.parametrize("command", ["simulate", "invariance", "vlasov", "equilibria find", "equilibria check",
+                                     "equilibria check parabolic-cyclic"])
+def test_more_bodies_than_the_work_bound_allows_are_a_validation_error(tmp_path, capsys, monkeypatch, command):
+    n = 1001
+    bodies = [[0.1 * k, 1.0 + 0.01 * k, 0.0, 0.0] for k in range(n)]
+    sections = {
+        "simulate": {},
+        "invariance": {"invariance": {"kind": "normal", "group_time": 0.1}},
+        "vlasov": {"vlasov": {"num_points": 21}},
+        "equilibria find": {"equilibria": {"class": "elliptic-cyclic"}},
+        "equilibria check": {"equilibria": {"class": "elliptic-cyclic"}},
+        "equilibria check parabolic-cyclic": {
+            "equilibria": {"class": "parabolic-cyclic", "alpha": [0.0] * n, "beta": [1.0 + k for k in range(n)]}},
+    }
+    doc = {"R": 1.0, "masses": [1.0] * n, "bodies": bodies, **sections[command]}
+    if command in ("simulate", "invariance", "vlasov"):
+        doc["integrator"] = {"tol": 1e-8, "t_end": 1e-6}
+    field = "equilibria.alpha" if command.endswith("parabolic-cyclic") else "bodies"
+    built = []
+
+    class Counted(dynamics._Workspace):
+        def __init__(self, shape):
+            built.append(shape)
+            super().__init__(shape)
+
+    for module in (dynamics, equilibria):
+        monkeypatch.setattr(module, "_Workspace", Counted)
+        monkeypatch.setattr(module, "_pair_tables", lambda *args: built.append(args))
+    code, out = run(tmp_path, *command.split()[:2], "--config", write_config(tmp_path, doc))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert json.loads(captured.out)["error"] == {
+        "code": "validation",
+        "message": f"{field}: must hold at most 1000 bodies, not 1001 (n^2 <= {MAX_WORK})",
+    }
+    assert built == []
     assert not out.exists()
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hnbody import dynamics
 from hnbody.clifford import exp_subgroup, NORMAL_A, NILPOTENT_N, random_unimodular
@@ -91,6 +93,78 @@ def _reference_kernel(w, v, masses, R, t=None):
     np.add(geodesic.imag, B, out=out.real)
     np.subtract(A, geodesic.real, out=out.imag)
     return out, interaction
+
+
+def _cyclic_reference_kernel(w, v, masses, R):
+    """The cyclic pair kernel's arithmetic and summation order written out with index arrays, no strided view:
+    (accelerations, interaction sums S_k).  Row s = 1 .. n // 2 pairs body k with j = (k + s) mod n; body k
+    sums its forward terms in row order, then, for the rows s < n/2, the mirrored term of the pair (j - s, j)
+    that each gives body j, in row order."""
+    n, x, y = w.shape[-1], w.real, w.imag
+    my2 = masses * y
+    my2 *= y
+    B, A = np.zeros(w.shape), np.zeros(w.shape)
+    mirrored = []
+    for s in range(1, n // 2 + 1):
+        j = (np.arange(n) + s) % n
+        dx = x - x[..., j]
+        dy = y - y[..., j]
+        sy = y + y[..., j]
+        dx2 = dx * dx
+        near = dy * dy
+        near += dx2
+        far = sy * sy
+        far += dx2
+        th = near * far
+        th *= 4.0
+        d = np.sqrt(th)
+        d *= th
+        p = dy * sy
+        g = my2[..., j] / d
+        B += dx * g
+        A += (p - dx2) * g
+        if 2 * s < n:  # the pair (j, k) has -dx and -dy; its weight is m_k yk^2 / theta^{3/2}
+            g = -my2 / d
+            mirrored.append((j, dx * g, (p + dx2) * g))
+    for j, b, a in mirrored:
+        B[..., j] += b
+        A[..., j] += a
+    interaction = -4.0 * (A - 2j * y * B)
+    c = y ** 3
+    c *= -128.0 / R
+    B *= y
+    B *= c
+    A *= c
+    A *= 0.5
+    geodesic = v * v
+    geodesic /= y
+    out = np.empty_like(geodesic)
+    np.add(geodesic.imag, B, out=out.real)
+    np.subtract(A, geodesic.real, out=out.imag)
+    return out, interaction
+
+
+def _assert_within_summation_rounding(got, square, w, v, masses, R):
+    """got and the square reference accelerations differ per body by at most 2n eps times the sum of the
+    absolute terms: the geodesic term and every pair's term of the force."""
+    n, y = w.shape[-1], w.imag
+    wk, wj = w[..., :, None], w[..., None, :]
+    dx, dy, sy = wk.real - wj.real, wk.imag - wj.imag, wk.imag + wj.imag
+    th = 4.0 * (dx * dx + dy * dy) * (dx * dx + sy * sy)
+    th[..., range(n), range(n)] = math.inf
+    g = masses * y[..., None, :] ** 2 / th ** 1.5
+    c = np.abs(128.0 * y ** 3 / R)
+    geodesic = v * v / y
+    bound_re = np.abs(geodesic.imag) + c * y * np.sum(np.abs(g * dx), axis=-1)
+    bound_im = np.abs(geodesic.real) + 0.5 * c * np.sum(np.abs(g * (dy * sy - dx * dx)), axis=-1)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got.real - square.real) <= 2 * n * eps * bound_re)
+    assert np.all(np.abs(got.imag - square.imag) <= 2 * n * eps * bound_im)
+
+
+def _chunk_rows(n):
+    """Rows of an n-body series per _over_rows call."""
+    return _PAIR_CHUNK // (n * (n // 2))
 
 
 class TestTheta:
@@ -296,31 +370,49 @@ class TestEomRhs:
         assert again.stats == traj.stats
 
     # the last shape is a series of more than three _over_rows chunks
-    @pytest.mark.parametrize("shape", [(1,), (2,), (5,), (8,), (4, 1), (4, 3), (6, 7), (3 * _PAIR_CHUNK // 64 + 5, 8)])
-    def test_inf_diagonal_guard_matches_the_triu_gather(self, shape):
+    @pytest.mark.parametrize("shape", [(1,), (2,), (5,), (8,), (4, 1), (4, 3), (6, 7), (3 * _chunk_rows(8) + 5, 8)])
+    def test_cyclic_table_matches_the_triu_gather(self, shape):
         rng = np.random.default_rng(sum(shape))
         w = rng.normal(size=shape) + 1j * rng.uniform(0.1, 3.0, shape)
-        iu = np.triu_indices(shape[-1], k=1)
+        n = shape[-1]
+        iu = np.triu_indices(n, k=1)
         x, y = w.real, w.imag
         full = _pair_tables(x[..., :, None], y[..., :, None], x[..., None, :], y[..., None, :]).theta
         gathered = full[..., iu[0], iu[1]]
         expect = gathered.min(axis=-1, initial=math.inf)
-        table = _pairs(w).theta
-        assert np.array_equal(table[..., iu[0], iu[1]], gathered)
-        assert np.array_equal(table[..., iu[1], iu[0]], gathered)
-        assert np.all(np.diagonal(table, axis1=-2, axis2=-1) == math.inf)
-        assert np.array_equal(table.min(axis=(-2, -1)), expect)
+        table = _Workspace(shape).cyclic(w).theta
+        assert table.shape == shape[:-1] + (n // 2, n)
+        s, k = np.divmod(np.arange(n // 2 * n), n)
+        assert np.array_equal(table.reshape(shape[:-1] + (-1,)), full[..., k, (k + s + 1) % n])
+        assert np.array_equal(table.min(axis=(-2, -1), initial=math.inf), expect)
         assert np.array_equal(min_pair_theta(w), expect)
-        if shape[-1] == 1:
+        if n == 1:
             assert np.all(min_pair_theta(w) == math.inf)
         # the potential against the k < j sum of m_k m_j cross / sqrt(theta) / R, cross = -(near + far)
-        m, R = rng.uniform(0.2, 2.0, shape[-1]), 1.7
+        m, R = rng.uniform(0.2, 2.0, n), 1.7
         pairs = _pair_tables(x[..., iu[0]], y[..., iu[0]], x[..., iu[1]], y[..., iu[1]])
         terms = m[iu[0]] * m[iu[1]] * -(pairs.near + pairs.far) / np.sqrt(pairs.theta)
         reference = np.sum(terms, axis=-1) / R
         potential = cotangent_potential(SystemState(np.zeros(shape[:-1]), w, np.zeros_like(w), m, R))
         assert np.shape(potential) == shape[:-1]
         assert np.allclose(potential, reference, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_cyclic_rows_hold_each_pair_once_and_row_half_n_in_both_orders(self, n):
+        # body k at Re w = k, so the entry dx = k - j of column k names the pair (k, j)
+        dx = _Workspace((n,)).cyclic(np.arange(n) + 1j).dx
+        assert dx.shape == (n // 2, n)
+        k = np.arange(n)
+        rows = [list(zip(k.tolist(), (k - row).astype(int).tolist())) for row in dx]
+        assert rows == [[(k, (k + s) % n) for k in range(n)] for s in range(1, n // 2 + 1)]
+        every = {(a, b) for b in range(n) for a in range(b)}
+        once = [tuple(sorted(p)) for row in rows[: (n - 1) // 2] for p in row]  # the rows s < n/2
+        half = rows[n // 2 - 1] if n % 2 == 0 else []  # row n/2
+        assert len(once) == len(set(once))
+        assert sorted(half) == sorted((b, a) for a, b in half)
+        assert len(half) == 2 * len({tuple(sorted(p)) for p in half})
+        assert set(once) | {tuple(sorted(p)) for p in half} == every
+        assert set(once).isdisjoint(tuple(sorted(p)) for p in half)
 
     @pytest.mark.parametrize("w, pair", [
         ([-1e-8 + 1j, 1j, 1e-8 + 1j], (0, 1)),  # (0, 1) ties (1, 2)
@@ -369,7 +461,7 @@ class TestEomRhs:
 
     def test_potential_verdict_over_chunks_names_the_row_of_eom_rhs(self):
         # a series of several _over_rows chunks with one singular row
-        n, T, bad = 8, 3 * _PAIR_CHUNK // 64 + 5, 2 * _PAIR_CHUNK // 64 + 17
+        n, T, bad = 8, 3 * _chunk_rows(8) + 5, 2 * _chunk_rows(8) + 17
         rng = np.random.default_rng(5)
         w = np.linspace(-3.0, 3.0, n) + 1j * rng.uniform(0.5, 2.0, (T, n))
         w[bad, 5] = w[bad, 2] + 1e-9j
@@ -384,22 +476,38 @@ class TestEomRhs:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 128])
     def test_kernel_is_the_reference_arithmetic_bit_for_bit(self, n):
+        # the square reference bit for bit up to n = 3, where the cyclic sums add the same terms in an order
+        # that rounds alike; from n = 4 only the summation order differs: the cyclic reference bit for bit,
+        # the square one to within the rounding of the sums
         rng = np.random.default_rng(100 + n)
         m, R = rng.uniform(0.2, 2.0, n), float(rng.uniform(0.5, 2.0))
         w = np.linspace(-0.3, 0.3, n) * n + 1j * rng.uniform(0.3, 3.0, (3, n))
         v = 0.3 * (rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n)))
+
+        def check(got, square, cyclic, w, v, masses):
+            if w.shape[-1] <= 3:
+                assert np.array_equal(got, square)
+            else:
+                assert np.array_equal(got, cyclic)
+                _assert_within_summation_rounding(got, square, w, v, masses, R)
+
         for rows in (w[0], v[0]), (w, v):  # one state, and a (T, n) series
             s = SystemState(np.zeros(rows[0].shape[:-1]), *rows, m, R)
-            accel, _ = _reference_kernel(*rows, m, R)
-            at_rest, _ = _reference_kernel(rows[0], np.zeros_like(rows[1]), m, R)
-            assert np.array_equal(eom_rhs(s), accel)
-            assert np.array_equal(eom_interaction(s), at_rest)
+            rest = (rows[0], np.zeros_like(rows[1]))
+            check(eom_rhs(s), _reference_kernel(*rows, m, R)[0], _cyclic_reference_kernel(*rows, m, R)[0], *rows, m)
+            check(eom_interaction(s), _reference_kernel(*rest, m, R)[0], _cyclic_reference_kernel(*rest, m, R)[0],
+                  *rest, m)
         # the residual systems of equilibria, on the stacked (2p, p) rows of a Jacobian
         p = min(n, 8)
         stacked = np.repeat(w[0, None, :p], 2 * p, axis=0)
         stacked[np.arange(2 * p), np.arange(2 * p) // 2] += np.tile([1e-7, 1e-7j], p)
-        _, interaction = _reference_kernel(stacked, np.zeros_like(stacked), m[:p], R)
-        assert np.array_equal(_interaction(stacked, m[:p]), interaction)
+        rest = (stacked, np.zeros_like(stacked))
+        got = _interaction(stacked, m[:p])
+        if p <= 3:
+            assert np.array_equal(got, _reference_kernel(*rest, m[:p], R)[1])
+        else:
+            assert np.array_equal(got, _cyclic_reference_kernel(*rest, m[:p], R)[1])
+            assert np.allclose(got, _reference_kernel(*rest, m[:p], R)[1], rtol=1e-13, atol=0)
 
     def test_kernel_verdict_of_a_singular_row_is_the_reference_verdict(self):
         n, T, bad = 8, 5, 3
@@ -415,13 +523,11 @@ class TestEomRhs:
 
     @pytest.mark.parametrize("w", [[1e-170j], [1e-170j, 1 + 1e-170j]])
     def test_tiny_heights_keep_the_geodesic_term(self, w):
-        # far_kk = 4 y_k^2 underflows to 0 here, so the +inf diagonal of theta
-        # must not come from near's (inf * 0 is nan)
+        # 4 y_k^2 underflows to 0 here; the cyclic tables hold no pair j = k, so nothing takes inf * 0
         s = SystemState(0.0, w, [0.1] * len(w), [1.0] * len(w), 1.0)
         rhs = eom_rhs(s)
         assert np.array_equal(rhs, _reference_kernel(s.positions, s.velocities, s.masses, 1.0)[0])
         assert np.all(rhs == -(0.1 * 0.1 / 1e-170) * 1j)  # -1e168 i per body
-        assert np.all(np.diagonal(_pairs(s.positions).theta) == math.inf)
         ws = _Workspace(s.positions.shape)
         _kernel(ws, s.positions, s.masses)
         low = np.fmin.reduce(ws.tables.theta, None, initial=math.inf)  # as integrate reads it per node
@@ -432,6 +538,40 @@ class TestEomRhs:
         s = SystemState(0.0, [1j], [1e300], [1.0], 1.0)
         with pytest.raises(StepSizeError, match="non-finite derivative"):
             integrate(s, 0.1)
+
+
+class TestKernelFuzz:
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1), lowest=st.sampled_from([-2.0, -170.0]),
+           close=st.integers(0, 3), gap=st.sampled_from([1e-9, 4e-7, 1e-6, 3e-6, 1e-3]), nan=st.booleans())
+    def test_cyclic_kernel_matches_the_square_reference(self, n, seed, lowest, close, gap, nan):
+        # heights log-uniform down to 1e-170, and up to three pairs moved to a relative distance gap apart
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(-3.0, 3.0, n) + 1j * 10.0 ** rng.uniform(lowest, 1.0, n)
+        for _ in range(close if n > 1 else 0):
+            a, b = rng.choice(n, 2, replace=False)
+            w[b] = w[a] + gap * w[a].imag * np.exp(1j * rng.uniform(-math.pi, math.pi))
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        m, R = rng.uniform(0.2, 2.0, n), float(rng.uniform(0.5, 2.0))
+        s = SystemState(0.0, w, v, m, R)
+        square = _reference_kernel(w, v, m, R, 0.0)
+        if len(square) == 4:  # the verdict (pair, time, theta, message)
+            for call in (eom_rhs, cotangent_potential, lambda s: _pairs(s.positions, s.t)):
+                with pytest.raises(SingularityError) as info:
+                    call(s)
+                assert (info.value.pair, info.value.time, info.value.theta, str(info.value)) == square
+        else:
+            got = eom_rhs(s)
+            if n <= 3:
+                assert np.array_equal(got, square[0])
+            else:
+                assert np.array_equal(got, _cyclic_reference_kernel(w, v, m, R)[0])
+                _assert_within_summation_rounding(got, square[0], w, v, m, R)
+        # the smallest theta, bit for bit the minimum of the k < j gather, NaN included
+        if nan:
+            w[rng.integers(n)] = complex(math.nan, 1.0)
+        iu = np.triu_indices(n, k=1)
+        full = _pair_tables(w.real[:, None], w.imag[:, None], w.real[None, :], w.imag[None, :]).theta
+        assert np.array_equal(min_pair_theta(w), full[iu].min(initial=math.inf), equal_nan=True)
 
 
 class TestGradientConsistency:
@@ -798,6 +938,20 @@ class TestArraySampling:
         assert acc.shape == W.shape and q.energy.shape == ts.shape and q.momenta.shape == (3, ts.size)
         for i, t in enumerate(ts):
             state = SystemState(t, W[i], V[i], traj.masses, traj.R)
+            assert np.array_equal(acc[i], eom_rhs(state))
+            one = conserved(state)
+            assert q.energy[i] == one.energy and np.array_equal(q.momenta[:, i], one.momenta)
+
+    def test_series_of_several_chunks_equal_per_state_values_at_n_128(self):
+        # 2 rows per _over_rows call at n = 128: three whole chunks and a shorter last one
+        n, T = 128, 3 * _chunk_rows(128) + 1
+        rng = np.random.default_rng(128)
+        W = np.linspace(-6.0, 6.0, n) + 1j * rng.uniform(0.5, 3.0, (T, n))
+        V = 0.05 * (rng.normal(size=(T, n)) + 1j * rng.normal(size=(T, n)))
+        series = SystemState(np.linspace(0.0, 0.1, T), W, V, rng.uniform(0.5, 2.0, n), 1.3)
+        acc, q = eom_rhs(series), conserved(series)
+        for i in range(T):
+            state = SystemState(series.t[i], W[i], V[i], series.masses, series.R)
             assert np.array_equal(acc[i], eom_rhs(state))
             one = conserved(state)
             assert q.energy[i] == one.energy and np.array_equal(q.momenta[:, i], one.momenta)
