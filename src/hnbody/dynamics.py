@@ -14,7 +14,7 @@ conserved-quantity monitors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +40,8 @@ def _constant(value: float) -> np.ndarray:
 # (Beardon, The Geometry of Discrete Groups, 7.2), and pairs whose kernel divisor theta^{3/2} underflows.
 _NEAR_FAR_MIN = _constant(math.tanh(5e-7) ** 2)
 _THETA_MIN = _constant(1e-200)
+# the singular set widened 1e8-fold (d below about 1e-2 at R = 1): integrate's verdict at a step underflow
+_NEAR_FAR_WIDE, _THETA_WIDE = _constant(1e8 * math.tanh(5e-7) ** 2), _constant(1e8 * 1e-200)
 _FOUR, _THREE, _HALF = _constant(4.0), _constant(3.0), _constant(0.5)
 VLASOV_NUM_POINTS = 1001  # default of vlasov_weak_residual and of the CLI's vlasov.num_points
 _POINT_BLOCK = 1 << 16  # body-points per block of the evaluation points of _step_points and vlasov_weak_residual
@@ -217,41 +219,36 @@ class _Workspace(_Block):
         return self.fill(self.k, self.j, self.yk, self.yj)
 
 
-def _pairs(w: np.ndarray, t=None, margin: float = 1.0) -> None:
-    """The verdict on positions w, shape (..., n), decided on their square pair tables, entry [k, j] the pair
-    (k, j), built afresh by _pair_tables.
+def _guard(ws: _Workspace, w: np.ndarray, t=None, near_far_min=_NEAR_FAR_MIN, theta_min=_THETA_MIN) -> None:
+    """The one singular-set verdict on positions w, shape (..., n), from their cyclic tables in ws.
 
-    When a pair is in the singular set widened by ``margin`` (near < margin tanh^2(5e-7) far or theta <
-    margin 1e-200; never a pair j = k), raises the SingularityError of the first such configuration, timed
-    by ``t`` (a float, or an array over the leading axes) if given.  It names the singular pair with the
-    smallest near/far: the row-major argmin of the table, the first such pair in k < j row-major order."""
-    x, y, n = w.real, w.imag, w.shape[-1]
-    tables = _pair_tables(x[..., :, None], y[..., :, None], x[..., None, :], y[..., None, :])
-    singular = (tables.near < margin * _NEAR_FAR_MIN * tables.far) | (tables.theta < margin * _THETA_MIN)
-    singular[..., range(n), range(n)] = False
-    if not singular.any():
+    A pair is singular when near < near_far_min far or theta < theta_min (0-d; tanh^2(5e-7) and 1e-200 by
+    default); one boolean table stacks both tests and one reduction decides.  Without a singular pair it
+    returns, having written near_far_min far to far; else it raises the SingularityError of the first singular
+    configuration, timed by ``t`` (a float, or an array over the leading axes) if given, from the refilled
+    tables: entry (s - 1, k) is the pair (min, max) of k and (k + s) mod n, and the pair named, with its theta,
+    has the smallest near/far (a NaN ratio first, ties to the first pair in k < j row-major order)."""
+    _, _, _, _, near, far, th = ws.tables
+    singular = ws.singular
+    np.less(near, np.multiply(far, near_far_min, far), singular[0])
+    np.less(th, theta_min, singular[1])
+    if not np.logical_or.reduce(singular, None):
         return
-    row = np.unravel_index(np.argmax(singular), singular.shape)[:-2]
-    with np.errstate(all="ignore"):  # 0/0 or inf/0 where heights underflow; a NaN ratio comes first
-        worst = int(np.argmin(np.where(singular[row], tables.near[row] / tables.far[row], math.inf)))
-    pair = divmod(worst, n)
-    value = float(tables.theta[row].flat[worst])
+    _, _, _, _, near, far, th = ws.cyclic(w)  # far, and whatever the caller overwrote, afresh
+    hit = np.logical_or(singular[0], singular[1], singular[0])
+    row = np.unravel_index(np.argmax(hit), hit.shape)[:-2]
+    entries = np.flatnonzero(hit[row])
+    s, k = np.divmod(entries, w.shape[-1])
+    pairs = np.sort([k, (k + s + 1) % w.shape[-1]], axis=0)  # each entry's pair (min, max)
+    order = np.lexsort(pairs[::-1])  # the entries in k < j row-major order
+    with np.errstate(all="ignore"):  # 0/0 where heights underflow
+        worst = order[np.argmin((near[row].flat[entries] / far[row].flat[entries])[order])]
+    pair = tuple(pairs[:, worst].tolist())
+    value = float(th[row].flat[entries[worst]])
     time = None if t is None else float(np.asarray(t)[row])
     when = "" if time is None else f" at t = {time}"
     message = f"pair {pair} touched the singular set{when} (theta = {value:.3e})"
     raise SingularityError(message, pair=pair, time=time, theta=value)
-
-
-def _guard(ws: _Workspace, w: np.ndarray, t) -> None:
-    """The verdict of _pairs(w, t) if a pair of the cyclic tables of w in ws is singular, decided by one
-    boolean table that stacks near < tanh^2(5e-7) far on theta < 1e-200, and one reduction of it.  Returns
-    nothing: integrate reduces theta itself, once per accepted node.  Writes tanh^2(5e-7) far to far."""
-    _, _, _, _, near, far, th = ws.tables
-    singular = ws.singular
-    np.less(near, np.multiply(far, _NEAR_FAR_MIN, far), singular[0])
-    np.less(th, _THETA_MIN, singular[1])
-    if np.logical_or.reduce(singular, None):
-        _pairs(w, t)
 
 
 def _kernel(ws: _Workspace, w: np.ndarray, masses: np.ndarray, t=None):
@@ -294,16 +291,15 @@ def theta(wk: complex, wj: complex) -> float:
 
 
 def min_pair_theta(positions: np.ndarray):
-    """Smallest theta over distinct pairs per configuration of shape (..., n), inf for one body
-    (NaN if a pair's theta is)."""
+    """Smallest theta over distinct pairs per configuration of shape (n,) or (T, n), inf for one body
+    (NaN if a pair's theta is); a series goes through the kernel's tables a few rows at a time."""
     w = np.asarray(positions, dtype=complex)
-    th = _Workspace(w.shape).cyclic(w).theta
-    return np.minimum.reduce(th, axis=(-2, -1), initial=math.inf)
+    return _over_rows(lambda ws, w: np.minimum.reduce(ws.cyclic(w).theta, axis=(-2, -1), initial=math.inf), w)
 
 
 def _accel(ws: _Workspace, w: np.ndarray, v: np.ndarray, masses: np.ndarray, R: float, t=None, out=None):
     """Accelerations 2 wdot^2/(w - conj w) - (2 (w - conj w)^3 / R) S_k behind the
-    verdict of _pairs, written into ``out`` if given (else a new array); the _kernel
+    _guard's verdict, written into ``out`` if given (else a new array); the _kernel
     runs in the workspace ws of w's shape.
 
     With w - conj w = 2iy, the geodesic term is -i wdot^2 / y = q - i p for
@@ -327,21 +323,21 @@ def _accel(ws: _Workspace, w: np.ndarray, v: np.ndarray, masses: np.ndarray, R: 
 _PAIR_CHUNK = 1 << 14  # cyclic pair-table entries, n (n // 2) per row, per kernel call over a series
 
 
-def _over_rows(state: SystemState, fn):
-    """fn(ws, t, w, v) on one state, or over the rows of a series a few rows per
-    call, so that no (T, n // 2, n) table is built; a series of zero rows is one call.
-    ws is a _Workspace of w's shape, one for all the equal chunks of a series."""
-    t, w, v = state.t, state.positions, state.velocities
-    step = max(1, _PAIR_CHUNK // max(1, state.n * (state.n // 2)))
+def _over_rows(fn, w: np.ndarray, *series):
+    """fn(ws, w, *series) on one configuration w of shape (n,), or on the rows of a series w of shape (T, n) and
+    the same rows of each array in series, a few rows per call, so that no (T, n // 2, n) table is built; a
+    series of zero rows is one call.  ws is a _Workspace of w's shape, one for all equal chunks of a series."""
+    n = w.shape[-1]
+    step = max(1, _PAIR_CHUNK // max(1, n * (n // 2)))
     if w.ndim == 1 or len(w) <= step:
-        return fn(_Workspace(w.shape), t, w, v)
-    ws = _Workspace((step, state.n))
+        return fn(_Workspace(w.shape), w, *series)
+    ws = _Workspace(w[:step].shape)
     parts = []
     for a in range(0, len(w), step):
         rows = slice(a, a + step)
         if len(w) - a < step:  # the last, shorter chunk
             ws = _Workspace(w[rows].shape)
-        parts.append(fn(ws, t[rows], w[rows], v[rows]))
+        parts.append(fn(ws, w[rows], *(x[rows] for x in series)))
     return np.concatenate(parts)
 
 
@@ -356,7 +352,7 @@ def cotangent_potential(state: SystemState):
     s = np.arange(1, n // 2 + 1)[:, None]
     mm = (m * m[(np.arange(n) + s) % n] * np.where(2 * s == n, -0.5 / state.R, -1.0 / state.R)).ravel()
 
-    def rows(ws, t, w, v):
+    def rows(ws, w, t):
         *_, dx2, near, far, th = ws.cyclic(w)
         s = np.add(near, far, dx2)  # -cross, summed before _guard overwrites far
         _guard(ws, w, t)
@@ -366,7 +362,7 @@ def cotangent_potential(state: SystemState):
         flat *= mm
         return np.add.reduce(flat, -1)
 
-    return _over_rows(state, rows)
+    return _over_rows(rows, state.positions, state.t)
 
 
 def eom_interaction(state: SystemState) -> np.ndarray:
@@ -374,12 +370,13 @@ def eom_interaction(state: SystemState) -> np.ndarray:
 
     -(2 (wk - conj(wk))^3 / R) * S_k  per body, the accelerations at rest.
     """
-    return _over_rows(state, lambda ws, t, w, v: _accel(ws, w, np.zeros_like(v), state.masses, state.R, t))
+    return eom_rhs(replace(state, velocities=np.zeros_like(state.velocities)))
 
 
 def eom_rhs(state: SystemState) -> np.ndarray:
     """Accelerations: 2*wdot^2/(w - conj(w)) plus the interaction force."""
-    return _over_rows(state, lambda ws, t, w, v: _accel(ws, w, v, state.masses, state.R, t))
+    return _over_rows(lambda ws, w, t, v: _accel(ws, w, v, state.masses, state.R, t), state.positions, state.t,
+                      state.velocities)
 
 
 # ---------------------------------------------------------------------------
@@ -578,16 +575,16 @@ def integrate(
     t_end, or end less than step_floor(t_end) short of it, ends on
     t_end.  Halts with a singularity error if any pair enters the singular
     set.  At a step below step_floor(t) the verdict is that of a stage
-    singular since the start, else of a pair of the state in the singular set
-    widened 1e8-fold (d below about 1e-2 at R = 1), named with its own theta;
-    otherwise the underflow is a step-size error, as are a non-finite initial
-    derivative, step size or error estimate, an accepted state past the
-    position bound of SystemState, and a step that would be attempt number
-    max_attempts + 1 (accepted and rejected attempts count; None sets no
-    bound).  The CLI bounds the (t_end - state.t) / max_step steps that
-    max_step asks for, and passes the same bound as max_attempts
-    (hnbody.cli.MAX_COUNT, MAX_WORK).  A tol below the double-precision
-    epsilon is a DomainError.
+    singular since the start, else the _guard's of the state against the
+    singular set widened 1e8-fold (d below about 1e-2 at R = 1), which names
+    the pair with its own theta; otherwise the underflow is a step-size
+    error, as are a non-finite initial derivative, step size or error
+    estimate, an accepted state past the position bound of SystemState, and
+    a step that would be attempt number max_attempts + 1 (accepted and
+    rejected attempts count; None sets no bound).  The CLI bounds the
+    (t_end - state.t) / max_step steps that max_step asks for, and passes
+    the same bound as max_attempts (hnbody.cli.MAX_COUNT, MAX_WORK).  A tol
+    below the double-precision epsilon is a DomainError.
 
     ``stats.min_theta`` is the smallest pair theta of the accepted nodes
     (NaN-ignoring, +inf for one body), one reduction of the workspace's theta
@@ -597,9 +594,10 @@ def integrate(
 
     Besides the accepted nodes, a run holds one kernel _Workspace, whose
     cyclic pair tables (about 5.5 n^2 floats with the accumulator) are
-    built once, and about ten stage vectors of 2n complex values (the stage
-    input, the seven stage derivatives, the error estimate and its scale),
-    all filled in place by every attempt.
+    built once and decide and name every verdict, and about ten stage
+    vectors of 2n complex values (the stage input, the seven stage
+    derivatives, the error estimate and its scale), all filled in place by
+    every attempt.
     """
     if state.positions.ndim != 1:
         raise DomainError("integration starts from one state, not a series")
@@ -669,7 +667,8 @@ def integrate(
             # a verdict once a stage was singular, else for a pair of y in the singular set widened 1e8-fold
             if last_singularity is None:
                 try:
-                    _pairs(y[:n], t, margin=1e8)
+                    ws.cyclic(y[:n])
+                    _guard(ws, y[:n], t, _NEAR_FAR_WIDE, _THETA_WIDE)
                 except SingularityError as exc:
                     last_singularity = exc
                 else:

@@ -98,8 +98,8 @@ def _interaction(w: np.ndarray, masses: np.ndarray, ws: _Workspace | None = None
     """Interaction sums S_k = -4 (A - 2i y B) of the positions w, shape (..., n), from the dynamics _kernel,
     run in the workspace ws of w's shape if given, else in a new one.
 
-    Raises the SingularityError of _pairs when a pair is in the singular set;
-    it names the pair of the first such row.
+    Raises the SingularityError of the dynamics _guard, named from the same
+    cyclic tables, when a pair is in the singular set: the pair of the first such row.
     """
     if np.size(masses) != w.shape[-1]:
         raise DomainError("masses must match the number of bodies")
@@ -145,7 +145,7 @@ def condition_sides(cls: EquilibriumClass, state: SystemState):
     S_k = sum_{j != k} m_j (conj(wj)-wj)^2 (wk-wj)(conj(wj)-wk)/theta^{3/2}.
     The hyperbolic-cyclic class is available only through its
     reparametrized family (residual_hyperbolic_cyclic).  A pair in the
-    singular set raises the SingularityError of _pairs, as in eom_rhs.
+    singular set raises the SingularityError of the kernel's _guard, as in eom_rhs.
     """
     if cls not in _CONDITION_LHS:
         raise DomainError(f"{cls.value} has no position-space condition system")
@@ -424,17 +424,26 @@ def _jacobian(fun, x: np.ndarray) -> np.ndarray:
 
 
 def _levenberg_marquardt(fun, x0, opts: FindOptions):
-    """Minimise |fun(x)|; fun maps unknowns of shape (..., p) to residuals of shape (..., m)."""
+    """Minimise |fun(x)|; fun maps unknowns of shape (..., p) to residuals of shape (..., m).  A singular
+    start raises its SingularityError; a finite-difference probe of the Jacobian in the singular set, around
+    an x outside it, ends the solve as a ConvergenceError."""
     x = np.asarray(x0, dtype=float).copy()
     with np.errstate(all="ignore"):  # a non-finite start is refused below, before any warning
         r = fun(x)
     if not np.isfinite(r).all():
         raise DomainError("the residual at the ansatz leaves the floating-point range")
+
+    def failure(message: str, iterations: int) -> ConvergenceError:
+        return ConvergenceError(message, iterations=iterations, residual_norm=float(np.max(np.abs(r))))
+
     lam = _LM_LAMBDA0
     for it in range(opts.max_iter):
         if float(np.max(np.abs(r))) < opts.tol:
             return x, SolveReport(it, float(np.max(np.abs(r))))
-        J = _jacobian(fun, x)
+        try:
+            J = _jacobian(fun, x)
+        except SingularityError as exc:
+            raise failure(f"a finite-difference probe of the Jacobian: {exc}", it) from None
         JtJ = J.T @ J
         g = J.T @ r
         scale = np.diag(np.maximum(np.diag(JtJ), 1e-30))
@@ -442,11 +451,7 @@ def _levenberg_marquardt(fun, x0, opts: FindOptions):
             try:
                 step = np.linalg.solve(JtJ + lam * scale, -g)
             except np.linalg.LinAlgError:
-                raise ConvergenceError(
-                    "singular normal equations",
-                    iterations=it,
-                    residual_norm=float(np.max(np.abs(r))),
-                ) from None
+                raise failure("singular normal equations", it) from None
             try:
                 r_trial = fun(x + step)
                 ok = np.linalg.norm(r_trial) < np.linalg.norm(r)
@@ -459,19 +464,11 @@ def _levenberg_marquardt(fun, x0, opts: FindOptions):
                 break
             lam *= 10.0
             if lam > 1e14:
-                raise ConvergenceError(
-                    "damping exhausted without an acceptable step",
-                    iterations=it,
-                    residual_norm=float(np.max(np.abs(r))),
-                )
+                raise failure("damping exhausted without an acceptable step", it)
     norm = float(np.max(np.abs(r)))
     if norm < opts.tol:
         return x, SolveReport(opts.max_iter, norm)
-    raise ConvergenceError(
-        f"no convergence in {opts.max_iter} iterations (residual {norm:.3e})",
-        iterations=opts.max_iter,
-        residual_norm=norm,
-    )
+    raise failure(f"no convergence in {opts.max_iter} iterations (residual {norm:.3e})", opts.max_iter)
 
 
 def find_equilibrium_detailed(

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import hnbody
 from hnbody import cli, dynamics, equilibria, reports
+from hnbody.equilibria import SYMMETRIES, EquilibriumClass
 from hnbody.cli import MAX_COUNT, MAX_WORK, _build_parser, main
 
 
@@ -1312,6 +1313,214 @@ def test_certify_fuzz_ends_in_one_json_object(cls, n, samples, seed, flag, bad):
         elif n * samples > MAX_WORK:
             message = f"certify.samples: must be <= {MAX_WORK // n} at n = {n} (n * samples <= {MAX_WORK})"
             assert (code, report["error"]["message"]) == (1, message)
+
+
+def _main_once(argv: list, doc: dict):
+    """main(argv) on the config doc with a fresh --out: (exit code, the one JSON object on stdout, the files
+    written), after checking that stderr stayed empty and stdout holds one JSON object."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "config.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        out, stdout, stderr = os.path.join(tmp, "out"), io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--config", cfg, "--out", out])
+        written = sorted(os.listdir(out)) if os.path.exists(out) else []
+    assert stderr.getvalue() == ""
+    assert stdout.getvalue().startswith("{") and stdout.getvalue().endswith("}\n")
+    return code, json.loads(stdout.getvalue()), written  # json.loads raises on a second object
+
+
+def _check_outcome(code: int, report: dict, written: list, outputs: list) -> None:
+    """Exit 0 to 3; the report files on exit 0 alone, else one error object and no file."""
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert report == {"ok": True, "outputs": outputs}
+        assert written == sorted(outputs)
+    else:
+        assert set(report) == {"error"}
+        assert written == []
+
+
+def _simulate_message(doc):
+    """simulate's error message on the bodies and integrator of doc, or None on exit 0."""
+    code, report, _ = _main_once(["simulate"], {key: doc[key] for key in ("R", "masses", "bodies", "integrator")})
+    return None if code == 0 else report["error"]["message"]
+
+
+def _simulate_verdict(positions, masses, R):
+    """simulate's singularity message on bodies at rest at positions if it comes at t = 0, without the time."""
+    bodies = [[w.real, w.imag, 0.0, 0.0] for w in np.asarray(positions, dtype=complex).tolist()]
+    message = _simulate_message({"R": R, "masses": list(masses), "bodies": bodies,
+                                 "integrator": {"tol": 1e-8, "t_end": 1e-6}}) or ""
+    return message.replace(" at t = 0.0 ", " ") if " at t = 0.0 (" in message else None
+
+
+# equilibria bodies [x, y] and, for the cyclic families' check, (alpha, beta) pairs; pair b is moved to
+# pair a plus gap (gap 0: a copy), into or near the singular set
+_EQUILIBRIA_PAIRS = st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.1, 5.0)), min_size=1, max_size=4)
+_CLOSE = st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([0.0, 1e-9, 1e-3])))
+
+
+# drawn equilibria configs, find and check over the five classes, the three symmetries and the cyclic
+# families' alpha, beta and s, must each end in exit 0 to 3, one JSON object on stdout, nothing on
+# stderr and equilibrium.json only on exit 0; max_iter bounds the work of each find.  An exit 2 names
+# the pair and theta that simulate names for the bodies the command reads: the ansatz, else the
+# symmetric start of the root finder; a family's positions at s, mirrored when every beta is negated.
+# Half the finds are of the two classes that exist.
+@settings(max_examples=150)
+@given(
+    cls=st.one_of(st.sampled_from([c.value for c in EquilibriumClass]),
+                  st.sampled_from(["hyperbolic-normal", "elliptic-cyclic"])),
+    mode=st.sampled_from(["find", "check"]),
+    symmetry=st.sampled_from(SYMMETRIES),
+    pairs=_EQUILIBRIA_PAIRS,
+    masses=st.lists(st.floats(0.1, 10.0), min_size=4, max_size=4),
+    R=st.floats(0.1, 10.0),
+    s=st.floats(-2.0, 2.0),
+    close=_CLOSE,
+    negate=st.booleans(),
+    max_iter=st.integers(1, 30),
+)
+@example(cls="elliptic-cyclic", mode="find", symmetry="axis", pairs=[(0.0, 2.0), (0.0, 0.5)], masses=[1.0] * 4,
+         R=1.0, s=0.0, close=None, negate=False, max_iter=30)  # converges
+@example(cls="elliptic-cyclic", mode="find", symmetry="axis", pairs=[(0.0, 2.0), (1.0, 2.0)], masses=[1.0] * 4,
+         R=1.0, s=0.0, close=None, negate=False, max_iter=30)  # equal heights: one point on the axis
+@example(cls="parabolic-cyclic", mode="check", symmetry="none", pairs=[(0.5, 1.0), (0.5, 1.0), (0.0, 2.0)],
+         masses=[1.0] * 4, R=1.0, s=0.3, close=None, negate=True, max_iter=1)  # coincident
+@example(cls="hyperbolic-normal", mode="check", symmetry="none", pairs=[(0.3, 1.0), (0.3, 1.0)],
+         masses=[1.0] * 4, R=1.0, s=0.0, close=(0, 1, 1e-9), negate=False, max_iter=1)
+@example(cls="elliptic-cyclic", mode="find", symmetry="mirror", pairs=[(6e-8, 0.1), (0.9, 5.0)], masses=[1.0] * 4,
+         R=0.1, s=0.0, close=None, negate=False, max_iter=1)  # a Jacobian probe of the start is singular: exit 3
+def test_equilibria_fuzz_ends_in_one_json_object(cls, mode, symmetry, pairs, masses, R, s, close, negate, max_iter):
+    pairs = [list(p) for p in pairs]
+    if close is not None and max(close[:2]) < len(pairs) and close[0] != close[1]:
+        a, b, gap = close
+        pairs[b] = [pairs[a][0] + gap, pairs[a][1] + gap]
+    n = len(pairs)
+    family = mode == "check" and cls in ("parabolic-cyclic", "hyperbolic-cyclic")
+    negate = negate and cls == "parabolic-cyclic"  # beta -> -beta mirrors the parabolic positions alone
+    doc = {"R": R, "masses": masses[:n], "equilibria": {"class": cls, "symmetry": symmetry, "max_iter": max_iter}}
+    if family:
+        alpha, beta = (list(c) for c in zip(*pairs))
+        if negate:
+            beta = [-b for b in beta]
+        doc["equilibria"] = {"class": cls, "alpha": alpha, "beta": beta, "s": s}
+    else:
+        doc["bodies"] = [[x, y, 0.0, 0.0] for x, y in pairs]
+    code, report, written = _main_once(["equilibria", mode], doc)
+    _check_outcome(code, report, written, ["equilibrium.json"])
+    if code != 2:
+        return
+    if family:
+        w = equilibria._FAMILY_POSITIONS[cls.partition("-")[0]](equilibria.CyclicParams(alpha, beta, s))
+        expect = _simulate_verdict(np.conjugate(w) if negate else w, masses[:n], R)
+    else:
+        w = np.array([complex(x, y) for x, y in pairs])
+        expect = _simulate_verdict(w, masses[:n], R)
+        if expect is None and mode == "find":  # the root finder's start, w reduced by the symmetry
+            expect = _simulate_verdict(equilibria._unpack(equilibria._pack(w, symmetry), n, symmetry), masses[:n], R)
+    assert report["error"] == {"code": "singularity", "message": expect}
+
+
+# bodies [x, y, vx, vy] for the integrating fuzzes: heights log-uniform on [1e-2, 10] or [1e-300, 1e3] (_HEIGHTS),
+# speed components zero or up to 10 (most draws) or 1e200, with either sign, and a pair moved close as above
+_RUN_SPEEDS = st.one_of(st.just(0.0), st.floats(-10.0, 10.0), st.sampled_from([-1e200, 1e200]))
+_RUN_BODIES = st.lists(st.tuples(st.floats(-10.0, 10.0), _HEIGHTS, _RUN_SPEEDS, _RUN_SPEEDS), min_size=1, max_size=3)
+_RUN_TOL = st.floats(-12.0, -2.0).map(lambda e: 10.0 ** e)
+
+
+def _run_doc(bodies, masses, tol, t_end, close):
+    """A config of bodies, masses and integrator, with the bodies of close moved a gap apart as in the equilibria fuzz."""
+    bodies = [list(b) for b in bodies]
+    if close is not None and max(close[:2]) < len(bodies) and close[0] != close[1]:
+        a, b, gap = close
+        bodies[b][:2] = [bodies[a][0] + gap * bodies[a][1], bodies[a][1]]
+    return {"R": 1.0, "masses": masses[: len(bodies)], "bodies": bodies, "integrator": {"tol": tol, "t_end": t_end}}
+
+
+# drawn invariance configs must each end in exit 0 to 3, one JSON object on stdout, nothing on stderr and
+# invariance.json only on exit 0; t_end and num_points bound the work.  An exit 2 is simulate's verdict on
+# the same bodies and integrator.
+@settings(max_examples=100)
+@given(
+    bodies=_RUN_BODIES,
+    masses=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
+    tol=_RUN_TOL,
+    t_end=st.floats(1e-3, 0.3),
+    close=_CLOSE,
+    kind=st.sampled_from(["normal", "nilpotent", "rotation", "loxodromic", "elliptic"]),
+    sigma=st.sampled_from([-1, 0, 1, 2]),
+    group_time=st.one_of(st.floats(-2.0, 2.0), st.floats(-1000.0, 1000.0)),
+    num_points=st.one_of(st.none(), st.integers(6, 300), st.just(MAX_COUNT + 1)),
+)
+@example(bodies=[(0.0, 1.0, 0.0, 0.0), (0.0, 2.0, 0.0, 0.0)], masses=[1.0] * 3, tol=1e-8, t_end=0.3, close=None,
+         kind="rotation", sigma=-1, group_time=0.5, num_points=50)
+@example(bodies=[(0.0, 1.0, 0.0, 0.0), (1.0, 2.0, 0.0, 0.0)], masses=[1.0] * 3, tol=1e-8, t_end=0.3,
+         close=(0, 1, 1e-9), kind="normal", sigma=-1, group_time=0.5, num_points=None)  # singular at t = 0
+@example(bodies=[(0.0, 1.0, 0.0, 0.0)], masses=[1.0] * 3, tol=1e-8, t_end=0.1, close=None, kind="rotation",
+         sigma=1, group_time=2.0, num_points=None)  # past the pole of the tan-shift
+def test_invariance_fuzz_ends_in_one_json_object(bodies, masses, tol, t_end, close, kind, sigma, group_time,
+                                                 num_points):
+    doc = _run_doc(bodies, masses, tol, t_end, close)
+    doc["invariance"] = {"kind": kind, "sigma": sigma, "group_time": group_time}
+    if num_points is not None:
+        doc["invariance"]["num_points"] = num_points
+    code, report, written = _main_once(["invariance"], doc)
+    _check_outcome(code, report, written, ["invariance.json"])
+    if code == 2:
+        assert report["error"]["message"] == _simulate_message(doc)
+
+
+# drawn vlasov configs, the same way; num_points (at least 21) bounds the work with t_end
+@settings(max_examples=100)
+@given(
+    bodies=_RUN_BODIES,
+    masses=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
+    tol=_RUN_TOL,
+    t_end=st.floats(1e-3, 0.3),
+    close=_CLOSE,
+    num_points=st.one_of(st.none(), st.integers(20, 400), st.just(MAX_COUNT + 1)),
+)
+@example(bodies=[(0.0, 1.0, 0.6, 0.0), (0.0, 2.0, -0.6, 0.0)], masses=[1.0] * 3, tol=1e-10, t_end=0.3, close=None,
+         num_points=101)
+@example(bodies=[(0.0, 1.0, 0.0, 0.0), (0.0, 2.0, 0.0, 0.0)], masses=[1.0] * 3, tol=1e-8, t_end=0.3,
+         close=(1, 0, 0.0), num_points=None)  # coincident
+def test_vlasov_fuzz_ends_in_one_json_object(bodies, masses, tol, t_end, close, num_points):
+    doc = _run_doc(bodies, masses, tol, t_end, close)
+    if num_points is not None:
+        doc["vlasov"] = {"num_points": num_points}
+    code, report, written = _main_once(["vlasov"], doc)
+    _check_outcome(code, report, written, ["vlasov.json"])
+    if code == 2:
+        assert report["error"]["message"] == _simulate_message(doc)
+
+
+# drawn map configs: R of any sign and size, explicit points (Im flipped at index flip; moderate or extreme
+# coordinates) or a sample count; each ends in exit 0 or a validation error, and map.csv and map.json on exit 0
+_MAP_POINTS = st.one_of(st.tuples(st.floats(-100.0, 100.0), st.floats(1e-3, 100.0)),
+                        st.tuples(st.floats(-1e6, 1e6), st.floats(1e-300, 1e6)))
+
+
+@settings(max_examples=100)
+@given(
+    R=st.one_of(st.floats(1e-3, 1e3), st.sampled_from([-1.0, 0.0, 1e-300, 1e300, 5e-324])),
+    points=st.one_of(st.none(), st.lists(_MAP_POINTS, min_size=1, max_size=20)),
+    flip=st.integers(0, 99),
+    samples=st.one_of(st.none(), st.integers(0, 300), st.just(MAX_COUNT + 1)),
+    seed=st.integers(0, 2 ** 64),
+)
+@example(R=1.0, points=None, flip=40, samples=None, seed=7)
+@example(R=1e-300, points=[(1e6, 1e-300)], flip=40, samples=None, seed=0)
+def test_map_fuzz_ends_in_one_json_object(R, points, flip, samples, seed):
+    section = {} if samples is None else {"samples": samples}
+    if points is not None:
+        section["points"] = [[re, -im if k == flip else im] for k, (re, im) in enumerate(points)]
+    code, report, written = _main_once(["map"], {"R": R, "seed": seed, "map": section})
+    assert code in (0, 1)
+    _check_outcome(code, report, written, ["map.csv", "map.json"])
+    if code == 1:
+        assert report["error"]["code"] == "validation"
 
 
 # Each CLI call runs in a fresh process, so the package import is paid on every

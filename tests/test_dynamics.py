@@ -24,9 +24,9 @@ from hnbody.dynamics import (
     theta,
     vlasov_weak_residual,
 )
-from hnbody.dynamics import _PAIR_CHUNK, _Workspace, _kernel, _pair_tables, _pairs
+from hnbody.dynamics import _PAIR_CHUNK, _Workspace, _guard, _kernel, _pair_tables
 from hnbody.errors import DomainError, SingularityError, StepSizeError
-from hnbody.geometry import apply_mobius, geodesic_through
+from hnbody.geometry import apply_mobius, geodesic_through, mobius_derivative
 from hnbody.equilibria import CLASS_DRIFT, EquilibriumClass, FindOptions, _interaction, find_equilibrium
 from hnbody.flows import flow
 
@@ -162,6 +162,13 @@ def _assert_within_summation_rounding(got, square, w, v, masses, R):
     assert np.all(np.abs(got.imag - square.imag) <= 2 * n * eps * bound_im)
 
 
+def _verdict(w, t=None):
+    """The _guard's verdict on positions w, decided on their cyclic tables in a workspace of w's shape."""
+    ws = _Workspace(w.shape)
+    ws.cyclic(w)
+    _guard(ws, w, t)
+
+
 def _chunk_rows(n):
     """Rows of an n-body series per _over_rows call."""
     return _PAIR_CHUNK // (n * (n // 2))
@@ -187,6 +194,31 @@ class TestTheta:
         w = np.array([[1j, 2j, 3j], [1j, complex(math.nan, 1.0), 2j]])
         got = min_pair_theta(w)
         assert got[0] == 36.0 and math.isnan(got[1])
+
+    def test_min_pair_theta_of_a_series_goes_through_chunks(self, monkeypatch):
+        # a series of three whole _over_rows chunks and a shorter last one, with a NaN row in the second chunk
+        n, T = 8, 3 * _chunk_rows(8) + 5
+        rng = np.random.default_rng(8)
+        w = rng.normal(size=(T, n)) + 1j * rng.uniform(0.1, 3.0, (T, n))
+        w[_chunk_rows(8) + 3, 4] = complex(math.nan, 1.0)
+        x, y = w.real, w.imag
+        full = _pair_tables(x[..., :, None], y[..., :, None], x[..., None, :], y[..., None, :]).theta
+        iu = np.triu_indices(n, k=1)
+        expect = full[:, iu[0], iu[1]].min(axis=-1, initial=math.inf)
+        built = []
+
+        class Counted(_Workspace):
+            def __init__(self, shape):
+                built.append(shape)
+                super().__init__(shape)
+
+        monkeypatch.setattr(dynamics, "_Workspace", Counted)
+        got = min_pair_theta(w)
+        assert built == [(_chunk_rows(8), n), (5, n)]
+        assert np.array_equal(got, expect, equal_nan=True)
+        assert np.isnan(got).sum() == 1
+        built.clear()
+        assert min_pair_theta(w[0]) == expect[0] and built == [(n,)]
 
     def test_bitwise_symmetry(self):
         rng = np.random.default_rng(20)
@@ -443,11 +475,11 @@ class TestEomRhs:
             s = two_body(w)
             if d < 1e-6:
                 with pytest.raises(SingularityError):
-                    _pairs(w)
+                    _verdict(w)
                 with pytest.raises(SingularityError):
                     cotangent_potential(s)
             else:
-                _pairs(w)
+                _verdict(w)
                 cotangent_potential(s)
 
     def test_far_body_leaves_the_pair_verdict_alone(self):
@@ -455,7 +487,7 @@ class TestEomRhs:
         pair = [0.07j, 0.0008 + 0.07j]
         for w in (pair, pair + [30 + 1j]):
             s = SystemState(0.0, w, np.zeros(len(w), complex), np.ones(len(w)), 1.0)
-            _pairs(s.positions)  # no verdict
+            _verdict(s.positions)  # no verdict
             eom_rhs(s)
             cotangent_potential(s)
 
@@ -555,7 +587,7 @@ class TestKernelFuzz:
         s = SystemState(0.0, w, v, m, R)
         square = _reference_kernel(w, v, m, R, 0.0)
         if len(square) == 4:  # the verdict (pair, time, theta, message)
-            for call in (eom_rhs, cotangent_potential, lambda s: _pairs(s.positions, s.t)):
+            for call in (eom_rhs, cotangent_potential, lambda s: _verdict(s.positions, s.t)):
                 with pytest.raises(SingularityError) as info:
                     call(s)
                 assert (info.value.pair, info.value.time, info.value.theta, str(info.value)) == square
@@ -647,6 +679,63 @@ def test_a_series_of_zero_rows_gives_empty_results():
     assert q.energy.shape == (0,) and q.momenta.shape == (3, 0)
 
 
+# The closed-form verdict time t_delta of the head-on pair [i, 2i] from rest at R = 1 (collision_time).
+HEAD_ON_COLLISION_TIME = 0.34008738055821347
+# |verdict time - t_delta| <= COLLISION_TIME_FACTOR tol: at tol 1e-8 the verdicts of TestClosedFormCollisionTime
+# land within 1.7 tol of t_delta (4.6 tol at 1e-10); the head-on pair's 3.0e-10 and 1.1e-11 early at 1e-8 and 1e-10
+COLLISION_TIME_FACTOR = 5.0
+
+
+def collision_time(masses, R, d0, speed0):
+    """The closed-form verdict time t_delta of two bodies on one geodesic, d0 apart, separating at speed0.
+
+    On the geodesic the distance obeys ddot^2 = speed0^2 + 4 R (m1 + m2) (coth(d/R) - coth(d0/R)) (energy and
+    the momentum along the geodesic), and the verdict comes at d = 1e-6 R, so t_delta = int dd / |ddot| from
+    1e-6 R to d0; a receding start (speed0 > 0) adds the leg out to the turning point d1 and back.  The
+    differences of coth are written as sinh((b - a)/R) / (sinh(a/R) sinh(b/R)), and the legs at d1 in
+    d = d1 - u^2, so that no integrand cancels or is singular; mpmath.quad at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    sinh = mpmath.sinh
+    with mpmath.workdps(30):
+        R, d0, speed0 = (mpmath.mpf(x) for x in (R, d0, speed0))
+        k = 4 * R * (mpmath.mpf(masses[0]) + masses[1])
+
+        def inward(d):
+            return 1 / mpmath.sqrt(speed0 ** 2 + k * sinh((d0 - d) / R) / (sinh(d / R) * sinh(d0 / R)))
+
+        t = mpmath.quad(inward, [mpmath.mpf(1e-6) * R, d0])
+        if speed0 > 0:
+            d1 = R * mpmath.acoth(mpmath.coth(d0 / R) - speed0 ** 2 / k)
+
+            def outward(u):
+                return 2 * u / mpmath.sqrt(k * sinh(u * u / R) / (sinh((d1 - u * u) / R) * sinh(d1 / R)))
+
+            t += 2 * mpmath.quad(outward, [0, mpmath.sqrt(d1 - d0)])
+        return float(t)
+
+
+class TestClosedFormCollisionTime:
+    def test_head_on_pair_from_rest(self):
+        assert collision_time((1.0, 1.0), 1.0, math.log(2.0), 0.0) == HEAD_ON_COLLISION_TIME
+
+    @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("masses", [(1.0, 1.0), (1.0, 3.0), (0.2, 5.0)])
+    def test_verdict_time_is_the_closed_form(self, masses, R):
+        # i and 2i, d0 = R ln 2 apart, body 0 at rest and body 1 moving along the axis at metric speed
+        # speed0 = R |v| / y; the verdict of integrate comes at t_delta, in two random isometric images of each start
+        w = np.array([1j, 2j])
+        rng = np.random.default_rng(int(100 * masses[0] + 10 * masses[1] + 4 * R))
+        for speed0 in (-0.3, 0.3):  # approaching and receding
+            exact = collision_time(masses, R, R * math.log(2.0), speed0)
+            v = np.array([0j, 2j * speed0 / R])
+            for A in (random_unimodular(rng) for _ in range(2)):
+                s = SystemState(0.0, apply_mobius(A, w), mobius_derivative(A, w) * v, masses, R)
+                with pytest.raises(SingularityError) as info:
+                    integrate(s, 2.0 * exact, tol=1e-8)
+                assert info.value.pair == (0, 1)
+                assert abs(info.value.time - exact) <= COLLISION_TIME_FACTOR * 1e-8
+
+
 class TestIntegrate:
     def test_free_motion_follows_geodesic(self):
         s = SystemState(0.0, [1j], [1.0 + 0j], [1.0], 1.0)
@@ -706,7 +795,7 @@ class TestIntegrate:
         for tol in (1e-8, 1e-10):
             with pytest.raises(SingularityError) as info:
                 integrate(two_body([1j, 2j]), 2.0, tol=tol)
-            assert info.value.time == pytest.approx(0.34, abs=0.02)
+            assert abs(info.value.time - HEAD_ON_COLLISION_TIME) <= COLLISION_TIME_FACTOR * tol
             stats = info.value.trajectory.stats
             assert stats.steps < 500
             # bounded work: the verdict within 211 attempts at tol 1e-8 and 501 at 1e-10
