@@ -266,11 +266,7 @@ def _emit(args, name: str, text) -> str:
 
 def _state_dict(state: SystemState) -> dict:
     w, v = state.positions, state.velocities
-    return {  # Python floats, so the body rows share one report template
-        "R": state.R,
-        "masses": state.masses.tolist(),
-        "bodies": np.column_stack([w.real, w.imag, v.real, v.imag]).tolist(),
-    }
+    return {"R": state.R, "masses": state.masses, "bodies": np.column_stack([w.real, w.imag, v.real, v.imag])}
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +341,7 @@ def cmd_equilibria(args, doc: dict) -> list[str]:
             if params.n != masses.size:
                 raise ValidationError("equilibria.alpha", "length must match masses")
             re_res, im_res = _CYCLIC_RESIDUALS[cls](params, masses, R)
-            payload.update(
-                real_parts=[float(x) for x in re_res],
-                imaginary_parts=[float(x) for x in im_res],
-                inf_norm=float(np.max(np.abs([re_res, im_res]))),
-            )
+            payload.update(real_parts=re_res, imaginary_parts=im_res, inf_norm=float(np.max(np.abs([re_res, im_res]))))
         else:
             lhs, rhs = condition_sides(cls, _system_state(doc))
             residual = lhs - rhs
@@ -360,10 +352,10 @@ def cmd_equilibria(args, doc: dict) -> list[str]:
     return [_emit(args, "equilibrium.json", reports.canonical_json(payload))]
 
 
-def _residual_dict(residual: np.ndarray) -> list:
-    return [
-        {"re": float(r.real), "im": float(r.imag), "abs": float(abs(r))} for r in residual
-    ]
+def _residual_dict(residual: np.ndarray) -> reports.Records:
+    # the scalar abs of each element: np.abs of the array rounds some of them differently in the last bit
+    return reports.Records({"re": residual.real, "im": residual.imag,
+                            "abs": np.fromiter(map(abs, residual), float, residual.size)})
 
 
 def cmd_certify(args, doc: dict) -> list[str]:

@@ -482,8 +482,9 @@ def find_equilibrium_detailed(
 
     ``ansatz`` provides starting positions (SystemState or complex array).
     The returned state carries the drift velocities of the class, so its
-    trajectory follows the subgroup orbit.  An end point where both sides of
-    the system fall below ``tol`` is a ConvergenceError: its residual says nothing.
+    trajectory follows the subgroup orbit.  A regular ansatz that the symmetry
+    reduces to a singular start is a DomainError.  An end point where both sides
+    of the system fall below ``tol`` is a ConvergenceError: its residual says nothing.
     """
     cls = EquilibriumClass(cls)
     if cls in NONEXISTENT_CLASSES:
@@ -509,7 +510,11 @@ def find_equilibrium_detailed(
         r = _CONDITION_LHS[cls](w, state.R) - _interaction(w, masses, spaces[w.shape])
         return np.concatenate([r.real, r.imag], axis=-1)
 
-    x, report = _levenberg_marquardt(fun, _pack(positions, opts.symmetry), opts)
+    try:
+        x, report = _levenberg_marquardt(fun, _pack(positions, opts.symmetry), opts)
+    except SingularityError as exc:  # the solver raises it at its start, _unpack(_pack(ansatz)), alone
+        _interaction(positions, masses)  # a singular ansatz raises its own verdict
+        raise DomainError(f"symmetry {opts.symmetry!r} reduces the ansatz to a start where {exc}") from None
     w = _unpack(x, n, opts.symmetry)
     state = SystemState(0.0, w, equilibrium_velocity(cls, w), masses, R)
     lhs_max, rhs_max = (float(np.max(np.abs(side))) for side in condition_sides(cls, state))

@@ -166,15 +166,18 @@ def flow_derivative_check(field: KillingField, w0, t: float, h: float = 1e-6):
 # Invariance verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualReport:
-    """Worst motion-equation defect along a transported trajectory."""
+    """Worst motion-equation defect along a transported trajectory; per_body is a read-only array."""
 
     transport: str
     group_time: float
     max_residual: float
-    per_body: tuple
+    per_body: np.ndarray
     num_points: int
+
+    def __post_init__(self):
+        self.per_body.flags.writeable = False
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -216,7 +219,7 @@ def verify_invariance(
         transport=spec.describe() if isinstance(spec, KillingField) else "mobius-element",
         group_time=float(group_time),
         max_residual=float(per_body.max()),
-        per_body=tuple(float(x) for x in per_body),
+        per_body=per_body,
         num_points=len(ts),
     )
 

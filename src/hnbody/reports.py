@@ -3,25 +3,23 @@
 All floating-point values are rendered with 17 significant digits (enough
 to round-trip IEEE doubles) and object keys are emitted sorted, so a fixed
 configuration and seed always produce byte-identical output.  A JSON list
-whose items share one shape (see ``_shape``) is rendered from one template
-in one %-format call; any other list item by item, which is the reference
-for those bytes and raises the first error.  A list of records given as
-columns (``Records``) takes the same template, filled from its arrays; it
-and the CSV reports are rendered one block of records or rows at a time.
-Every CSV report goes through one renderer (``_grouped_csv``): its rows
-come in groups that share leading key columns, such as the time of a
-trajectory node, and count an index k within the group; keys are formatted
-once per group, k is a literal of the row template, and only the value
-columns are formatted row by row.
+held as arrays, a numpy array of one or more dimensions or a ``Records`` of
+columns, is rendered from the template of one record, filled from the
+arrays one block of ``_BLOCK`` records per %-format call; any other list is
+rendered item by item.  Both give the bytes of the list's Python values
+(``tolist()``).  Every CSV report goes through one renderer
+(``_grouped_csv``): its rows come in groups that share leading key columns,
+such as the time of a trajectory node, and count an index k within the
+group; keys are formatted once per group, k is a literal of the row
+template, and only the value columns are formatted row by row, one block of
+at most ``_BLOCK`` rows at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from collections.abc import Iterator
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -39,6 +37,8 @@ def fmt_float(x: float) -> str:
 # the stdlib's C encoder: escapes quotes, backslashes, control and non-ASCII characters (lone surrogates too)
 _json_string = json.encoder.encode_basestring_ascii
 _LITERALS = {True: "true", False: "false", None: "null"}.__getitem__
+# JSON records or CSV rows filled by one %-format call, so the text and values held at once stay small
+_BLOCK = 2048
 
 
 def canonical_json(obj) -> str:
@@ -55,12 +55,6 @@ def _json(obj, pad: str) -> str:
         items = [f"{inner}{_json_string(key)}: {_json(obj[key], inner)}" for key in _sorted_keys(obj)]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        shape = _shape(obj, inner)
-        if shape is not None:  # one template fits every item
-            template, columns = shape
-            values = columns[0] if len(columns) == 1 else chain.from_iterable(zip(*columns))
-            body = (",\n" + inner).join([template] * len(obj)) % tuple(values)
-            return f"[\n{inner}{body}\n{pad}]"
         items = [inner + _json(item, inner) for item in obj]
         brackets = "[]"
     elif isinstance(obj, str):
@@ -71,6 +65,8 @@ def _json(obj, pad: str) -> str:
         return str(int(obj))
     elif isinstance(obj, Records):
         return "".join(obj.pieces(pad))
+    elif isinstance(obj, np.ndarray) and obj.ndim:
+        return "".join(Records(obj).pieces(pad))
     else:
         raise DomainError(f"cannot serialize {type(obj).__name__} into a report")
     return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}" if items else brackets
@@ -81,60 +77,6 @@ def _sorted_keys(obj: dict) -> list:
         if not isinstance(key, str):
             raise DomainError(f"report keys must be strings, got {key!r}")
     return sorted(obj)
-
-
-def _shape(nodes, pad: str):
-    """(template, columns) when ``nodes`` share one shape, else None.
-
-    The template is the text of one node on a line indented by ``pad``, with a
-    %-slot for each float, int or bool leaf; ``columns`` holds, per slot, that
-    leaf's value in every node, ready for the slot.  Nodes share a shape when
-    they have one exact type: finite floats, ints or bools; dicts with one set
-    of str keys whose values, key by key, share a shape; or lists of one
-    length whose items, all lists' items together, share a shape.  On None the
-    caller renders item by item, which gives the same bytes or raises the
-    first error.
-    """
-    if len(set(map(type, nodes))) != 1:
-        return None
-    kind = type(nodes[0])
-    if kind is float:
-        if not all(map(math.isfinite, nodes)):
-            return None
-        return "%.17g", [tuple(map(operator.add, nodes, repeat(0.0)))]  # -0.0 + 0.0 == +0.0
-    if kind is int:
-        return "%d", [nodes]
-    if kind is bool:
-        return "%s", [tuple(map(_LITERALS, nodes))]
-    inner = pad + "  "
-    if kind is dict:
-        keys = nodes[0].keys()
-        if not (all(type(key) is str for key in keys) and all(map(keys.__eq__, map(dict.keys, nodes)))):
-            return None
-        parts, columns = [], []
-        for key in sorted(keys):
-            shape = _shape(list(map(operator.itemgetter(key), nodes)), inner)
-            if shape is None:
-                return None
-            parts.append(f"{inner}{_json_string(key).replace('%', '%%')}: {shape[0]}")
-            columns += shape[1]
-        brackets = "{}"
-    elif kind is list:
-        size = len(nodes[0])
-        if not all(len(node) == size for node in nodes):
-            return None
-        parts, columns = [], []
-        if size:  # every list's items in one column, so item i's slots are every size-th value
-            shape = _shape(list(chain.from_iterable(nodes)), inner)
-            if shape is None:
-                return None
-            parts = [inner + shape[0]] * size
-            columns = [column[i::size] for i in range(size) for column in shape[1]]
-        brackets = "[]"
-    else:
-        return None
-    template = f"{brackets[0]}\n" + ",\n".join(parts) + f"\n{pad}{brackets[1]}" if parts else brackets
-    return template, columns
 
 
 def json_pieces(obj) -> Iterator[str]:
@@ -176,35 +118,35 @@ def _joined(parts) -> Iterator[str]:
     yield text
 
 
-_RECORD_BLOCK = 2048  # records rendered at a time by json_pieces
-
-
 class Records:
     """A list of records of one shape, given as columns, for a report tree.
 
-    ``columns`` is a nested dict with str keys whose leaves are arrays of
-    floats, ints or bools with the record on the leading axis; a leaf of
-    shape (S, m) gives every record a list of m values.  In a tree it renders
-    as the list ``tolist()`` does, from the template _shape makes of the first
-    record, with each block of records filled from the columns in one %-format
-    call: no per-record object is built.
+    ``columns`` is an array with the record on its leading axis, or a nested
+    dict with str keys whose leaves are such arrays, all of one length; they
+    hold floats, ints or bools, and a leaf of shape (S, m) gives every record
+    a list of m values.  In a tree it renders as the list ``tolist()`` does:
+    _template makes the text of one record from the keys, shapes and types
+    alone, and each block of _BLOCK records fills it from the columns in one
+    %-format call, with no per-record object built.  _json renders every
+    numpy array of one or more dimensions as a Records of that one column.
     """
 
-    def __init__(self, columns: dict):
+    def __init__(self, columns):
         self.columns = columns
-        # (S, slots) per leaf, in the order of the template's slots: keys sorted, then each leaf in C order
-        self._leaves = [leaf.reshape(leaf.shape[0], math.prod(leaf.shape[1:])) for leaf in _leaves(columns)]
-        if len({len(leaf) for leaf in self._leaves}) > 1:
+        leaves = list(_leaves(columns))
+        if not all(leaf.ndim and leaf.dtype.kind in "biuf" for leaf in leaves):
+            raise DomainError("record columns must be arrays of floats, ints or bools")
+        if len({len(leaf) for leaf in leaves}) > 1:
             raise DomainError("record columns must have one length")
-        if not all(leaf.dtype.kind in "biuf" for leaf in self._leaves):
-            raise DomainError("record columns must hold floats, ints or bools")
+        # (S, slots) per leaf, in the order of the template's slots: keys sorted, then each leaf in C order
+        self._leaves = [leaf.reshape(len(leaf), math.prod(leaf.shape[1:])) for leaf in leaves]
 
     def __len__(self) -> int:
         return len(self._leaves[0]) if self._leaves else 0
 
-    def tolist(self, start: int = 0, stop: int | None = None) -> list:
-        """Records start to stop as nested dicts of Python values."""
-        return _rows(self.columns, slice(start, stop))
+    def tolist(self) -> list:
+        """The records as Python values: nested dicts, or the array's items."""
+        return _rows(self.columns)
 
     def pieces(self, pad: str) -> Iterator[str]:
         """The list's text on a line indented by ``pad``, one piece per block of
@@ -215,13 +157,13 @@ class Records:
             raise DomainError("reports may not contain NaN or infinite values")
         if not len(self):
             return iter(["[]"])
-        return self._blocks(_shape(self.tolist(0, 1), pad + "  ")[0], pad)
+        return self._blocks(_template(self.columns, pad + "  "), pad)
 
     def _blocks(self, template: str, pad: str) -> Iterator[str]:
         inner = pad + "  "
         joint, size, rows, body = ",\n" + inner, len(self), 0, ""
-        for a in range(0, size, _RECORD_BLOCK):
-            block = [_slot_values(leaf[a:a + _RECORD_BLOCK]) for leaf in self._leaves]
+        for a in range(0, size, _BLOCK):
+            block = [_slot_values(leaf[a:a + _BLOCK]) for leaf in self._leaves]
             if len(block[0]) != rows:
                 rows = len(block[0])
                 body = joint.join([template] * rows)
@@ -238,14 +180,34 @@ def _leaves(node):
         yield np.asarray(node)
 
 
-def _rows(node, rows: slice) -> list:
+def _rows(node) -> list:
     if isinstance(node, dict):
-        return [dict(zip(node, values)) for values in zip(*(_rows(child, rows) for child in node.values()))]
-    return np.asarray(node)[rows].tolist()
+        return [dict(zip(node, values)) for values in zip(*map(_rows, node.values()))]
+    return np.asarray(node).tolist()
+
+
+_SLOTS = {"b": "%s", "i": "%d", "u": "%d", "f": "%.17g"}  # a value's %-slot by dtype kind, filled by _slot_values
+
+
+def _template(node, pad: str) -> str:
+    """The text of one record of the Records columns ``node`` on a line indented
+    by ``pad``, with a %-slot for each value: dicts by sorted key, a leaf of
+    shape (S, m, ...) as m items of the leaf's (S, ...) record."""
+    inner = pad + "  "
+    if isinstance(node, dict):
+        parts = [f"{inner}{_json_string(key).replace('%', '%%')}: {_template(node[key], inner)}"
+                 for key in _sorted_keys(node)]
+        brackets = "{}"
+    elif np.ndim(node) == 1:
+        return _SLOTS[np.asarray(node).dtype.kind]
+    else:  # shape[1] items, each the record of a leaf of shape (S, ...): an empty one says which
+        leaf = np.asarray(node)
+        parts, brackets = [inner + _template(np.empty((0, *leaf.shape[2:]), leaf.dtype), inner)] * leaf.shape[1], "[]"
+    return f"{brackets[0]}\n" + ",\n".join(parts) + f"\n{pad}{brackets[1]}" if parts else brackets
 
 
 def _slot_values(leaf: np.ndarray) -> np.ndarray:
-    """The Python values of a block of one leaf's slots, as _shape's columns hold them."""
+    """The Python values of a block of one leaf's slots, ready for its _SLOTS."""
     if leaf.dtype.kind == "b":
         return np.where(leaf, "true", "false").astype(object)
     return (leaf + 0.0 if leaf.dtype.kind == "f" else leaf).astype(object)  # -0.0 + 0.0 == +0.0
@@ -260,9 +222,6 @@ def write_text(path, text: str, append: bool = False):
 # Trajectory export
 # ---------------------------------------------------------------------------
 
-_CSV_BLOCK = 2048  # rows rendered at a time, so the text and floats held at once stay small
-
-
 def _grouped_csv(header: str, keys: np.ndarray, columns, index: bool = True) -> Iterator[str]:
     """CSV text in pieces: ``header`` with its newline, then one string per
     block of whole groups of rows, every row ending in a newline.
@@ -271,7 +230,7 @@ def _grouped_csv(header: str, keys: np.ndarray, columns, index: bool = True) -> 
     (groups, K), K may be 0); row k of it holds those keys, then with
     ``index`` the number k = 0..m-1, then ``column[g, k]`` of each of
     ``columns``, arrays of shape (groups, m).  A block holds as many whole
-    groups as fit in _CSV_BLOCK rows (at least one group).  A group's keys
+    groups as fit in _BLOCK rows (at least one group).  A group's keys
     are formatted once and spliced into its rows through a %s slot, k is a
     literal of the template, and the values of a block fill the template in
     one %-format call.
@@ -287,7 +246,7 @@ def _grouped_csv(header: str, keys: np.ndarray, columns, index: bool = True) -> 
     row = ("%s," if width else "") + "{}" + ",".join(["%.17g"] * len(columns)) + "\n"
     group = "".join(row.format(f"{k}," if index else "") for k in range(m))
     key_fmt = ",".join(["%.17g"] * width)
-    step = max(1, _CSV_BLOCK // m)
+    step = max(1, _BLOCK // m)
 
     def pieces():
         yield header + "\n"
@@ -317,17 +276,16 @@ def trajectory_csv(traj: Trajectory) -> Iterator[str]:
 
 
 def trajectory_sidecar(traj: Trajectory) -> dict:
-    """JSON sidecar: masses, R, conserved-quantity series, integrator stats."""
+    """JSON sidecar: masses, R, conserved-quantity series (arrays, as are the masses), integrator stats."""
     n = traj.n
     q = conserved(SystemState(traj.times, traj.ys[:, :n], traj.ys[:, n:], traj.masses, traj.R))
     energies = q.energy
     scale = max(1.0, abs(float(energies[0])))
     drift = float(np.max(np.abs(energies - energies[0]))) / scale
-    series = {"t": traj.times.tolist(), **{key: val.tolist() for key, val in q.as_dict().items()}}
     return {
-        "masses": [float(m) for m in traj.masses],
+        "masses": traj.masses,
         "R": float(traj.R),
-        "conserved": series,
+        "conserved": {"t": traj.times, **q.as_dict()},
         "energy_drift": drift,
         "stats": {
             "steps": traj.stats.steps,

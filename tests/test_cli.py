@@ -1356,6 +1356,15 @@ def _simulate_verdict(positions, masses, R):
     return message.replace(" at t = 0.0 ", " ") if " at t = 0.0 (" in message else None
 
 
+def _check_verdict(positions, masses, R):
+    """equilibria check's singularity message on bodies at positions, or None: the singular set itself,
+    which simulate widens at a step underflow."""
+    bodies = [[w.real, w.imag, 0.0, 0.0] for w in np.asarray(positions, dtype=complex).tolist()]
+    code, report, _ = _main_once(["equilibria", "check"], {"R": R, "masses": list(masses), "bodies": bodies,
+                                                            "equilibria": {"class": "hyperbolic-normal"}})
+    return report["error"]["message"] if code == 2 else None
+
+
 # equilibria bodies [x, y] and, for the cyclic families' check, (alpha, beta) pairs; pair b is moved to
 # pair a plus gap (gap 0: a copy), into or near the singular set
 _EQUILIBRIA_PAIRS = st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.1, 5.0)), min_size=1, max_size=4)
@@ -1365,9 +1374,10 @@ _CLOSE = st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 3), st
 # drawn equilibria configs, find and check over the five classes, the three symmetries and the cyclic
 # families' alpha, beta and s, must each end in exit 0 to 3, one JSON object on stdout, nothing on
 # stderr and equilibrium.json only on exit 0; max_iter bounds the work of each find.  An exit 2 names
-# the pair and theta that simulate names for the bodies the command reads: the ansatz, else the
-# symmetric start of the root finder; a family's positions at s, mirrored when every beta is negated.
-# Half the finds are of the two classes that exist.
+# the pair and theta that simulate names for the bodies the command reads: the ansatz, or a family's
+# positions at s, mirrored when every beta is negated.  A find from a non-singular ansatz whose
+# symmetric start, the root finder's, is in the singular set exits 1 naming the symmetry and the
+# verdict of check on that start.  Half the finds are of the two classes that exist.
 @settings(max_examples=150)
 @given(
     cls=st.one_of(st.sampled_from([c.value for c in EquilibriumClass]),
@@ -1385,7 +1395,9 @@ _CLOSE = st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 3), st
 @example(cls="elliptic-cyclic", mode="find", symmetry="axis", pairs=[(0.0, 2.0), (0.0, 0.5)], masses=[1.0] * 4,
          R=1.0, s=0.0, close=None, negate=False, max_iter=30)  # converges
 @example(cls="elliptic-cyclic", mode="find", symmetry="axis", pairs=[(0.0, 2.0), (1.0, 2.0)], masses=[1.0] * 4,
-         R=1.0, s=0.0, close=None, negate=False, max_iter=30)  # equal heights: one point on the axis
+         R=1.0, s=0.0, close=None, negate=False, max_iter=30)  # equal heights: one point on the axis, exit 1
+@example(cls="elliptic-cyclic", mode="find", symmetry="mirror", pairs=[(1e-8, 1.0), (5.0, 1.0)], masses=[1.0] * 4,
+         R=1.0, s=0.0, close=None, negate=False, max_iter=30)  # the mirror image of body 0 is next to it: exit 1
 @example(cls="parabolic-cyclic", mode="check", symmetry="none", pairs=[(0.5, 1.0), (0.5, 1.0), (0.0, 2.0)],
          masses=[1.0] * 4, R=1.0, s=0.3, close=None, negate=True, max_iter=1)  # coincident
 @example(cls="hyperbolic-normal", mode="check", symmetry="none", pairs=[(0.3, 1.0), (0.3, 1.0)],
@@ -1410,17 +1422,19 @@ def test_equilibria_fuzz_ends_in_one_json_object(cls, mode, symmetry, pairs, mas
         doc["bodies"] = [[x, y, 0.0, 0.0] for x, y in pairs]
     code, report, written = _main_once(["equilibria", mode], doc)
     _check_outcome(code, report, written, ["equilibrium.json"])
-    if code != 2:
-        return
     if family:
         w = equilibria._FAMILY_POSITIONS[cls.partition("-")[0]](equilibria.CyclicParams(alpha, beta, s))
-        expect = _simulate_verdict(np.conjugate(w) if negate else w, masses[:n], R)
+        w = np.conjugate(w) if negate else w
     else:
         w = np.array([complex(x, y) for x, y in pairs])
-        expect = _simulate_verdict(w, masses[:n], R)
-        if expect is None and mode == "find":  # the root finder's start, w reduced by the symmetry
-            expect = _simulate_verdict(equilibria._unpack(equilibria._pack(w, symmetry), n, symmetry), masses[:n], R)
-    assert report["error"] == {"code": "singularity", "message": expect}
+    if code == 2:
+        assert report["error"] == {"code": "singularity", "message": _simulate_verdict(w, masses[:n], R)}
+    elif mode == "find" and cls in ("hyperbolic-normal", "elliptic-cyclic") and (symmetry != "mirror" or n == 2):
+        start = equilibria._unpack(equilibria._pack(w, symmetry), n, symmetry)
+        verdict = _check_verdict(start, masses[:n], R)
+        if verdict is not None:  # the ansatz itself is not singular, or the command exits 2
+            message = f"symmetry {symmetry!r} reduces the ansatz to a start where {verdict}"
+            assert (code, report["error"]) == (1, {"code": "validation", "message": message})
 
 
 # bodies [x, y, vx, vy] for the integrating fuzzes: heights log-uniform on [1e-2, 10] or [1e-300, 1e3] (_HEIGHTS),

@@ -44,7 +44,8 @@ from hnbody.equilibria import (
     theta_parametric,
     two_body_elliptic,
 )
-from hnbody.dynamics import eom_rhs
+from hnbody.dynamics import eom_rhs, integrate
+from hnbody.flows import verify_invariance
 from hnbody.errors import ClassNotSolvableError, ConvergenceError, DomainError, SingularityError
 
 
@@ -205,6 +206,62 @@ class TestEllipticCyclicResidual:
         perm = rng.permutation(4)
         res_p = residual_elliptic_cyclic(state_of(w[perm], m[perm]))
         assert np.max(np.abs(res_p - res[perm])) < 1e-12 * max(1.0, np.max(np.abs(res)))
+
+
+def ring(n: int, rho: float, t=0.0) -> np.ndarray:
+    """A regular n-gon of disk radius rho about i (R = 1), turned by the elliptic rotation at rate 1 for the
+    times t: dw/dt = 1 + w^2 turns the disk point z = (i - w) / (w + i) as e^{2it} z."""
+    z = rho * np.exp(1j * (2.0 * np.pi * np.arange(n) / n + 2.0 * np.asarray(t)[..., None]))
+    return 1j * (1.0 - z) / (1.0 + z)
+
+
+class TestRegularRings:
+    """n equal masses on a regular n-gon about i rotate rigidly under the elliptic rotation: an exact
+    elliptic-cyclic Mobius solution for the one mass m(rho, n) at which the ansatz defect, linear in m,
+    vanishes.  The rings are unstable (at n = 8 an error grows about as e^{3.3 t}), so the spans are short."""
+
+    CASES = [(n, rho) for n in (8, 32, 128) for rho in (0.3, 0.6)]
+
+    @pytest.fixture(scope="class")
+    def rings(self):
+        """(state, defect scale, trajectory to t = 0.1 at tol 1e-10) per case."""
+        out = {}
+        for n, rho in self.CASES:
+            w = ring(n, rho)
+            d1, d2 = (mobius_ansatz_defect(ROTATION_ELLIPTIC, w, np.full(n, m), 1.0) for m in (1.0, 2.0))
+            geometric, force = 2.0 * d1 - d2, d1 - d2  # the defect is geometric - m force
+            m = geometric / force
+            assert np.ptp(m.real) < 1e-12 * m.real.mean() and np.abs(m.imag).max() < 1e-12 * m.real.mean()
+            velocities = (1.0 + w * w) * CLASS_DRIFT[EquilibriumClass.ELLIPTIC_CYCLIC][1]
+            state = SystemState(0.0, w, velocities, np.full(n, m.real.mean()), 1.0)
+            out[n, rho] = state, float(np.abs(geometric).max()), integrate(state, 0.1, tol=1e-10)
+        return out
+
+    @pytest.mark.parametrize("n, rho", CASES)
+    def test_the_ansatz_defect_and_the_condition_sides_vanish(self, rings, n, rho):
+        state, scale, _ = rings[n, rho]
+        defect = mobius_ansatz_defect(ROTATION_ELLIPTIC, state.positions, state.masses, 1.0)
+        assert state.masses[0] > 0 and np.abs(defect).max() < 1e-14 * n * scale
+        lhs, rhs = condition_sides(EquilibriumClass.ELLIPTIC_CYCLIC, state)
+        assert np.abs(lhs - rhs).max() < 1e-14 * n * np.abs(lhs).max()
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("n, rho", CASES)
+    def test_integrate_follows_the_rotation_at_the_nodes(self, rings, n, rho, tol):
+        state, _, traj = rings[n, rho]
+        if tol != 1e-10:
+            traj = integrate(state, 0.1, tol=tol)
+        assert np.abs(traj.ys[:, :n] - ring(n, rho, traj.times)).max() < 2.0 * tol
+
+    def test_the_eight_ring_follows_the_rotation_to_t_1(self, rings):
+        traj = integrate(rings[8, 0.3][0], 1.0, tol=1e-10)
+        assert np.abs(traj.ys[:, :8] - ring(8, 0.3, traj.times)).max() < 5e-10
+
+    @pytest.mark.parametrize("transport", [NORMAL_A, ROTATION_ELLIPTIC], ids=["normal", "elliptic"])
+    @pytest.mark.parametrize("n, rho", CASES)
+    def test_an_isometric_image_of_the_ring_is_a_solution(self, rings, n, rho, transport):
+        _, scale, traj = rings[n, rho]
+        assert verify_invariance(traj, transport, 0.3).max_residual < 1e-14 * n * scale
 
 
 class TestConditionSides:
@@ -615,6 +672,26 @@ class TestFindEquilibrium:
         with pytest.raises(DomainError, match="symmetry must be one of"):
             FindOptions(symmetry=symmetry)
 
+    @pytest.mark.parametrize("symmetry, ansatz, theta_text", [
+        ("axis", [2j, 1 + 2j], "0.000e+00"),  # equal heights: one point on the axis
+        ("mirror", [1e-8 + 1j, 5 + 1j], "6.400e-15"),  # body 0 next to its mirror image
+    ])
+    def test_a_singular_symmetric_start_of_a_regular_ansatz_is_a_domain_error(self, symmetry, ansatz, theta_text):
+        _interaction(np.array(ansatz), np.ones(2))  # a regular ansatz
+        with pytest.raises(SingularityError):
+            _interaction(equilibria._unpack(equilibria._pack(ansatz, symmetry), 2, symmetry), np.ones(2))
+        message = f"symmetry '{symmetry}' reduces the ansatz to a start where pair (0, 1) touched the singular set"
+        with pytest.raises(DomainError) as info:
+            find_equilibrium(EquilibriumClass.ELLIPTIC_CYCLIC, [1.0, 1.0], 1.0, ansatz, FindOptions(symmetry=symmetry))
+        assert str(info.value) == f"{message} (theta = {theta_text})"
+
+    @pytest.mark.parametrize("symmetry", ["none", "axis"])
+    def test_a_singular_ansatz_raises_its_own_verdict(self, symmetry):
+        with pytest.raises(SingularityError) as info:
+            find_equilibrium(EquilibriumClass.ELLIPTIC_CYCLIC, [1.0, 1.0], 1.0, [2j, 1e-9 + 2j],
+                             FindOptions(symmetry=symmetry))
+        assert str(info.value) == "pair (0, 1) touched the singular set (theta = 6.400e-17)"
+
     @pytest.mark.parametrize(
         "cls",
         [
@@ -977,20 +1054,20 @@ class TestCertificates:
     def _blocks_equal_the_tree(cert):
         pieces = list(reports.json_pieces(cert.to_report()))
         assert "".join(pieces) == reports.canonical_json(cert.to_dict())
-        assert len(pieces) == -(-len(cert.lhs) // reports._RECORD_BLOCK)  # one piece per block of samples
+        assert len(pieces) == -(-len(cert.lhs) // reports._BLOCK)  # one piece per block of samples
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     @pytest.mark.parametrize("cls", list(CERTIFIABLE_CLASSES))
     def test_block_rendering_equals_the_report_tree(self, monkeypatch, cls, n):
         B = 16  # the real block size takes the redrawn-row case below and the CLI digests
-        monkeypatch.setattr(reports, "_RECORD_BLOCK", B)
+        monkeypatch.setattr(reports, "_BLOCK", B)
         for seed in range(6):
             for samples in (1, B - 1, B, B + 1, 2 * B + 1):
                 self._blocks_equal_the_tree(certify_nonexistence(cls, n, samples, seed=seed))
 
     def test_block_rendering_of_a_redrawn_row_equals_the_report_tree(self, monkeypatch):
-        rows = reports._RECORD_BLOCK + 1
-        rounds = self._repeating_generator(monkeypatch, bad_rounds=1, rows=slice(reports._RECORD_BLOCK - 1, None))
+        rows = reports._BLOCK + 1
+        rounds = self._repeating_generator(monkeypatch, bad_rounds=1, rows=slice(reports._BLOCK - 1, None))
         cert = certify_nonexistence(EquilibriumClass.HYPERBOLIC_CYCLIC, 3, rows, seed=1)
         assert rounds == [rows, 2]
         self._blocks_equal_the_tree(cert)

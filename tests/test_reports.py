@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hnbody.clifford import KillingField
 from hnbody.dynamics import IntegratorStats, SystemState, Trajectory, conserved, integrate
@@ -91,7 +92,7 @@ def test_trajectory_csv_blocks_join_to_the_per_row_text(nodes):
     pieces = list(trajectory_csv(traj))
     assert "".join(pieces) == _reference_trajectory_csv(traj)
     assert len(pieces) == 1 + -(-nodes // 682)
-    assert all(piece.count("\n") <= reports._CSV_BLOCK for piece in pieces)
+    assert all(piece.count("\n") <= reports._BLOCK for piece in pieces)
 
 
 @pytest.mark.parametrize("count", [2047, 2048, 2049])
@@ -101,7 +102,7 @@ def test_flow_and_map_csv_blocks_join_to_the_per_row_text(count):
     map_rows = rng.choice(AWKWARD, (count, 6))
     pieces = list(flow_csv(flow_rows, 1))
     assert "".join(pieces) == _reference_rows("t,s,k,re,im", flow_rows, k=2)
-    assert len(pieces) == 1 + -(-count // reports._CSV_BLOCK)
+    assert len(pieces) == 1 + -(-count // reports._BLOCK)
     assert "".join(map_csv(map_rows)) == _reference_rows("re,im,disk_re,disk_im,back_re,back_im", map_rows)
 
 
@@ -133,16 +134,16 @@ def _flow_rows(times: int, m: int, seed: int = 0) -> np.ndarray:
 
 
 def _assert_whole_groups(pieces, m):
-    """Every block but the header holds whole groups, at most _CSV_BLOCK rows unless one group is larger."""
+    """Every block but the header holds whole groups, at most _BLOCK rows unless one group is larger."""
     rows = [piece.count("\n") for piece in pieces[1:]]
-    assert all(r % m == 0 and r <= max(reports._CSV_BLOCK, m) for r in rows)
+    assert all(r % m == 0 and r <= max(reports._BLOCK, m) for r in rows)
 
 
 # a block of 16 rows: groups of 3, 5 and 7 rows straddle its end, 16 fills it, 17 and 40 exceed it
 @pytest.mark.parametrize("m", [1, 3, 5, 7, 16, 17, 40])
 @pytest.mark.parametrize("times", [1, 2, 3, 5, 6, 11])
 def test_grouped_blocks_are_whole_groups_and_join_to_the_per_row_text(monkeypatch, m, times):
-    monkeypatch.setattr(reports, "_CSV_BLOCK", 16)
+    monkeypatch.setattr(reports, "_BLOCK", 16)
     rows = _flow_rows(times, m, seed=m * times)
     pieces = list(flow_csv(rows, m))
     assert "".join(pieces) == _reference_rows("t,s,k,re,im", rows, k=2)
@@ -219,7 +220,7 @@ def test_simulate_writes_no_trajectory_csv_with_a_nonfinite_last_node(tmp_path, 
         return traj
 
     monkeypatch.setattr(cli, "integrate", bad_last_time)
-    monkeypatch.setattr(reports, "_CSV_BLOCK", 4)
+    monkeypatch.setattr(reports, "_BLOCK", 4)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"R": 1.0, "masses": [1.0, 1.0], "bodies": [[0.0, 1.0, 0.6, 0.0], [0.0, 2.0, -0.6, 0.0]],
                                   "integrator": {"tol": 1e-8, "t_end": 1.0}}))
@@ -258,10 +259,11 @@ def test_sidecar_series_equal_conserved_at_every_node():
     s = SystemState(0.0, [1j, 2j, 0.5 + 1.5j], [0.6 + 0j, -0.6 + 0j, 0.1j], [1.0, 1.0, 0.3], 1.0)
     traj = integrate(s, 1.0, tol=1e-10)
     series = trajectory_sidecar(traj)["conserved"]
-    assert series["t"] == traj.times.tolist()
-    for i, state in enumerate(traj.samples):
-        for key, value in conserved(state).as_dict().items():
-            assert series[key][i] == value
+    per_node = [conserved(state).as_dict() for state in traj.samples]
+    assert np.array_equal(series.pop("t"), traj.times)
+    assert list(series) == list(per_node[0])
+    for key, values in series.items():
+        assert np.array_equal(values, [quantities[key] for quantities in per_node])
 
 
 # every character that JSON must escape or that ASCII output must spell as \uXXXX
@@ -308,10 +310,10 @@ _RANDOM_BITS = np.random.default_rng(8).integers(0, 2 ** 64, 4000, dtype=np.uint
     [np.float64(-0.0), 1.5, np.float64(5e-324), 1.7976931348623157e308],
 ])
 def test_canonical_json_float_lists_equal_the_per_item_path(values):
-    # lists of exact floats render in one pass; np.float64 leaves take the per-item path
+    # exact floats, np.float64 leaves and a float array of the values render alike
     per_item = [x if isinstance(x, (int, np.float64)) else np.float64(x) for x in values]
     expected = "[\n" + ",\n".join("  " + (str(x) if isinstance(x, int) else fmt_float(x)) for x in values) + "\n]\n"
-    assert canonical_json(values) == canonical_json(per_item) == expected
+    assert canonical_json(values) == canonical_json(per_item) == canonical_json(np.array(values, float)) == expected
     nested = {"a": {"b": [values, tuple(values)]}}
     assert canonical_json(nested) == canonical_json({"a": {"b": [per_item, tuple(per_item)]}})
 
@@ -326,7 +328,8 @@ def test_canonical_json_float_lists_reject_nonfinite_values(bad):
 @pytest.mark.parametrize("tree", [
     float("nan"), float("inf"), -float("inf"), [1.0, np.float64("nan")], {"a": {"b": -np.inf}},
     {1: "a"}, {None: 1}, {"a": 1, 2: "b"}, {2: "b", "a": 1}, {("a",): 1},
-    {1, 2}, b"bytes", 1j, np.array([1.0]), np.bool_(True), {"a": object()},
+    {1, 2}, b"bytes", 1j, np.array(1.0), np.array([1.0 + 0j]), np.array([1.0], dtype=object), np.bool_(True),
+    {"a": object()},
 ])
 def test_canonical_json_rejects_what_json_cannot_hold(tree):
     with pytest.raises(DomainError):
@@ -334,7 +337,7 @@ def test_canonical_json_rejects_what_json_cannot_hold(tree):
 
 
 # ---------------------------------------------------------------------------
-# Lists of records: one template per list, the recursion for any other item
+# Lists of Python values: item by item, as each item renders alone
 # ---------------------------------------------------------------------------
 
 def _per_item(records, pad: str = "") -> str:
@@ -427,18 +430,8 @@ def test_a_bad_later_record_raises_what_it_raises_alone(data):
     assert str(in_list.value) == str(alone.value)
 
 
-# ---------------------------------------------------------------------------
-# Lists whose items share a shape: one template, the recursion as the reference
-# ---------------------------------------------------------------------------
-
-def _recursion(tree) -> str:
-    """canonical_json with every list rendered item by item."""
-    with mock.patch.object(reports, "_shape", lambda nodes, pad: None):
-        return canonical_json(tree)
-
-
 def _assert_per_item(tree):
-    assert canonical_json(tree) == _per_item(tree) + "\n" == _recursion(tree)
+    assert canonical_json(tree) == _per_item(tree) + "\n"
 
 
 _rows = st.integers(0, 4).flatmap(lambda size: st.lists(st.lists(_finite, min_size=size, max_size=size),
@@ -464,7 +457,6 @@ def test_lists_of_record_lists_equal_the_per_item_recursion(data):
 
 @given(st.lists(_finite | st.integers(-3, 3), min_size=1, max_size=8))
 def test_a_top_level_tuple_equals_the_per_item_recursion(values):
-    # as invariance.json per_body is
     _assert_per_item(tuple(values))
     _assert_per_item(tuple(map(float, values)))
 
@@ -476,7 +468,6 @@ def test_a_top_level_tuple_equals_the_per_item_recursion(values):
     [[1.0, (2.0,)], [3.0, (4.0,)]],
 ])
 def test_nested_tuples_take_the_recursion(tree):
-    assert reports._shape(tree, "  ") is None
     _assert_per_item(tree)
 
 
@@ -507,15 +498,28 @@ def test_a_nonfinite_value_in_the_last_inner_list_raises_what_it_raises_alone(ba
         assert str(in_list.value) == str(alone.value)
 
 
+def _count_json_calls(monkeypatch) -> list:
+    """The nodes reports._json is called on from now on."""
+    calls, render = [], reports._json
+    monkeypatch.setattr(reports, "_json", lambda obj, pad: calls.append(obj) or render(obj, pad))
+    return calls
+
+
 def test_equilibrium_bodies_take_the_template(monkeypatch):
-    # the body rows render in one call of _json, not one call per row
+    # the masses, body rows and residual records render in one call of _json each, not one call per row
     rng = np.random.default_rng(50)
     positions = rng.normal(size=50) + 1j * rng.uniform(0.5, 2.0, 50)
     state = SystemState(0.0, positions, rng.normal(size=50) + 1j * rng.normal(size=50), np.ones(50), 1.0)
-    payload = {"class": "hyperbolic-normal", "mode": "find", "state": cli._state_dict(state)}
-    expected = _recursion(payload)
-    calls, render = [], reports._json
-    monkeypatch.setattr(reports, "_json", lambda obj, pad: calls.append(obj) or render(obj, pad))
+    residual = rng.choice(AWKWARD, 50) + 1j * rng.choice(AWKWARD, 50)
+    payload = {"class": "hyperbolic-normal", "mode": "find", "state": cli._state_dict(state),
+               "residual": cli._residual_dict(residual)}
+    w, v = state.positions, state.velocities
+    expected = canonical_json({**payload, "residual": payload["residual"].tolist(), "state": {
+        "R": state.R, "masses": state.masses.tolist(), "bodies": [
+            [x.real, x.imag, y.real, y.imag] for x, y in zip(w.tolist(), v.tolist())]}})
+    assert payload["residual"].tolist() == [
+        {"re": float(r.real), "im": float(r.imag), "abs": float(abs(r))} for r in residual]
+    calls = _count_json_calls(monkeypatch)
     assert canonical_json(payload) == expected
     assert len(calls) < 20
 
@@ -529,12 +533,11 @@ def test_certificates_equal_the_per_sample_recursion(cls, n):
 
 @pytest.mark.parametrize("cls", [EquilibriumClass.PARABOLIC_CYCLIC, EquilibriumClass.HYPERBOLIC_CYCLIC])
 def test_certificates_take_the_template(monkeypatch, cls):
-    # 7 calls of _json in all; the recursion renders the same bytes in 9 calls per sample
-    payload = certify_nonexistence(cls, 3, 1000, seed=2026).to_dict()
-    expected = _with_samples_per_item(payload)
-    calls, render = [], reports._json
-    monkeypatch.setattr(reports, "_json", lambda obj, pad: calls.append(obj) or render(obj, pad))
-    assert canonical_json(payload) == expected
+    # the report tree the CLI renders: 7 calls of _json in all, where its to_dict() takes 9 calls per sample
+    cert = certify_nonexistence(cls, 3, 1000, seed=2026)
+    expected = _with_samples_per_item(cert.to_dict())
+    calls = _count_json_calls(monkeypatch)
+    assert canonical_json(cert.to_report()) == expected
     assert len(calls) < 50
 
 
@@ -582,7 +585,7 @@ def test_records_render_as_their_list_in_blocks(columns, block):
     assert len(records) == len(listed)
     tree = {"%s": 1.5, "records": records, "z": {"inner": records, "tail": [True]}}
     expected = canonical_json({**tree, "records": listed, "z": {"inner": listed, "tail": [True]}})
-    with mock.patch.object(reports, "_RECORD_BLOCK", block):
+    with mock.patch.object(reports, "_BLOCK", block):
         pieces = list(reports.json_pieces(tree))
         assert canonical_json(tree) == expected
     assert "".join(pieces) == expected
@@ -617,7 +620,60 @@ def test_records_reject_a_nonfinite_value_at_the_call(bad):
     {"a": np.ones(2) + 1j},
     {"a": np.array([None, 1.0])},
     {1: np.ones(2)},
+    {"a": np.ones(2), "b": np.array(1.0)},
+    np.array(1.0),
 ])
 def test_records_refuse_columns_that_are_not_one_list(columns):
     with pytest.raises(DomainError):
         reports.Records(columns)
+
+
+# ---------------------------------------------------------------------------
+# Arrays in a report tree: one Records column, to the bytes of their tolist()
+# ---------------------------------------------------------------------------
+
+_ELEMENTS = {
+    np.float64: _finite,
+    np.int64: st.integers(-(2 ** 63), 2 ** 63 - 1),
+    np.uint64: st.integers(0, 2 ** 64 - 1),
+    np.bool_: st.booleans(),
+}
+_arrays = st.sampled_from(list(_ELEMENTS)).flatmap(lambda dtype: hnp.arrays(
+    dtype, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5), elements=_ELEMENTS[dtype]))
+
+
+@given(_arrays)
+def test_arrays_render_as_their_tolist(array):
+    listed = array.tolist()
+    assert canonical_json(array) == canonical_json(listed)
+    tree = {"%s": [array, {"a": array.T}], "b": array}  # a transposed view too
+    expected = canonical_json({"%s": [listed, {"a": array.T.tolist()}], "b": listed})
+    assert canonical_json(tree) == "".join(reports.json_pieces(tree)) == expected
+
+
+def test_awkward_arrays_render_as_their_tolist():
+    values = np.array(AWKWARD)
+    for array in (values, values.reshape(2, 5), values.reshape(5, 2)[::-1], values[:0], values.reshape(10, 1, 1),
+                  np.arange(-5, 5), values > 0, (values > 0).reshape(5, 2), np.array([0.1, -0.0, 1e-5], np.float32)):
+        assert canonical_json(array) == canonical_json(array.tolist())
+        assert canonical_json(reports.Records(array)) == canonical_json(array)
+    assert canonical_json(np.array([-0.0, 0.0])) == "[\n  0,\n  0\n]\n"
+    assert canonical_json(np.empty((3, 0))) == "[\n  [],\n  [],\n  []\n]\n"
+    columns = {"x": values, "k": np.arange(10), "ok": values > 0, "rows": {"%": values.reshape(10, 1)[::-1]}}
+    records = reports.Records(columns)
+    assert canonical_json(records) == canonical_json(records.tolist())
+    assert records.tolist()[0] == {"x": -0.0, "k": 0, "ok": False, "rows": {"%": [1e-5]}}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("shape", [(7,), (3, 4), (4, 3)])
+def test_a_nonfinite_value_anywhere_in_an_array_raises_fmt_floats_error_at_the_call(bad, shape):
+    with pytest.raises(DomainError) as reference:
+        fmt_float(bad)
+    for i in range(math.prod(shape)):
+        array = np.ones(shape)
+        array.flat[i] = bad
+        for render in (canonical_json, reports.json_pieces):  # json_pieces raises before the first piece
+            with pytest.raises(DomainError) as raised:
+                render({"a": [1.0], "b": array, "c": reports.Records({"x": np.ones(2)})})
+            assert str(raised.value) == str(reference.value)
